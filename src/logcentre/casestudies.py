@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import iodoc, ncpoly, valmat
+from . import iodoc, linalg, ncpoly, valmat
 from .errors import InputError
 from .iodoc import VERSION, InputDocument
 from .ncpoly import NCPoly, clifford_system, is_central, matrix_compose, normal_form
@@ -45,7 +45,6 @@ from .toric import (
     klt_check,
     log_canonical_cover,
     pair_functional,
-    primitive,
     q_cartier_functional,
 )
 
@@ -176,7 +175,7 @@ def _francia_report() -> CaseStudyReport:
         "primitive-ray-coordinates",
         "stored rays are primitive lattice vectors",
         True,
-        all(primitive(ray) == ray for ray in cone.rays),
+        all(linalg.primitive_vector(ray) == ray for ray in cone.rays),
     )
 
     centre = log_centre(order)

@@ -13,7 +13,8 @@ expected type is used. Every leaf command accepts ``--format text|json`` for
 stdout and ``--out PATH`` to additionally write the JSON result.
 
 Exit codes: 0 success, 2 bad usage or bad input, 3 negative verdict (the test
-ran and answered no, or did not apply), 4 resource limit hit.
+ran and answered no, or did not apply), 4 resource limit hit, 5 internal
+invariant violated (a bug in logcentre, not in the input).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import iodoc
 from .casestudies import input_document, run_case_study
 from .errors import (
     InputError,
+    InternalError,
     LogCentreError,
     NonterminationSuspected,
     NotApplicable,
@@ -38,10 +40,10 @@ from .orders import cover_graded_valuations, discriminant
 from .toric import (
     ConePair,
     ToricDivisor,
+    canonical_check,
     canonical_divisor,
     cartier_index,
     dual_cone_generators,
-    hilbert_basis,
     klt_check,
     log_canonical_cover,
     pair_functional,
@@ -146,12 +148,8 @@ def _cmd_klt(args):
 
 def _cmd_canonical(args):
     pair = _load_target(args.target, "cone_pair")
+    verdict = canonical_check(pair.cone)
     u = q_cartier_functional(pair.cone, canonical_divisor(pair.cone))
-    if u is None:
-        raise NotApplicable("canonical divisor is not Q-Cartier")
-    verdict = all(
-        sum(Fraction(a) * b for a, b in zip(u, h)) >= 1 for h in hilbert_basis(pair.cone)
-    )
     index = cartier_index(u)
     flag = "true" if verdict else "false"
     result = {"canonical": verdict, "functional": _functional_json(u), "index": index}
@@ -361,6 +359,9 @@ def main(argv=None) -> int:
     except NotApplicable as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (LogCentreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

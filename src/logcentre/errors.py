@@ -2,7 +2,8 @@
 
 The command line front end maps these onto exit codes: malformed input is a
 usage problem, a missing mathematical object is a negative verdict, and blown
-enumeration budgets are resource failures.
+enumeration budgets are resource failures. A failed internal invariant is a
+bug in the package and gets its own code, so it never reads as bad input.
 """
 
 
@@ -36,3 +37,7 @@ class RepresentationOverflow(LogCentreError):
 
 class NonterminationSuspected(LogCentreError):
     """Rewriting exceeded the configured step cap."""
+
+
+class InternalError(LogCentreError):
+    """An internal mathematical invariant failed: a bug, not bad input."""

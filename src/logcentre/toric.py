@@ -10,23 +10,28 @@ The classification tests are linear algebra. A toric Weil divisor sum(n_i D_i)
 is Q-Cartier exactly when some functional u has <u, v_i> = -n_i on every ray
 v_i; the pair (X, D) is Kawamata log terminal when the functional representing
 -(K+D) exists and is positive on the rays; and a cone whose canonical class is
-Q-Cartier is canonical when that functional is >= 1 on the whole Hilbert basis
-of the cone. Hilbert bases are enumerated from the bounding box of the
-generator zonotope followed by an irreducibility filter, which is exact and
-auditable at the intended desk scale (dimension <= 4, small coordinates).
+Q-Cartier is canonical when that functional u is >= 1 on every nonzero lattice
+point of the cone. As u = 1 on every ray, the points with u < 1 all lie in
+conv(0, rays), so the canonical test enumerates only the bounding box of that
+polytope. Hilbert bases are enumerated from the bounding box of the generator
+zonotope and reduced in order of degree (the sum of the facet values) against
+the basis elements already found; both enumerations are exact and auditable at
+the intended desk scale (dimension <= 4, small coordinates).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional
 
 from . import linalg
 from .errors import (
-    LogCentreError,
+    InternalError,
     NonStandardBoundary,
     NotApplicable,
     ResourceLimit,
@@ -36,11 +41,6 @@ from .orders import standard_index
 MAX_DIM = 4
 MAX_RAY_COORD = 100
 MAX_BOX_POINTS = 10**6
-
-
-def primitive(v) -> tuple:
-    """The integer vector v divided by the gcd of its coordinates."""
-    return linalg.primitive_vector(v)
 
 
 def pairing(u, v) -> Fraction:
@@ -53,7 +53,7 @@ def pairing(u, v) -> Fraction:
 def _require(condition: bool, message: str) -> None:
     # Internal mathematical postconditions: failing here means a bug, not bad input.
     if not condition:
-        raise LogCentreError(f"internal invariant violated: {message}")
+        raise InternalError(f"internal invariant violated: {message}")
 
 
 @dataclass(frozen=True)
@@ -274,14 +274,9 @@ def klt_check(pair: ConePair) -> KltResult:
     return KltResult(verdict, u)
 
 
-def hilbert_basis(cone: Cone) -> tuple:
-    """Minimal generating set of the semigroup of lattice points of the cone.
-
-    Every irreducible element lies in the zonotope spanned by the ray
-    generators, so enumerating the integer points of its bounding box that lie
-    in the cone and discarding the reducible ones is exhaustive. Output is
-    sorted lexicographically.
-    """
+def _zonotope_box(cone: Cone) -> list:
+    """Coordinate ranges of the bounding box of the zonotope spanned by the
+    rays; ResourceLimit when it holds more than MAX_BOX_POINTS points."""
     dim = cone.dim
     lo = [sum(min(0, ray[i]) for ray in cone.rays) for i in range(dim)]
     hi = [sum(max(0, ray[i]) for ray in cone.rays) for i in range(dim)]
@@ -292,37 +287,76 @@ def hilbert_basis(cone: Cone) -> tuple:
         raise ResourceLimit(
             f"zonotope bounding box holds {count} points, above the cap {MAX_BOX_POINTS}"
         )
-    zero = (0,) * dim
-    candidates = [
-        p
-        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if p != zero and cone.contains(p)
-    ]
-    basis = []
-    for x in candidates:
-        reducible = False
-        for y in candidates:
-            if y == x:
-                continue
-            z = tuple(a - b for a, b in zip(x, y))
-            if cone.contains(z):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(x)
+    return [range(a, b + 1) for a, b in zip(lo, hi)]
+
+
+def hilbert_basis(cone: Cone) -> tuple:
+    """Minimal generating set of the semigroup of lattice points of the cone.
+
+    Every irreducible element lies in the zonotope spanned by the ray
+    generators, so the integer points of its bounding box that lie in the cone
+    are exhaustive candidates. Candidates are compared by facet values: x - y
+    lies in the cone exactly when y is at most x in every facet value. A
+    reducible x is a sum y + z of nonzero lattice points of the cone; one
+    summand has at most half the degree of x (the sum of its facet values) and
+    lies above a basis element of at most that degree. So candidates are taken
+    in order of degree and kept unless a ray, or a kept element of at most half
+    their degree, lies below them. Output is sorted lexicographically.
+    """
+    facets = cone.facets
+
+    def facet_values(p):
+        return tuple(sum(a * b for a, b in zip(n, p)) for n in facets)
+
+    graded = []
+    for p in product(*_zonotope_box(cone)):
+        values = facet_values(p)
+        degree = sum(values)
+        # Facets span the dual space, so only the origin has degree 0.
+        if degree and min(values) >= 0:
+            graded.append((degree, values, p))
+    graded.sort(key=itemgetter(0))
+    ray_values = [facet_values(ray) for ray in cone.rays]
+    kept_degrees, kept, basis = [], [], []
+    for degree, values, p in graded:
+        # Rays first: they are basis elements and lie below most reducible points.
+        below = chain(
+            (low for low in ray_values if low != values),
+            islice(kept, bisect_right(kept_degrees, degree // 2)),
+        )
+        if not any(all(b <= x for b, x in zip(low, values)) for low in below):
+            kept_degrees.append(degree)
+            kept.append(values)
+            basis.append(p)
     return tuple(sorted(basis))
 
 
 def canonical_check(cone: Cone) -> bool:
     """Canonical-singularities test for the cone with empty boundary.
 
-    Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable)
-    and then asks for <u, h> >= 1 on the whole Hilbert basis.
+    Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable).
+    Its functional u has <u, v_i> = 1 on every ray, so the part of the cone
+    where u <= 1 is conv(0, v_1, ..., v_n), and the cone is canonical exactly
+    when no nonzero lattice point of that polytope has u < 1. The test scans
+    the bounding box of the polytope and stops at the first such point. The
+    refusal is the one of hilbert_basis: ResourceLimit when the zonotope box,
+    which contains the scanned box, is over the cap.
     """
     u = q_cartier_functional(cone, canonical_divisor(cone))
     if u is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
-    return all(pairing(u, h) >= 1 for h in hilbert_basis(cone))
+    _zonotope_box(cone)  # refuses where hilbert_basis refuses
+    # 0 < u < 1 in integers: m*u is integral and compared with 0 and m. As u > 0
+    # on the cone minus the origin, the lower bound only drops points not wanted.
+    m = cartier_index(u)
+    w = [int(x * m) for x in u]
+    ranges = [
+        range(min(0, min(coords)), max(0, max(coords)) + 1) for coords in zip(*cone.rays)
+    ]
+    for p in product(*ranges):
+        if 0 < sum(a * b for a, b in zip(w, p)) < m and cone.contains(p):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

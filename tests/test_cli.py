@@ -232,5 +232,16 @@ def test_step_cap_exit_code(capsys, monkeypatch):
     assert "error" in err
 
 
+def test_internal_invariant_exit_code(capsys, monkeypatch, francia_doc):
+    # A wrong sublattice index trips the cover's postcondition: a bug, not bad input.
+    from logcentre import linalg
+
+    monkeypatch.setattr(linalg, "det_int", lambda columns: 0)
+    code, out, err = _run(capsys, "toric", "cover", francia_doc + "#base")
+    assert code == 5
+    assert out == ""
+    assert "internal invariant violated" in err
+
+
 def test_module_entry_point():
     import logcentre.__main__  # noqa: F401  (import must not execute main)

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from logcentre import linalg
 from logcentre.errors import NonStandardBoundary, NotApplicable, ResourceLimit
 from logcentre.toric import (
     Cone,
@@ -23,7 +26,6 @@ from logcentre.toric import (
     log_canonical_cover,
     pair_functional,
     pairing,
-    primitive,
     q_cartier_functional,
 )
 
@@ -242,7 +244,7 @@ def test_hilbert_basis_oracle_fixed_cones():
 def test_hilbert_basis_oracle_random(entries):
     a, b, c, d = entries
     assume(a * d - b * c != 0)
-    rays = (primitive((a, b)), primitive((c, d)))
+    rays = (linalg.primitive_vector((a, b)), linalg.primitive_vector((c, d)))
     assume(rays[0] != rays[1])
     cone = Cone.from_rays(rays)
     _assert_is_hilbert_basis(cone, hilbert_basis(cone))
@@ -261,13 +263,25 @@ def test_klt_reduces_to_coefficient_bound(entries, style):
     # boundary coefficient is below one
     a, b, c, d = entries
     assume(a * d - b * c != 0)
-    rays = (primitive((a, b)), primitive((c, d)))
+    rays = (linalg.primitive_vector((a, b)), linalg.primitive_vector((c, d)))
     assume(rays[0] != rays[1])
     coeffs = ((0, 0), (Fraction(1, 2), Fraction(2, 3)), (1, Fraction(1, 2)))[style]
     pair = ConePair(Cone.from_rays(rays), ToricDivisor(coeffs))
     result = klt_check(pair)
     assert result.functional is not None  # simplicial, so always representable
     assert result.is_klt == all(x < 1 for x in coeffs)
+
+
+def test_hilbert_basis_of_rectangle_cones():
+    # The cone over an a x b rectangle at height one is Gorenstein and its
+    # Hilbert basis is exactly the (a+1)(b+1) lattice points of the rectangle.
+    for a in range(1, 5):
+        for b in range(1, 5):
+            cone = Cone.from_rays(((0, 0, 1), (a, 0, 1), (0, b, 1), (a, b, 1)))
+            basis = hilbert_basis(cone)
+            assert len(basis) == (a + 1) * (b + 1)
+            assert set(basis) == {(i, j, 1) for i in range(a + 1) for j in range(b + 1)}
+            assert canonical_check(cone) is True
 
 
 def test_hilbert_basis_resource_limit():
@@ -289,6 +303,95 @@ def test_canonical_examples():
 def test_canonical_requires_q_cartier():
     with pytest.raises(NotApplicable):
         canonical_check(_square_pair().cone)
+
+
+def _all_pairs_hilbert_basis(cone):
+    # Oracle: candidates from the zonotope box, each one tested for
+    # reducibility against every other candidate.
+    dim = cone.dim
+    lo = [sum(min(0, r[i]) for r in cone.rays) for i in range(dim)]
+    hi = [sum(max(0, r[i]) for r in cone.rays) for i in range(dim)]
+    candidates = [
+        p
+        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        if any(p) and cone.contains(p)
+    ]
+    return tuple(
+        sorted(
+            x
+            for x in candidates
+            if not any(
+                y != x and cone.contains(tuple(a - b for a, b in zip(x, y)))
+                for y in candidates
+            )
+        )
+    )
+
+
+def _oracle_canonical(cone):
+    u = q_cartier_functional(cone, canonical_divisor(cone))
+    if u is None:
+        return None
+    return all(pairing(u, h) >= 1 for h in _all_pairs_hilbert_basis(cone))
+
+
+def _cyclic_quotient_cone(r, a, b):
+    # 1/r(1,a,b): the positive orthant over the lattice Z^3 + Z(1,a,b)/r.
+    lattice = Lattice(((Fraction(1, r), Fraction(a, r), Fraction(b, r)), (0, 1, 0), (0, 0, 1)))
+    return Cone(lattice, ((r, -a, -b), (0, 1, 0), (0, 0, 1)))
+
+
+def test_canonical_matches_reid_tai_on_cyclic_quotients():
+    # Reid-Tai: 1/r(w) is canonical iff sum {k*w_i/r} >= 1 for k = 1..r-1.
+    verdicts = []
+    for r in range(2, 12):
+        for a in range(1, r):
+            for b in range(a, r):
+                if gcd(a, r) != 1 or gcd(b, r) != 1:
+                    continue
+                expected = all(
+                    sum(k * w % r for w in (1, a, b)) >= r for k in range(1, r)
+                )
+                assert canonical_check(_cyclic_quotient_cone(r, a, b)) is expected, (r, a, b)
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def _random_cone(rng):
+    dim = rng.choice((2, 3, 4))
+    bound = {2: 4, 3: 2, 4: 1}[dim]
+    count = rng.randint(dim, dim + 1)
+    # Rays at a common height make K Q-Cartier on non-simplicial cones too.
+    height = rng.randint(1, 3) if dim == 3 and rng.random() < 0.5 else None
+    rays = set()
+    while len(rays) < count:
+        v = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if height is not None:
+            v = v[:-1] + (height,)
+        if any(v):
+            rays.add(linalg.primitive_vector(v))
+    return Cone.from_rays(sorted(rays))
+
+
+def test_canonical_and_hilbert_basis_match_oracles_on_random_cones():
+    rng = random.Random(20230217)
+    verdicts = []
+    while len(verdicts) < 100:
+        try:
+            cone = _random_cone(rng)
+        except ValueError:
+            continue  # not pointed, not full-dimensional, or a ray not extreme
+        expected = _oracle_canonical(cone)
+        if expected is None:
+            with pytest.raises(NotApplicable):
+                canonical_check(cone)
+        else:
+            assert canonical_check(cone) is expected, cone
+        basis = hilbert_basis(cone)
+        assert basis == _all_pairs_hilbert_basis(cone)
+        _assert_is_hilbert_basis(cone, basis)
+        verdicts.append(expected)
+    assert {True, False, None} <= set(verdicts)
 
 
 # Index-one covers.
