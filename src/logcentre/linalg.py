@@ -1,24 +1,21 @@
 """Small exact linear-algebra kernels: rational elimination and integer lattices.
 
-Everything here is dense, tiny (dimension at most a handful), and exact:
-rational work uses Fraction, lattice work uses plain integers with extended
-gcd column operations. Inputs are sequences of rows unless a function says
-columns.
+Everything here is dense, tiny (dimension at most a handful), and exact.
+Fraction is used only for rational elimination (rank, solves, inverses);
+lattice work uses plain integers: extended gcd column operations and an
+integer cofactor determinant. Inputs are sequences of rows unless a function
+says columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-
-def _copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+from math import gcd
 
 
 def rref(rows):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = _copy(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -68,21 +65,6 @@ def solve_exact(rows, rhs):
     return tuple(x)
 
 
-def nullspace(rows):
-    """Basis of the right kernel over the rationals."""
-    red, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
 def invert(rows):
     """Exact inverse of a square matrix; raises ValueError when singular."""
     n = len(rows)
@@ -92,26 +74,6 @@ def invert(rows):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
-
-
-def det(rows) -> Fraction:
-    m = _copy(rows)
-    n = len(m)
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        out *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * out
 
 
 def primitive_vector(v):
@@ -127,13 +89,6 @@ def primitive_vector(v):
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
-
-
-def scale_to_primitive_integer(v):
-    """Clear denominators of a rational vector and reduce to primitive."""
-    fracs = [Fraction(x) for x in v]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return primitive_vector([int(f * mult) for f in fracs])
 
 
 def xgcd(a: int, b: int):
@@ -199,8 +154,14 @@ def hermite_column_form(cols):
 
 
 def det_int(cols) -> int:
-    """Determinant of the square integer matrix whose columns are given."""
-    value = det(cols)
-    if value.denominator != 1:
-        raise ValueError("matrix is not integral")
-    return int(value)
+    """Determinant of a square integer matrix by cofactor expansion along its
+    first column (rows or columns alike); the 0x0 matrix has determinant 1.
+    Exponential in the size, which stays at most MAX_DIM = 4 in toric."""
+    if not cols:
+        return 1
+    total = 0
+    for i, x in enumerate(cols[0]):
+        if x:
+            minor = [col[:i] + col[i + 1 :] for col in cols[1:]]
+            total += (-1) ** i * x * det_int(minor)
+    return total

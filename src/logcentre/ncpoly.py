@@ -38,6 +38,15 @@ def _coerce(value) -> Fraction:
     return Fraction(value)
 
 
+def _accumulate(data: dict, key, coeff) -> None:
+    """Add coeff to data[key], dropping the key when the sum is zero."""
+    acc = data.get(key, 0) + coeff
+    if acc:
+        data[key] = acc
+    else:
+        data.pop(key, None)
+
+
 class NCPoly:
     """Noncommutative polynomial: a finite map from words to rational numbers."""
 
@@ -49,13 +58,7 @@ class NCPoly:
             items = terms.items() if isinstance(terms, dict) else terms
             for word, coeff in items:
                 word = tuple(word)
-                coeff = _coerce(coeff)
-                if coeff:
-                    acc = data.get(word, Fraction(0)) + coeff
-                    if acc:
-                        data[word] = acc
-                    else:
-                        data.pop(word, None)
+                _accumulate(data, word, _coerce(coeff))
         self._terms = data
 
     @classmethod
@@ -95,11 +98,7 @@ class NCPoly:
             return NotImplemented
         data = dict(self._terms)
         for word, coeff in other._terms.items():
-            acc = data.get(word, Fraction(0)) + coeff
-            if acc:
-                data[word] = acc
-            else:
-                data.pop(word, None)
+            _accumulate(data, word, coeff)
         out = NCPoly.zero()
         out._terms = data
         return out
@@ -130,12 +129,7 @@ class NCPoly:
         data: dict = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                word = w1 + w2
-                acc = data.get(word, Fraction(0)) + c1 * c2
-                if acc:
-                    data[word] = acc
-                else:
-                    data.pop(word, None)
+                _accumulate(data, w1 + w2, c1 * c2)
         out = NCPoly.zero()
         out._terms = data
         return out
@@ -397,11 +391,7 @@ def normal_form(poly: NCPoly, system: RewriteSystem, step_cap: Optional[int] = N
         word, coeff = stack.pop()
         hit = system.find_redex(word)
         if hit is None:
-            acc = result.get(word, Fraction(0)) + coeff
-            if acc:
-                result[word] = acc
-            else:
-                result.pop(word, None)
+            _accumulate(result, word, coeff)
             continue
         steps += 1
         if steps > cap:
@@ -499,12 +489,7 @@ class CommPoly:
             items = terms.items() if isinstance(terms, dict) else terms
             for exponents, coeff in items:
                 exponents = self._reduce(tuple(int(e) for e in exponents))
-                coeff = _coerce(coeff)
-                acc = data.get(exponents, Fraction(0)) + coeff
-                if acc:
-                    data[exponents] = acc
-                else:
-                    data.pop(exponents, None)
+                _accumulate(data, exponents, _coerce(coeff))
         self._terms = data
 
     @staticmethod
@@ -536,11 +521,7 @@ class CommPoly:
     def __add__(self, other: "CommPoly") -> "CommPoly":
         data = dict(self._terms)
         for exponents, coeff in other._terms.items():
-            acc = data.get(exponents, Fraction(0)) + coeff
-            if acc:
-                data[exponents] = acc
-            else:
-                data.pop(exponents, None)
+            _accumulate(data, exponents, coeff)
         out = CommPoly.zero()
         out._terms = data
         return out
@@ -558,11 +539,7 @@ class CommPoly:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exponents = self._reduce(tuple(x + y for x, y in zip(e1, e2)))
-                acc = data.get(exponents, Fraction(0)) + c1 * c2
-                if acc:
-                    data[exponents] = acc
-                else:
-                    data.pop(exponents, None)
+                _accumulate(data, exponents, c1 * c2)
         out = CommPoly.zero()
         out._terms = data
         return out

@@ -128,21 +128,21 @@ class Lattice:
 def _facet_normals(dim: int, rays) -> tuple:
     found = set()
     for subset in combinations(rays, dim - 1):
-        if dim == 1:
-            candidates = [(1,)]
-        else:
-            if linalg.rank(subset) != dim - 1:
-                continue
-            kernel = linalg.nullspace(subset)
-            if len(kernel) != 1:
-                continue
-            candidates = [linalg.scale_to_primitive_integer(kernel[0])]
-        for n in candidates:
-            pairings = [sum(a * b for a, b in zip(n, v)) for v in rays]
-            if all(p >= 0 for p in pairings):
-                found.add(tuple(n))
-            elif all(p <= 0 for p in pairings):
-                found.add(tuple(-x for x in n))
+        # Signed maximal minors: orthogonal to the subset, and zero exactly
+        # when the subset spans less than a hyperplane. In dimension 1 the
+        # empty subset gives (1,).
+        n = [
+            (-1) ** i * linalg.det_int([ray[:i] + ray[i + 1 :] for ray in subset])
+            for i in range(dim)
+        ]
+        if not any(n):
+            continue
+        n = linalg.primitive_vector(n)
+        pairings = [sum(a * b for a, b in zip(n, v)) for v in rays]
+        if all(p >= 0 for p in pairings):
+            found.add(n)
+        elif all(p <= 0 for p in pairings):
+            found.add(tuple(-x for x in n))
     return tuple(sorted(found))
 
 
@@ -274,18 +274,15 @@ def klt_check(pair: ConePair) -> KltResult:
     return KltResult(verdict, u)
 
 
-def _zonotope_box(cone: Cone) -> list:
-    """Coordinate ranges of the bounding box of the zonotope spanned by the
-    rays; ResourceLimit when it holds more than MAX_BOX_POINTS points."""
-    dim = cone.dim
-    lo = [sum(min(0, ray[i]) for ray in cone.rays) for i in range(dim)]
-    hi = [sum(max(0, ray[i]) for ray in cone.rays) for i in range(dim)]
+def _box(name: str, lo, hi) -> list:
+    """Coordinate ranges of the integer box [lo, hi]; ResourceLimit when it
+    holds more than MAX_BOX_POINTS points."""
     count = 1
     for a, b in zip(lo, hi):
         count *= b - a + 1
     if count > MAX_BOX_POINTS:
         raise ResourceLimit(
-            f"zonotope bounding box holds {count} points, above the cap {MAX_BOX_POINTS}"
+            f"{name} bounding box holds {count} points, above the cap {MAX_BOX_POINTS}"
         )
     return [range(a, b + 1) for a, b in zip(lo, hi)]
 
@@ -308,8 +305,14 @@ def hilbert_basis(cone: Cone) -> tuple:
     def facet_values(p):
         return tuple(sum(a * b for a, b in zip(n, p)) for n in facets)
 
+    coords = list(zip(*cone.rays))
+    box = _box(
+        "zonotope",
+        [sum(min(0, x) for x in c) for c in coords],
+        [sum(max(0, x) for x in c) for c in coords],
+    )
     graded = []
-    for p in product(*_zonotope_box(cone)):
+    for p in product(*box):
         values = facet_values(p)
         degree = sum(values)
         # Facets span the dual space, so only the origin has degree 0.
@@ -338,22 +341,20 @@ def canonical_check(cone: Cone) -> bool:
     Its functional u has <u, v_i> = 1 on every ray, so the part of the cone
     where u <= 1 is conv(0, v_1, ..., v_n), and the cone is canonical exactly
     when no nonzero lattice point of that polytope has u < 1. The test scans
-    the bounding box of the polytope and stops at the first such point. The
-    refusal is the one of hilbert_basis: ResourceLimit when the zonotope box,
-    which contains the scanned box, is over the cap.
+    the bounding box of the polytope and stops at the first such point; the
+    cap bounds that scanned box: ResourceLimit when it holds more than
+    MAX_BOX_POINTS points.
     """
     u = q_cartier_functional(cone, canonical_divisor(cone))
     if u is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
-    _zonotope_box(cone)  # refuses where hilbert_basis refuses
+    coords = list(zip(*cone.rays))
+    box = _box("conv(0, rays)", [min(0, *c) for c in coords], [max(0, *c) for c in coords])
     # 0 < u < 1 in integers: m*u is integral and compared with 0 and m. As u > 0
     # on the cone minus the origin, the lower bound only drops points not wanted.
     m = cartier_index(u)
     w = [int(x * m) for x in u]
-    ranges = [
-        range(min(0, min(coords)), max(0, max(coords)) + 1) for coords in zip(*cone.rays)
-    ]
-    for p in product(*ranges):
+    for p in product(*box):
         if 0 < sum(a * b for a, b in zip(w, p)) < m and cone.contains(p):
             return False
     return True

@@ -113,9 +113,6 @@ class ValMatrix:
         """Scale every entry by t^v."""
         return ValMatrix(tuple(tuple(x + v for x in row) for row in self.entries))
 
-    def __matmul__(self, other: "ValMatrix") -> "ValMatrix":
-        return tropical_mul(self, other)
-
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 

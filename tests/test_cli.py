@@ -233,10 +233,16 @@ def test_step_cap_exit_code(capsys, monkeypatch):
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch, francia_doc):
-    # A wrong sublattice index trips the cover's postcondition: a bug, not bad input.
+    # A sublattice of twice the index trips the cover's postcondition: a bug, not bad input.
     from logcentre import linalg
 
-    monkeypatch.setattr(linalg, "det_int", lambda columns: 0)
+    hermite = linalg.hermite_column_form
+
+    def doubled_first_column(cols):
+        first, *rest = hermite(cols)
+        return [tuple(2 * x for x in first), *rest]
+
+    monkeypatch.setattr(linalg, "hermite_column_form", doubled_first_column)
     code, out, err = _run(capsys, "toric", "cover", francia_doc + "#base")
     assert code == 5
     assert out == ""

@@ -305,6 +305,25 @@ def test_canonical_requires_q_cartier():
         canonical_check(_square_pair().cone)
 
 
+def test_canonical_caps_the_scanned_box():
+    # The cube cone's conv(0, rays) box holds 21^3 * 2 = 18,522 points, its
+    # zonotope box 81^3 * 9 = 4,782,969: only hilbert_basis refuses.
+    cube = Cone.from_rays([(a, b, c, 1) for a in (-10, 10) for b in (-10, 10) for c in (-10, 10)])
+    assert canonical_check(cube) is True
+    with pytest.raises(ResourceLimit):
+        hilbert_basis(cube)
+    # The conv(0, rays) box of this cone holds 100^3 * 2 = 2 * 10^6 points.
+    big = Cone.from_rays(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (99, 99, 99, 1)))
+    with pytest.raises(ResourceLimit):
+        canonical_check(big)
+    # NotApplicable comes before the cap (box of 100^3 * 3 points).
+    not_q_cartier = Cone.from_rays(
+        ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (99, 99, 99, 2), (0, 0, 0, 1))
+    )
+    with pytest.raises(NotApplicable):
+        canonical_check(not_q_cartier)
+
+
 def _all_pairs_hilbert_basis(cone):
     # Oracle: candidates from the zonotope box, each one tested for
     # reducibility against every other candidate.
@@ -392,6 +411,38 @@ def test_canonical_and_hilbert_basis_match_oracles_on_random_cones():
         _assert_is_hilbert_basis(cone, basis)
         verdicts.append(expected)
     assert {True, False, None} <= set(verdicts)
+
+
+def test_facets_of_random_cones():
+    rng = random.Random(20231018)
+    built = []
+    for _ in range(600):
+        dim = rng.choice((2, 3, 4))
+        # Keeps every (dim-1)-minor, so every dual ray coordinate, within MAX_RAY_COORD.
+        bound = rng.randint(1, {2: 9, 3: 4, 4: 2}[dim])
+        rays = {
+            linalg.primitive_vector(v)
+            for v in (
+                tuple(rng.randint(-bound, bound) for _ in range(dim))
+                for _ in range(rng.randint(dim, dim + 3))
+            )
+            if any(v)
+        }
+        if len(rays) < dim:
+            continue  # cannot span the space
+        try:
+            cone = Cone.from_rays(sorted(rays))
+        except ValueError:
+            continue  # not pointed, not full-dimensional, or a ray not extreme
+        built.append(dim)
+        for n in cone.facets:
+            assert gcd(*(abs(x) for x in n)) == 1, (cone, n)
+            values = [sum(a * b for a, b in zip(n, ray)) for ray in cone.rays]
+            assert min(values) >= 0, (cone, n)
+            touching = [ray for ray, value in zip(cone.rays, values) if value == 0]
+            assert linalg.rank(touching) == dim - 1, (cone, n)
+        assert set(dual_cone(dual_cone(cone)).rays) == set(cone.rays)
+    assert len(built) >= 150 and set(built) == {2, 3, 4}, len(built)
 
 
 # Index-one covers.
