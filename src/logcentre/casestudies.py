@@ -17,7 +17,6 @@ matches a ramified matrix order with e = 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,10 +94,6 @@ class CaseStudyReport:
             lines.append(line)
         lines.append(f"overall: {'pass' if self.overall else 'fail'}")
         return "\n".join(lines)
-
-
-def render_report_json(report: CaseStudyReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def _check(checks: list, check_id: str, description: str, expected, actual) -> None:

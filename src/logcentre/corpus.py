@@ -64,7 +64,7 @@ def _simplicial_pair(rng: random.Random, dim: int, bound: int, indices, max_inde
             ray = _random_ray(rng, dim, bound)
             if ray not in rays:
                 rays.append(ray)
-        if linalg.rank(rays) != dim:
+        if linalg.det_int(rays) == 0:
             continue
         boundary = tuple(Fraction(e - 1, e) for e in (rng.choice(indices) for _ in rays))
         pair = ConePair(Cone(Lattice.standard(dim), tuple(rays)), ToricDivisor(boundary))

@@ -1,10 +1,9 @@
 """Small exact linear-algebra kernels: rational elimination and integer lattices.
 
 Everything here is dense, tiny (dimension at most a handful), and exact.
-Fraction is used only for rational elimination (rank, solves, inverses);
-lattice work uses plain integers: extended gcd column operations and an
-integer cofactor determinant. Inputs are sequences of rows unless a function
-says columns.
+Fraction elimination serves only exact solves and inverses; lattice work uses
+plain integers: extended gcd column operations and an integer cofactor
+determinant. Inputs are sequences of rows unless a function says columns.
 """
 
 from __future__ import annotations
@@ -37,12 +36,6 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
 
 
 def solve_exact(rows, rhs):

@@ -126,7 +126,10 @@ class Lattice:
 
 
 def _facet_normals(dim: int, rays) -> tuple:
+    """Facet normals of the cone over the rays, and whether the rays span the
+    space: some (d-1)-subset spans a hyperplane that a further ray leaves."""
     found = set()
+    spanning = False
     for subset in combinations(rays, dim - 1):
         # Signed maximal minors: orthogonal to the subset, and zero exactly
         # when the subset spans less than a hyperplane. In dimension 1 the
@@ -139,11 +142,12 @@ def _facet_normals(dim: int, rays) -> tuple:
             continue
         n = linalg.primitive_vector(n)
         pairings = [sum(a * b for a, b in zip(n, v)) for v in rays]
+        spanning = spanning or any(pairings)
         if all(p >= 0 for p in pairings):
             found.add(n)
         elif all(p <= 0 for p in pairings):
             found.add(tuple(-x for x in n))
-    return tuple(sorted(found))
+    return tuple(sorted(found)), spanning
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,12 @@ class Cone:
     """Pointed, full-dimensional rational cone listed by primitive extreme rays.
 
     Facet inequalities are derived at construction and cached; membership is
-    <facet, x> >= 0 for all facets.
+    <facet, x> >= 0 for all facets. The shape is read off the incidence of
+    rays and facets, since a face is spanned by the rays it contains (Fulton,
+    Introduction to Toric Varieties, 1.2): the cone is full-dimensional when a
+    ray leaves some hyperplane spanned by other rays, pointed when no ray lies
+    on every facet, and a ray is extreme when no other ray lies on every facet
+    it lies on.
     """
 
     lattice: Lattice
@@ -176,21 +185,25 @@ class Cone:
                 raise ValueError(f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
-        if linalg.rank(rays) != dim:
+        facets, spanning = _facet_normals(dim, rays)
+        if not spanning:
             raise ValueError("cone is not full-dimensional")
         object.__setattr__(self, "rays", rays)
-        facets = _facet_normals(dim, rays)
-        if linalg.rank(facets) != dim:
+        zeros = [
+            {n for n in facets if sum(a * b for a, b in zip(n, ray)) == 0} for ray in rays
+        ]
+        if set(facets) in zeros:
             raise ValueError("cone is not pointed")
-        for ray in rays:
-            touching = [n for n in facets if sum(a * b for a, b in zip(n, ray)) == 0]
-            if linalg.rank(touching) != dim - 1:
+        for ray, on in zip(rays, zeros):
+            if sum(on <= other for other in zeros) > 1:  # the ray itself counts once
                 raise ValueError(f"ray {ray} is not extreme")
         object.__setattr__(self, "facets", facets)
 
     @classmethod
     def from_rays(cls, rays, lattice: Optional[Lattice] = None) -> "Cone":
         rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        if not rays:
+            raise ValueError("cone needs at least one ray")
         if lattice is None:
             lattice = Lattice.standard(len(rays[0]))
         return cls(lattice, tuple(linalg.primitive_vector(r) for r in rays))
@@ -441,8 +454,5 @@ def dual_cone_generators(cone: Cone) -> tuple:
 def cover_correspondence_check(pair: ConePair) -> bool:
     """True when the klt verdict of the pair matches the canonical verdict of
     its index-one cover; a mismatch signals an implementation bug."""
-    result = klt_check(pair)
-    if result.functional is None:
-        raise NotApplicable("K+D is not Q-Cartier")
     cover = log_canonical_cover(pair)
-    return result.is_klt == canonical_check(cover.cover_cone)
+    return klt_check(pair).is_klt == canonical_check(cover.cover_cone)

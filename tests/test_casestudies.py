@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from logcentre.casestudies import (
@@ -7,7 +5,6 @@ from logcentre.casestudies import (
     CaseStudyReport,
     CheckResult,
     input_document,
-    render_report_json,
     run_case_study,
 )
 from logcentre.errors import InputError
@@ -60,12 +57,6 @@ def test_report_text_marks_failures():
     assert "  [ok] good: works: 1" in text
     assert "  [FAIL] bad: breaks: 2 (expected 1)" in text
     assert text.splitlines()[-1] == "overall: fail"
-
-
-def test_render_report_json_parses():
-    report = run_case_study("francia")
-    data = json.loads(render_report_json(report))
-    assert data == report.to_dict()
 
 
 def test_input_documents_have_expected_objects():

@@ -14,16 +14,14 @@ def _matrix(n):
     return st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def _rank(rows):
+    return len(linalg.rref(rows)[1]) if rows else 0
+
+
 def test_rref_pivots():
     m, pivots = linalg.rref([[2, 4], [1, 2]])
     assert m == [[1, 2], [0, 0]]
     assert pivots == [0]
-
-
-def test_rank_examples():
-    assert linalg.rank([[1, 0], [0, 1]]) == 2
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
-    assert linalg.rank([[0, 0]]) == 0
 
 
 def test_solve_exact_unique():
@@ -117,7 +115,7 @@ def test_integer_kernel_of_row(row):
         return
     kernel = linalg.integer_kernel_of_row(row)
     assert len(kernel) == len(row) - 1
-    assert linalg.rank(kernel) == len(row) - 1
+    assert _rank(kernel) == len(row) - 1
     for vec in kernel:
         assert sum(r * v for r, v in zip(row, vec)) == 0
 

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given
@@ -101,16 +101,106 @@ def test_from_rays_primitivises():
 
 
 def test_cone_validation():
-    with pytest.raises(ValueError):
-        Cone(Lattice.standard(2), ((2, 0), (0, 1)))  # not primitive
-    with pytest.raises(ValueError):
-        Cone.from_rays(((1, 0), (-1, 0), (0, 1)))  # not pointed
-    with pytest.raises(ValueError):
-        Cone.from_rays(((1, 0), (0, 1), (1, 1)))  # middle ray not extreme
-    with pytest.raises(ValueError):
-        Cone.from_rays(((1, 0), (1, 0), (0, 1)))  # duplicate
-    with pytest.raises(ValueError):
-        Cone.from_rays(((1, 0, 0), (0, 1, 0)))  # not full-dimensional
+    with pytest.raises(ValueError, match=r"^ray \(2, 0\) is not primitive$"):
+        Cone(Lattice.standard(2), ((2, 0), (0, 1)))
+    # The half-plane y >= 0: its lineality line holds the rays (1, 0), (-1, 0).
+    with pytest.raises(ValueError, match="^cone is not pointed$"):
+        Cone.from_rays(((1, 0), (-1, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"^ray \(1, 1\) is not extreme$"):
+        Cone.from_rays(((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(ValueError, match="^rays must be pairwise distinct$"):
+        Cone.from_rays(((1, 0), (1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="^cone is not full-dimensional$"):
+        Cone.from_rays(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="^cone needs at least one ray$"):
+        Cone(Lattice.standard(2), ())
+    with pytest.raises(ValueError, match="^cone needs at least one ray$"):
+        Cone.from_rays(())
+    with pytest.raises(ValueError, match="^cone is not pointed$"):
+        Cone.from_rays(((1,), (-1,)))
+    # Rank d - 1, then rank below d - 1.
+    with pytest.raises(ValueError, match="^cone is not full-dimensional$"):
+        Cone.from_rays(((1, 0, 1), (0, 1, 1), (1, 1, 2), (1, -1, 0)))
+    with pytest.raises(ValueError, match="^cone is not full-dimensional$"):
+        Cone.from_rays(((1, 1, 1, 0), (2, 2, 2, 1), (-1, -1, -1, 0)))
+    # (1, 1, 1) is interior: it lies on no facet.
+    with pytest.raises(ValueError, match=r"^ray \(1, 1, 1\) is not extreme$"):
+        Cone.from_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+    # The whole plane: no facets, so every ray lies on all of them.
+    with pytest.raises(ValueError, match="^cone is not pointed$"):
+        Cone.from_rays(((1, 0), (0, 1), (-1, -1)))
+
+
+def _rank(rows):
+    return len(linalg.rref(rows)[1]) if rows else 0
+
+
+def _oracle_normal(subset, dim):
+    """Primitive integer vector orthogonal to dim - 1 independent vectors."""
+    red, pivots = linalg.rref(subset)
+    free = next(c for c in range(dim) if c not in pivots)
+    x = [Fraction(int(c == free)) for c in range(dim)]
+    for row, c in zip(red, pivots):
+        x[c] = -row[free]
+    m = lcm(*(q.denominator for q in x))
+    return linalg.primitive_vector([int(q * m) for q in x])
+
+
+def _oracle_cone(dim, rays):
+    """Facets of the cone over distinct primitive rays, or the refusal message,
+    from the rank tests: the rays span, the facets span, and the facets on
+    each ray have rank d - 1."""
+    if _rank(rays) != dim:
+        return "cone is not full-dimensional"
+    facets = set()
+    for subset in combinations(rays, dim - 1):
+        if _rank(subset) == dim - 1:
+            n = _oracle_normal(subset, dim)
+            values = [sum(a * b for a, b in zip(n, ray)) for ray in rays]
+            if min(values) >= 0:
+                facets.add(n)
+            elif max(values) <= 0:
+                facets.add(tuple(-x for x in n))
+    facets = tuple(sorted(facets))
+    if _rank(facets) != dim:
+        return "cone is not pointed"
+    for ray in rays:
+        touching = [n for n in facets if sum(a * b for a, b in zip(n, ray)) == 0]
+        if _rank(touching) != dim - 1:
+            return f"ray {ray} is not extreme"
+    return facets
+
+
+def test_cone_shape_matches_rank_oracle_on_random_ray_sets():
+    rng = random.Random(4453)
+    outcomes = set()
+    for _ in range(1000):
+        dim = rng.randint(1, 4)
+        bound = rng.randint(1, 3)
+        count = rng.randint(1, dim + 3)
+        if dim > 1 and rng.random() < 0.3:
+            # Combinations of fewer than dim vectors: rank below dim.
+            gens = [
+                [rng.randint(-bound, bound) for _ in range(dim)]
+                for _ in range(rng.randint(1, dim - 1))
+            ]
+            vectors = [
+                [sum(rng.randint(-2, 2) * g[i] for g in gens) for i in range(dim)]
+                for _ in range(count)
+            ]
+        else:
+            vectors = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(count)]
+        rays = list(dict.fromkeys(linalg.primitive_vector(v) for v in vectors if any(v)))
+        if not rays:
+            continue
+        expected = _oracle_cone(dim, rays)
+        try:
+            actual = Cone(Lattice.standard(dim), rays).facets
+        except ValueError as exc:
+            actual = str(exc)
+        assert actual == expected, (dim, rays)
+        outcomes.add(expected.split()[-1] if isinstance(expected, str) else "built")
+    assert outcomes == {"built", "full-dimensional", "pointed", "extreme"}
 
 
 def test_cone_resource_limits():
@@ -440,7 +530,7 @@ def test_facets_of_random_cones():
             values = [sum(a * b for a, b in zip(n, ray)) for ray in cone.rays]
             assert min(values) >= 0, (cone, n)
             touching = [ray for ray, value in zip(cone.rays, values) if value == 0]
-            assert linalg.rank(touching) == dim - 1, (cone, n)
+            assert _rank(touching) == dim - 1, (cone, n)
         assert set(dual_cone(dual_cone(cone)).rays) == set(cone.rays)
     assert len(built) >= 150 and set(built) == {2, 3, 4}, len(built)
 
@@ -534,5 +624,5 @@ def test_correspondence_on_fixed_pairs():
 
 def test_correspondence_needs_q_cartier():
     pair = ConePair(_square_pair().cone, ToricDivisor((0, 0, 0, 0)))
-    with pytest.raises(NotApplicable):
+    with pytest.raises(NotApplicable, match=r"^K\+D is not Q-Cartier$"):
         cover_correspondence_check(pair)
