@@ -29,7 +29,6 @@ from .orders import (
     RamificationDatum,
     cover_graded_valuations,
     discriminant,
-    log_centre,
 )
 from .toric import (
     Cone,
@@ -46,9 +45,6 @@ from .toric import (
     pair_functional,
     q_cartier_functional,
 )
-
-CASE_STUDIES = ("francia", "clifford")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -173,15 +169,14 @@ def _francia_report() -> CaseStudyReport:
         all(linalg.primitive_vector(ray) == ray for ray in cone.rays),
     )
 
-    centre = log_centre(order)
+    disc = discriminant(order)
     _check(
         checks,
         "log-centre-divisor",
         "boundary divisor read off the ramified order",
         "1/2*D_rho",
-        centre.divisor,
+        disc,
     )
-    disc = discriminant(order)
     boundary_ok = pair.boundary.coeffs[0] == disc.coefficient("D_rho") and all(
         c == 0 for c in pair.boundary.coeffs[1:]
     )
@@ -398,17 +393,24 @@ def _clifford_report() -> CaseStudyReport:
     return CaseStudyReport("clifford", tuple(checks))
 
 
+# Case study name -> (input document, report).
+_CASE_STUDY_TABLE = {
+    "francia": (francia_input_document, _francia_report),
+    "clifford": (clifford_input_document, _clifford_report),
+}
+CASE_STUDIES = tuple(_CASE_STUDY_TABLE)
+
+
+def _case_study(name: str) -> tuple:
+    entry = _CASE_STUDY_TABLE.get(name)
+    if entry is None:
+        raise InputError(f"unknown case study {name!r}; available: {', '.join(CASE_STUDIES)}")
+    return entry
+
+
 def run_case_study(name: str) -> CaseStudyReport:
-    if name == "francia":
-        return _francia_report()
-    if name == "clifford":
-        return _clifford_report()
-    raise InputError(f"unknown case study {name!r}; available: {', '.join(CASE_STUDIES)}")
+    return _case_study(name)[1]()
 
 
 def input_document(name: str) -> InputDocument:
-    if name == "francia":
-        return francia_input_document()
-    if name == "clifford":
-        return clifford_input_document()
-    raise InputError(f"unknown case study {name!r}; available: {', '.join(CASE_STUDIES)}")
+    return _case_study(name)[0]()

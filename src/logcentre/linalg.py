@@ -1,72 +1,47 @@
-"""Small exact linear-algebra kernels: rational elimination and integer lattices.
+"""Small exact linear-algebra kernels over the integers.
 
-Everything here is dense, tiny (dimension at most a handful), and exact.
-Fraction elimination serves only exact solves and inverses; lattice work uses
-plain integers: extended gcd column operations and an integer cofactor
-determinant. Inputs are sequences of rows unless a function says columns.
+Everything here is dense, tiny (dimension at most a handful), and exact, and
+there is no Fraction elimination: a rational system is scaled to integers and
+solved by Cramer's rule on an integer cofactor determinant, and lattice work
+uses extended gcd column operations. Inputs are sequences of rows unless a
+function says columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
-        m[r] = [x / d for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def clear_denominators(row) -> list:
+    """The rational row times the lcm of its denominators, as integers."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
 
 
 def solve_exact(rows, rhs):
-    """Solve row_i . x = rhs_i exactly.
+    """Solve row_i . x = rhs_i exactly for d unknowns.
 
-    Returns the unique solution as a tuple of Fractions, or None when the
-    system is inconsistent. Raises ValueError if the rows do not determine x
-    uniquely (column rank below the number of unknowns).
+    Each equation is scaled to integers, the first d-subset of the equations
+    with a nonzero integer determinant is solved by Cramer's rule, and the
+    solution is checked against every equation in integers. Returns the
+    solution as a tuple of Fractions, or None when the system is inconsistent.
+    Raises ValueError when no d equations are independent (column rank below
+    d), consistent or not.
     """
     n = len(rows[0])
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    if len(pivots) < n:
+    eqs = [clear_denominators([*row, r]) for row, r in zip(rows, rhs)]
+    for subset in combinations(eqs, n):
+        det = det_int([eq[:n] for eq in subset])
+        if det:
+            break
+    else:
         raise ValueError("system does not determine a unique solution")
-    x = [Fraction(0)] * n
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return tuple(x)
-
-
-def invert(rows):
-    """Exact inverse of a square matrix; raises ValueError when singular."""
-    n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    nums = [det_int([eq[:i] + eq[n:] + eq[i + 1 : n] for eq in subset]) for i in range(n)]
+    if any(sum(a * x for a, x in zip(eq, nums)) != eq[n] * det for eq in eqs):
+        return None
+    return tuple(Fraction(x, det) for x in nums)
 
 
 def primitive_vector(v):

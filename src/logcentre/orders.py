@@ -4,9 +4,9 @@ An order over a normal base is described here only through its behaviour at
 the height-one primes where it ramifies: each prime carries a ramification
 index e and a block structure (the sizes making the completed order a block
 upper-triangular matrix order). Everything derived from that datum is exact
-rational arithmetic: the discriminant divisor sum((e-1)/e) * D_p, the local
-index of the pair, and the ladder of valuations carried by the graded pieces
-of the index-one cover of the centre.
+rational arithmetic: the discriminant divisor sum((e-1)/e) * D_p and the
+ladder of valuations carried by the graded pieces of the index-one cover of the
+centre.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class QDivisor:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def ceil(self) -> "QDivisor":
-        """Round every coefficient up; support is then the ramified locus."""
-        return QDivisor(tuple((pid, Fraction(-((-c.numerator) // c.denominator)))
-                              for pid, c in self.terms))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -107,19 +102,6 @@ def standard_index(coeff) -> Optional[int]:
     return int(inv) if inv.denominator == 1 else None
 
 
-@dataclass(frozen=True)
-class LogCentre:
-    """The centre marked with the boundary divisor induced by ramification."""
-
-    divisor: QDivisor
-    source: OrderSpec
-
-    def __post_init__(self):
-        for pid, coeff in self.divisor.terms:
-            if standard_index(coeff) is None:
-                raise ValueError(f"coefficient {coeff} at {pid!r} is not of the form (e-1)/e")
-
-
 def discriminant(spec: OrderSpec) -> QDivisor:
     """Boundary divisor sum over ramified primes of (e-1)/e * D_p.
 
@@ -129,13 +111,6 @@ def discriminant(spec: OrderSpec) -> QDivisor:
     return QDivisor(
         tuple((d.prime_id, Fraction(d.e - 1, d.e)) for d in spec.ramification)
     )
-
-
-def local_index(e: int) -> int:
-    """Least m >= 1 clearing the denominator of the boundary coefficient (e-1)/e."""
-    if not isinstance(e, int) or e < 1:
-        raise ValueError(f"ramification index must be a positive integer, got {e!r}")
-    return Fraction(e - 1, e).denominator
 
 
 def cover_graded_valuations(e: int, m: int) -> tuple:
@@ -151,8 +126,3 @@ def cover_graded_valuations(e: int, m: int) -> tuple:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"grading length must be a positive integer, got {m!r}")
     return tuple(-(i * (e - 1) // e) for i in range(m))
-
-
-def log_centre(spec: OrderSpec) -> LogCentre:
-    """The centre of the order together with its discriminant boundary."""
-    return LogCentre(discriminant(spec), spec)

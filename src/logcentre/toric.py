@@ -61,7 +61,10 @@ class Lattice:
     """Finite-rank lattice given by its basis vectors in ambient coordinates.
 
     basis[i] is the i-th basis vector; lattice coordinates are taken with
-    respect to this basis, so the standard lattice has the identity basis.
+    respect to this basis, so the standard lattice has the identity basis. A
+    basis is nonsingular when its determinant, with each vector scaled to
+    integers, is nonzero. Coordinates and the dual basis are exact solves of
+    the basis equations (linalg.solve_exact).
     """
 
     basis: tuple
@@ -71,9 +74,8 @@ class Lattice:
         if not rows or any(len(vec) != len(rows) for vec in rows):
             raise ValueError("basis must be a nonempty square list of vectors")
         object.__setattr__(self, "basis", rows)
-        # Column matrix of the basis; singularity check happens here.
-        columns = [[rows[j][i] for j in range(len(rows))] for i in range(len(rows))]
-        linalg.invert(columns)
+        if linalg.det_int([linalg.clear_denominators(vec) for vec in rows]) == 0:
+            raise ValueError("matrix is singular")
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
@@ -93,8 +95,8 @@ class Lattice:
 
     def to_coords(self, ambient) -> tuple:
         """Exact rational coordinates of an ambient vector in this basis."""
-        rows = [[vec[i] for vec in self.basis] for i in range(self.dim)]
-        solution = linalg.solve_exact(rows, [Fraction(x) for x in ambient])
+        columns = list(zip(*self.basis))
+        solution = linalg.solve_exact(columns, [Fraction(x) for x in ambient])
         _require(solution is not None, "lattice basis failed to span")
         return solution
 
@@ -106,10 +108,10 @@ class Lattice:
         return tuple(int(c) for c in coords)
 
     def dual(self) -> "Lattice":
-        """Dual lattice; its coordinates pair with this lattice's coordinates."""
-        columns = [[self.basis[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        inverse = linalg.invert(columns)
-        return Lattice(tuple(tuple(row) for row in inverse))
+        """Dual lattice; its coordinates pair with this lattice's coordinates:
+        dual basis vector i solves <u_i, b_j> = [i == j] over the basis b."""
+        unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        return Lattice(tuple(linalg.solve_exact(self.basis, e) for e in unit))
 
     def same_lattice(self, other: "Lattice") -> bool:
         """True when both bases generate the same subgroup of the ambient space."""
@@ -254,9 +256,7 @@ def q_cartier_functional(cone: Cone, divisor: ToricDivisor):
     """Functional u with <u, v_i> = -n_i on every ray, or None if none exists."""
     if len(divisor.coeffs) != len(cone.rays):
         raise ValueError("divisor needs one coefficient per ray")
-    rows = [[Fraction(x) for x in ray] for ray in cone.rays]
-    rhs = [-c for c in divisor.coeffs]
-    return linalg.solve_exact(rows, rhs)
+    return linalg.solve_exact(cone.rays, [-c for c in divisor.coeffs])
 
 
 def cartier_index(u) -> int:

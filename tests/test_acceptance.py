@@ -7,11 +7,13 @@ inline.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 from logcentre.casestudies import francia_input_document, run_case_study
 from logcentre.corpus import random_standard_pairs
@@ -286,10 +288,15 @@ def test_acceptance_7_clifford_case_study():
 
 
 def _cli_bytes(args):
+    # The child imports the package from this checkout, as the tests do.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "logcentre", *args],
         capture_output=True,
         check=False,
+        env=env,
     )
     return proc.returncode, proc.stdout
 

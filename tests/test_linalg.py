@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import rank, rref
 
 from logcentre import linalg
 
@@ -14,12 +16,8 @@ def _matrix(n):
     return st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
-def _rank(rows):
-    return len(linalg.rref(rows)[1]) if rows else 0
-
-
 def test_rref_pivots():
-    m, pivots = linalg.rref([[2, 4], [1, 2]])
+    m, pivots = rref([[2, 4], [1, 2]])
     assert m == [[1, 2], [0, 0]]
     assert pivots == [0]
 
@@ -30,7 +28,11 @@ def test_solve_exact_unique():
 
 
 def test_solve_exact_inconsistent_returns_none():
-    assert linalg.solve_exact([[1, 1], [2, 2]], [1, 3]) is None
+    assert linalg.solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
+    # Rank deficient: no two equations are independent, so there is nothing
+    # to solve, whether or not the system is consistent.
+    with pytest.raises(ValueError, match="^system does not determine a unique solution$"):
+        linalg.solve_exact([[1, 1], [2, 2]], [1, 3])
 
 
 def test_solve_exact_overdetermined_consistent():
@@ -52,19 +54,48 @@ def test_solve_recovers_known_solution(case):
     assert linalg.solve_exact(rows, rhs) == tuple(Fraction(v) for v in x)
 
 
-@given(st.integers(1, 4).flatmap(_matrix))
-def test_invert_roundtrip(rows):
-    if linalg.det_int(rows) == 0:
-        with pytest.raises(ValueError):
-            linalg.invert(rows)
-        return
-    inv = linalg.invert(rows)
-    n = len(rows)
-    prod = [
-        [sum(Fraction(rows[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _oracle_solve(rows, rhs):
+    """The Fraction elimination answer: a tuple, None (full rank, inconsistent)
+    or "deficient" (column rank below the number of unknowns)."""
+    n = len(rows[0])
+    red, pivots = rref([list(row) + [r] for row, r in zip(rows, rhs)])
+    if len([c for c in pivots if c < n]) < n:
+        return "deficient"
+    if n in pivots:
+        return None
+    return tuple(row[-1] for row in red[:n])
+
+
+def test_solve_exact_matches_rref_oracle():
+    rng = random.Random(20000)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        count = rng.randint(n, n + 3)
+        if rng.random() < 0.4:
+            # Combinations of at most n augmented rows have rank at most n:
+            # rank deficient, or of full rank and consistent.
+            gens = [[rational() for _ in range(n + 1)] for _ in range(rng.randint(1, n))]
+            eqs = [
+                [sum(rng.randint(-2, 2) * g[i] for g in gens) for i in range(n + 1)]
+                for _ in range(count)
+            ]
+        else:
+            eqs = [[rational() for _ in range(n + 1)] for _ in range(count)]
+        rows, rhs = [eq[:n] for eq in eqs], [eq[n] for eq in eqs]
+        expected = _oracle_solve(rows, rhs)
+        try:
+            actual = linalg.solve_exact(rows, rhs)
+        except ValueError as exc:
+            assert str(exc) == "system does not determine a unique solution"
+            actual = "deficient"
+        assert actual == expected, (rows, rhs)
+        outcomes.add("solved" if isinstance(expected, tuple) else expected)
+    assert outcomes == {"solved", None, "deficient"}
 
 
 def _det_oracle(rows):
@@ -115,7 +146,7 @@ def test_integer_kernel_of_row(row):
         return
     kernel = linalg.integer_kernel_of_row(row)
     assert len(kernel) == len(row) - 1
-    assert _rank(kernel) == len(row) - 1
+    assert rank(kernel) == len(row) - 1
     for vec in kernel:
         assert sum(r * v for r, v in zip(row, vec)) == 0
 

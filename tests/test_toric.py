@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import rank, rref
 
 from logcentre import linalg
 from logcentre.errors import NonStandardBoundary, NotApplicable, ResourceLimit
@@ -76,6 +77,32 @@ def test_dual_lattice_pairs_to_identity():
             assert sum(a * b for a, b in zip(u, v)) == int(i == j)
 
 
+def test_dual_lattice_round_trip_on_random_rational_bases():
+    rng = random.Random(621)
+    outcomes = set()
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        basis = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+            for _ in range(dim)
+        ]
+        if dim > 1 and rng.random() < 0.2:
+            basis[-1] = [a + 2 * b for a, b in zip(basis[0], basis[1])]
+        if rank(basis) < dim:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                Lattice(basis)
+            outcomes.add("singular")
+            continue
+        lattice = Lattice(basis)
+        dual = lattice.dual()
+        for i, u in enumerate(dual.basis):
+            for j, v in enumerate(lattice.basis):
+                assert sum(a * b for a, b in zip(u, v)) == int(i == j)
+        assert dual.dual() == lattice
+        outcomes.add("dual")
+    assert outcomes == {"singular", "dual"}
+
+
 def test_same_lattice():
     standard = Lattice.standard(2)
     sheared = Lattice(((1, 0), (1, 1)))
@@ -131,13 +158,9 @@ def test_cone_validation():
         Cone.from_rays(((1, 0), (0, 1), (-1, -1)))
 
 
-def _rank(rows):
-    return len(linalg.rref(rows)[1]) if rows else 0
-
-
 def _oracle_normal(subset, dim):
     """Primitive integer vector orthogonal to dim - 1 independent vectors."""
-    red, pivots = linalg.rref(subset)
+    red, pivots = rref(subset)
     free = next(c for c in range(dim) if c not in pivots)
     x = [Fraction(int(c == free)) for c in range(dim)]
     for row, c in zip(red, pivots):
@@ -150,11 +173,11 @@ def _oracle_cone(dim, rays):
     """Facets of the cone over distinct primitive rays, or the refusal message,
     from the rank tests: the rays span, the facets span, and the facets on
     each ray have rank d - 1."""
-    if _rank(rays) != dim:
+    if rank(rays) != dim:
         return "cone is not full-dimensional"
     facets = set()
     for subset in combinations(rays, dim - 1):
-        if _rank(subset) == dim - 1:
+        if rank(subset) == dim - 1:
             n = _oracle_normal(subset, dim)
             values = [sum(a * b for a, b in zip(n, ray)) for ray in rays]
             if min(values) >= 0:
@@ -162,11 +185,11 @@ def _oracle_cone(dim, rays):
             elif max(values) <= 0:
                 facets.add(tuple(-x for x in n))
     facets = tuple(sorted(facets))
-    if _rank(facets) != dim:
+    if rank(facets) != dim:
         return "cone is not pointed"
     for ray in rays:
         touching = [n for n in facets if sum(a * b for a, b in zip(n, ray)) == 0]
-        if _rank(touching) != dim - 1:
+        if rank(touching) != dim - 1:
             return f"ray {ray} is not extreme"
     return facets
 
@@ -242,6 +265,21 @@ def test_simplicial_divisors_are_always_q_cartier():
     u = q_cartier_functional(cone, ToricDivisor((1, 2, 3)))
     assert u == (-1, -2, -3)
     assert cartier_index(u) == 1
+
+
+def test_q_cartier_functional_does_not_depend_on_ray_order():
+    # The four rays with first coordinate 1 span a facet of the cone over the
+    # cube, so when they are listed first the first four equations are singular.
+    cube = [(a, b, c, 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    first, last = Cone.from_rays(cube), Cone.from_rays(cube[4:] + cube[:4])
+    u = (Fraction(1, 2), Fraction(-1, 3), 1, 2)
+    for cone in (first, last):
+        assert q_cartier_functional(cone, canonical_divisor(cone)) == (0, 0, 0, 1)
+        divisor = ToricDivisor(tuple(-pairing(u, ray) for ray in cone.rays))
+        assert q_cartier_functional(cone, divisor) == u
+        # Moving one coefficient leaves no functional.
+        bent = ToricDivisor((divisor.coeffs[0] + 1,) + divisor.coeffs[1:])
+        assert q_cartier_functional(cone, bent) is None
 
 
 # klt tests.
@@ -530,7 +568,7 @@ def test_facets_of_random_cones():
             values = [sum(a * b for a, b in zip(n, ray)) for ray in cone.rays]
             assert min(values) >= 0, (cone, n)
             touching = [ray for ray, value in zip(cone.rays, values) if value == 0]
-            assert _rank(touching) == dim - 1, (cone, n)
+            assert rank(touching) == dim - 1, (cone, n)
         assert set(dual_cone(dual_cone(cone)).rays) == set(cone.rays)
     assert len(built) >= 150 and set(built) == {2, 3, 4}, len(built)
 
