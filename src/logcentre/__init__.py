@@ -3,8 +3,9 @@
 The package has four pillars:
 
 * :mod:`logcentre.valmat`: min-plus valuation matrices modelling fractional
-  ideal lattices over a discrete valuation ring, with an exact monomial
-  matrix model as a cross-check.
+  ideal lattices over a discrete valuation ring: closed-form radical and
+  dualizing powers, block inflation and the centre valuation. The test
+  suite cross-checks them against an exact monomial matrix model.
 * :mod:`logcentre.orders`: ramification data, discriminant divisors with
   standard coefficients and the valuations of graded centre pieces.
 * :mod:`logcentre.toric`: rational cones over explicit lattices, Q-Cartier

@@ -40,13 +40,12 @@ from .orders import cover_graded_valuations, discriminant
 from .toric import (
     ConePair,
     ToricDivisor,
-    canonical_check,
     canonical_divisor,
+    canonical_verdict,
     cartier_index,
     dual_cone_generators,
     klt_check,
     log_canonical_cover,
-    pair_functional,
     q_cartier_functional,
 )
 from .valmat import centralizer, omega_power
@@ -148,8 +147,8 @@ def _cmd_klt(args):
 
 def _cmd_canonical(args):
     pair = _load_target(args.target, "cone_pair")
-    verdict = canonical_check(pair.cone)
     u = q_cartier_functional(pair.cone, canonical_divisor(pair.cone))
+    verdict = canonical_verdict(pair.cone, u)
     index = cartier_index(u)
     flag = "true" if verdict else "false"
     result = {"canonical": verdict, "functional": _functional_json(u), "index": index}

@@ -4,6 +4,8 @@ The command line front end maps these onto exit codes: malformed input is a
 usage problem, a missing mathematical object is a negative verdict, and blown
 enumeration budgets are resource failures. A failed internal invariant is a
 bug in the package and gets its own code, so it never reads as bad input.
+Every class here is raised by the package itself; test oracles that need an
+error of their own define it next to the oracle.
 """
 
 
@@ -29,10 +31,6 @@ class NonStandardBoundary(NotApplicable):
 
 class ResourceLimit(LogCentreError):
     """A desk-scale enumeration limit was exceeded."""
-
-
-class RepresentationOverflow(LogCentreError):
-    """An exact product left the single-monomial representation."""
 
 
 class NonterminationSuspected(LogCentreError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .ncpoly import NCPoly, RewriteSystem, parse_poly
+from .ncpoly import RewriteSystem, parse_poly
 from .orders import OrderSpec, RamificationDatum
 from .toric import Cone, ConePair, Lattice, ToricDivisor
 

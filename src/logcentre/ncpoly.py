@@ -22,14 +22,17 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .errors import InputError, NonterminationSuspected
+from .errors import InputError, NonterminationSuspected, ResourceLimit
 
 Word = tuple
 
 DEFAULT_STEP_CAP = 10**6
 STEP_CAP_ENV = "LOGCENTRE_STEP_CAP"
+# The parser recurses four frames per parenthesis, so this stays well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING_DEPTH = 100
 
 
 def _coerce(value) -> Fraction:
@@ -216,7 +219,10 @@ def _tokenize(text: str):
             raise InputError(f"cannot tokenize {remainder[:20]!r}")
         number, name, op = match.groups()
         if number is not None:
-            tokens.append(("number", Fraction(number)))
+            try:
+                tokens.append(("number", Fraction(number)))
+            except ZeroDivisionError:
+                raise InputError(f"division by zero in {number!r}") from None
         elif name is not None:
             tokens.append(("name", name))
         else:
@@ -307,8 +313,24 @@ class _Parser:
 
 
 def parse_poly(text: str, generators) -> NCPoly:
-    """Parse an expression like ``a*b - 2*c^3`` over the given generators."""
-    return _Parser(_tokenize(text), generators).parse()
+    """Parse an expression like ``a*b - 2*c^3`` over the given generators.
+
+    ResourceLimit when parentheses nest deeper than MAX_NESTING_DEPTH.
+    """
+    tokens = _tokenize(text)
+    depth = deepest = 0
+    for token in tokens:
+        if token == ("op", "("):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif token == ("op", ")"):
+            depth -= 1
+    if deepest > MAX_NESTING_DEPTH:
+        raise ResourceLimit(
+            f"parentheses nest {deepest} deep, above the nesting depth limit "
+            f"MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}"
+        )
+    return _Parser(tokens, generators).parse()
 
 
 @dataclass(frozen=True)

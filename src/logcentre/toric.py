@@ -280,11 +280,14 @@ class KltResult:
 def klt_check(pair: ConePair) -> KltResult:
     """Kawamata log terminal test: the -(K+D) functional exists and is
     positive on every ray (equivalently, every boundary coefficient is < 1)."""
-    u = pair_functional(pair)
+    return _klt_verdict(pair, pair_functional(pair))
+
+
+def _klt_verdict(pair: ConePair, u) -> KltResult:
+    """klt_check given the pair's -(K+D) functional u (None if there is none)."""
     if u is None:
         return KltResult(False, None)
-    verdict = all(pairing(u, v) > 0 for v in pair.cone.rays)
-    return KltResult(verdict, u)
+    return KltResult(all(pairing(u, v) > 0 for v in pair.cone.rays), u)
 
 
 def _box(name: str, lo, hi) -> list:
@@ -358,7 +361,11 @@ def canonical_check(cone: Cone) -> bool:
     cap bounds that scanned box: ResourceLimit when it holds more than
     MAX_BOX_POINTS points.
     """
-    u = q_cartier_functional(cone, canonical_divisor(cone))
+    return canonical_verdict(cone, q_cartier_functional(cone, canonical_divisor(cone)))
+
+
+def canonical_verdict(cone: Cone, u) -> bool:
+    """canonical_check given the functional u of K (None if K is not Q-Cartier)."""
     if u is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
     coords = list(zip(*cone.rays))
@@ -378,6 +385,7 @@ class CoverResult:
     cover_lattice: Lattice
     cover_cone: Cone
     degree: int
+    functional: tuple  # the -(K+D) functional of the pair that defines the cover
 
 
 def log_canonical_cover(pair: ConePair) -> CoverResult:
@@ -421,7 +429,7 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     ambient_basis = tuple(pair.cone.lattice.to_ambient(col) for col in columns)
     cover_lattice = Lattice(ambient_basis)
     cover_cone = Cone(cover_lattice, tuple(cover_rays))
-    return CoverResult(cover_lattice, cover_cone, m)
+    return CoverResult(cover_lattice, cover_cone, m, u)
 
 
 def _solve_lower_triangular_int(columns, target):
@@ -455,4 +463,4 @@ def cover_correspondence_check(pair: ConePair) -> bool:
     """True when the klt verdict of the pair matches the canonical verdict of
     its index-one cover; a mismatch signals an implementation bug."""
     cover = log_canonical_cover(pair)
-    return klt_check(pair).is_klt == canonical_check(cover.cover_cone)
+    return _klt_verdict(pair, cover.functional).is_klt == canonical_check(cover.cover_cone)

@@ -8,26 +8,19 @@ the minimum valuation and products add valuations, so products of ideal
 matrices are matrix products over the min-plus (tropical) semiring.
 
 The hereditary-order constructions live at this level: the standard order with
-a given ramification index e, its radical and dualizing bimodule, arbitrary
-integer powers of both, block inflation, and the scalar centralizer of a
-bimodule. Closed forms are used for the powers; the test suite replays them
-against brute-force tropical products.
-
-`MonomialMatrix` is the element-level oracle. Its entries are single Laurent
-monomials q * t^n (or zero) and it multiplies as an ordinary matrix, raising
-`RepresentationOverflow` if a product entry is not again a monomial. The
-normal element y with y^e = t lives here, so identities such as "the radical
-is generated by y on either side" can be checked on actual elements rather
-than on valuations.
+a given ramification index e, arbitrary integer powers of its radical (the
+dualizing bimodule is the (1-e)-th), block inflation, and the scalar
+centralizer of a bimodule. Closed forms are used for the powers; the test
+suite replays them against brute-force tropical products and against an
+element-level model of exact monomial matrices, which lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .errors import PreconditionViolation, RepresentationOverflow
+from .errors import PreconditionViolation
 
 
 class _PlusInfinity:
@@ -109,10 +102,6 @@ class ValMatrix:
     def diagonal(self) -> tuple:
         return tuple(self.entries[j][j] for j in range(self.size))
 
-    def shift(self, v: int) -> "ValMatrix":
-        """Scale every entry by t^v."""
-        return ValMatrix(tuple(tuple(x + v for x in row) for row in self.entries))
-
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
@@ -128,25 +117,6 @@ def standard_order(e: int) -> ValMatrix:
     the diagonal, the maximal ideal strictly below."""
     _check_index(e)
     return ValMatrix(tuple(tuple(0 if k >= j else 1 for k in range(e)) for j in range(e)))
-
-
-def jacobson_radical(e: int) -> ValMatrix:
-    """Radical of the standard order: units strictly above the diagonal, the
-    maximal ideal on and below."""
-    _check_index(e)
-    return ValMatrix(tuple(tuple(0 if k > j else 1 for k in range(e)) for j in range(e)))
-
-
-def dualizing_module(e: int) -> ValMatrix:
-    """Dualizing bimodule of the standard order: the (1-e)-th radical power."""
-    _check_index(e)
-    return ValMatrix(tuple(tuple(-1 if k > j else 0 for k in range(e)) for j in range(e)))
-
-
-def tropical_identity(size: int) -> ValMatrix:
-    """Identity for tropical_mul: units on the diagonal, zero ideals elsewhere."""
-    _check_index(size)
-    return ValMatrix(tuple(tuple(0 if k == j else INF for k in range(size)) for j in range(size)))
 
 
 def tropical_mul(a: ValMatrix, b: ValMatrix) -> ValMatrix:
@@ -216,149 +186,3 @@ def inflate(a: ValMatrix, blocks) -> ValMatrix:
             row.extend([a.entries[j][k]] * nk)
         rows.extend([tuple(row)] * nj)
     return ValMatrix(tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Exact monomial matrices: the element-level oracle.
-
-Monomial = tuple  # (coefficient: Fraction, exponent: int); None encodes zero
-
-
-def _norm_monomial(entry) -> Optional[Monomial]:
-    if entry is None or entry == 0:
-        return None
-    coeff, exp = entry
-    coeff = Fraction(coeff)
-    if not isinstance(exp, int):
-        raise ValueError(f"monomial exponent must be an integer, got {exp!r}")
-    if coeff == 0:
-        return None
-    return (coeff, exp)
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """Square matrix whose entries are single Laurent monomials q * t^n or zero."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
-            raise ValueError("matrix must be nonempty")
-        rows = []
-        for row in self.entries:
-            row = tuple(_norm_monomial(x) for x in row)
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(row)
-        object.__setattr__(self, "entries", tuple(rows))
-
-    @classmethod
-    def from_rows(cls, rows) -> "MonomialMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def monomial_identity(size: int) -> MonomialMatrix:
-    _check_index(size)
-    one = (Fraction(1), 0)
-    return MonomialMatrix(
-        tuple(tuple(one if k == j else None for k in range(size)) for j in range(size))
-    )
-
-
-def t_scalar(size: int, power: int = 1) -> MonomialMatrix:
-    """The central scalar matrix t^power * identity."""
-    return monomial_scale(monomial_identity(size), exp=power)
-
-
-def monomial_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    """Ordinary matrix product; every entry sum must collapse to one monomial."""
-    if a.size != b.size:
-        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    n = a.size
-    rows = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            sums = {}
-            for j in range(n):
-                x, y = a.entries[i][j], b.entries[j][k]
-                if x is None or y is None:
-                    continue
-                exp = x[1] + y[1]
-                sums[exp] = sums.get(exp, Fraction(0)) + x[0] * y[0]
-            nonzero = {e: c for e, c in sums.items() if c != 0}
-            if len(nonzero) > 1:
-                raise RepresentationOverflow(
-                    f"entry ({i},{k}) mixes t-exponents {sorted(nonzero)}"
-                )
-            if nonzero:
-                ((exp, coeff),) = nonzero.items()
-                row.append((coeff, exp))
-            else:
-                row.append(None)
-        rows.append(tuple(row))
-    return MonomialMatrix(tuple(rows))
-
-
-def monomial_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {k!r}")
-    out = monomial_identity(a.size)
-    for _ in range(k):
-        out = monomial_mul(out, a)
-    return out
-
-
-def monomial_scale(a: MonomialMatrix, coeff=1, exp: int = 0) -> MonomialMatrix:
-    """Scale by the central monomial coeff * t^exp."""
-    coeff = Fraction(coeff)
-    rows = []
-    for row in a.entries:
-        rows.append(
-            tuple(
-                None if x is None or coeff == 0 else (x[0] * coeff, x[1] + exp)
-                for x in row
-            )
-        )
-    return MonomialMatrix(tuple(rows))
-
-
-def y_matrix(e: int) -> MonomialMatrix:
-    """The normal element y of the standard order: ones on the superdiagonal
-    and t in the lower-left corner, so that y^e = t."""
-    _check_index(e)
-    one = (Fraction(1), 0)
-    rows = []
-    for j in range(e):
-        row = [None] * e
-        if j + 1 < e:
-            row[j + 1] = one
-        else:
-            row[0] = (Fraction(1), 1)
-        rows.append(tuple(row))
-    return MonomialMatrix(tuple(rows))
-
-
-def y_power(e: int, i: int) -> MonomialMatrix:
-    """y^i for any integer i; negative powers use y^-e = t^-1."""
-    _check_index(e)
-    if not isinstance(i, int):
-        raise ValueError(f"power must be an integer, got {i!r}")
-    q, r = divmod(i, e)
-    return monomial_scale(monomial_pow(y_matrix(e), r), exp=q)
-
-
-def ideal_of(a: MonomialMatrix) -> ValMatrix:
-    """Valuation matrix of the fractional-ideal matrix generated entrywise by a."""
-    return ValMatrix(
-        tuple(
-            tuple(INF if x is None else x[1] for x in row)
-            for row in a.entries
-        )
-    )

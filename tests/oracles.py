@@ -3,9 +3,23 @@
 Fraction Gauss-Jordan elimination is the independent route against which the
 integer kernels of ``logcentre.linalg`` (Cramer's rule on integer determinants,
 facet normals from signed minors) are checked.
+
+The valuation-matrix closed forms of ``logcentre.valmat`` are checked against
+second closed forms of the radical and the dualizing module, and against an
+element-level model: ``MonomialMatrix`` entries are single Laurent monomials
+q * t^n (or zero) and multiply as ordinary matrices, raising
+``RepresentationOverflow`` if a product entry is not again a monomial. The
+normal element y with y^e = t lives there, so identities such as "the radical
+is generated by y on either side" are checked on actual elements rather than
+on valuations.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
+
+from logcentre.errors import LogCentreError
+from logcentre.valmat import INF, ValMatrix
 
 
 def rref(rows):
@@ -36,3 +50,184 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows)[1]) if rows else 0
+
+
+# ---------------------------------------------------------------------------
+# Valuation matrices: second closed forms.
+
+
+def _check_size(n) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"size must be a positive integer, got {n!r}")
+    return n
+
+
+def jacobson_radical(e: int) -> ValMatrix:
+    """Radical of the standard order: units strictly above the diagonal, the
+    maximal ideal on and below."""
+    _check_size(e)
+    return ValMatrix(tuple(tuple(0 if k > j else 1 for k in range(e)) for j in range(e)))
+
+
+def dualizing_module(e: int) -> ValMatrix:
+    """Dualizing bimodule of the standard order: the (1-e)-th radical power."""
+    _check_size(e)
+    return ValMatrix(tuple(tuple(-1 if k > j else 0 for k in range(e)) for j in range(e)))
+
+
+def tropical_identity(size: int) -> ValMatrix:
+    """Identity for tropical_mul: units on the diagonal, zero ideals elsewhere."""
+    _check_size(size)
+    return ValMatrix(tuple(tuple(0 if k == j else INF for k in range(size)) for j in range(size)))
+
+
+def shift(m: ValMatrix, v: int) -> ValMatrix:
+    """Scale every entry by t^v."""
+    return ValMatrix(tuple(tuple(x + v for x in row) for row in m.entries))
+
+
+# ---------------------------------------------------------------------------
+# Exact monomial matrices: the element-level oracle.
+
+
+class RepresentationOverflow(LogCentreError):
+    """An exact product left the single-monomial representation."""
+
+
+Monomial = tuple  # (coefficient: Fraction, exponent: int); None encodes zero
+
+
+def _norm_monomial(entry) -> Optional[Monomial]:
+    if entry is None or entry == 0:
+        return None
+    coeff, exp = entry
+    coeff = Fraction(coeff)
+    if not isinstance(exp, int):
+        raise ValueError(f"monomial exponent must be an integer, got {exp!r}")
+    if coeff == 0:
+        return None
+    return (coeff, exp)
+
+
+@dataclass(frozen=True)
+class MonomialMatrix:
+    """Square matrix whose entries are single Laurent monomials q * t^n or zero."""
+
+    entries: tuple
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if n == 0:
+            raise ValueError("matrix must be nonempty")
+        rows = []
+        for row in self.entries:
+            row = tuple(_norm_monomial(x) for x in row)
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            rows.append(row)
+        object.__setattr__(self, "entries", tuple(rows))
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+
+def monomial_identity(size: int) -> MonomialMatrix:
+    _check_size(size)
+    one = (Fraction(1), 0)
+    return MonomialMatrix(
+        tuple(tuple(one if k == j else None for k in range(size)) for j in range(size))
+    )
+
+
+def t_scalar(size: int, power: int = 1) -> MonomialMatrix:
+    """The central scalar matrix t^power * identity."""
+    return monomial_scale(monomial_identity(size), exp=power)
+
+
+def monomial_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
+    """Ordinary matrix product; every entry sum must collapse to one monomial."""
+    if a.size != b.size:
+        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
+    n = a.size
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            sums = {}
+            for j in range(n):
+                x, y = a.entries[i][j], b.entries[j][k]
+                if x is None or y is None:
+                    continue
+                exp = x[1] + y[1]
+                sums[exp] = sums.get(exp, Fraction(0)) + x[0] * y[0]
+            nonzero = {e: c for e, c in sums.items() if c != 0}
+            if len(nonzero) > 1:
+                raise RepresentationOverflow(
+                    f"entry ({i},{k}) mixes t-exponents {sorted(nonzero)}"
+                )
+            if nonzero:
+                ((exp, coeff),) = nonzero.items()
+                row.append((coeff, exp))
+            else:
+                row.append(None)
+        rows.append(tuple(row))
+    return MonomialMatrix(tuple(rows))
+
+
+def monomial_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {k!r}")
+    out = monomial_identity(a.size)
+    for _ in range(k):
+        out = monomial_mul(out, a)
+    return out
+
+
+def monomial_scale(a: MonomialMatrix, coeff=1, exp: int = 0) -> MonomialMatrix:
+    """Scale by the central monomial coeff * t^exp."""
+    coeff = Fraction(coeff)
+    rows = []
+    for row in a.entries:
+        rows.append(
+            tuple(
+                None if x is None or coeff == 0 else (x[0] * coeff, x[1] + exp)
+                for x in row
+            )
+        )
+    return MonomialMatrix(tuple(rows))
+
+
+def y_matrix(e: int) -> MonomialMatrix:
+    """The normal element y of the standard order: ones on the superdiagonal
+    and t in the lower-left corner, so that y^e = t."""
+    _check_size(e)
+    one = (Fraction(1), 0)
+    rows = []
+    for j in range(e):
+        row = [None] * e
+        if j + 1 < e:
+            row[j + 1] = one
+        else:
+            row[0] = (Fraction(1), 1)
+        rows.append(tuple(row))
+    return MonomialMatrix(tuple(rows))
+
+
+def y_power(e: int, i: int) -> MonomialMatrix:
+    """y^i for any integer i; negative powers use y^-e = t^-1."""
+    _check_size(e)
+    if not isinstance(i, int):
+        raise ValueError(f"power must be an integer, got {i!r}")
+    q, r = divmod(i, e)
+    return monomial_scale(monomial_pow(y_matrix(e), r), exp=q)
+
+
+def ideal_of(a: MonomialMatrix) -> ValMatrix:
+    """Valuation matrix of the fractional-ideal matrix generated entrywise by a."""
+    return ValMatrix(
+        tuple(
+            tuple(INF if x is None else x[1] for x in row)
+            for row in a.entries
+        )
+    )

@@ -28,7 +28,6 @@ from logcentre.ncpoly import (
 )
 from logcentre.orders import cover_graded_valuations, discriminant
 from logcentre.toric import (
-    Cone,
     Lattice,
     canonical_check,
     canonical_divisor,
@@ -43,18 +42,13 @@ from logcentre.toric import (
 )
 from logcentre.valmat import (
     centralizer,
-    dualizing_module,
-    ideal_of,
     inflate,
-    monomial_pow,
     omega_power,
     radical_power,
     standard_order,
-    t_scalar,
     tropical_mul,
-    y_matrix,
-    y_power,
 )
+from oracles import dualizing_module, ideal_of, monomial_pow, t_scalar, y_matrix, y_power
 
 
 def _gate(num, desc, failures, elapsed=None, bound=None):

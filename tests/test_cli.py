@@ -208,6 +208,28 @@ def test_unknown_generator(capsys):
     assert "error" in err
 
 
+def test_zero_denominator_exit_code(capsys, tmp_path):
+    code, out, err = _run(capsys, "ncpoly", "nf", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: division by zero in '1/0'\n"
+    doc = {
+        "version": "1",
+        "objects": {"sys": {"type": "presentation", "generators": ["a", "b"],
+                            "rules": [{"lhs": "b*a", "rhs": "1/0*a*b"}]}},
+    }
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "ncpoly", "nf", "a", "--system", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: division by zero in '1/0'\n"
+
+
+def test_nesting_depth_exit_code(capsys):
+    code, out, err = _run(capsys, "ncpoly", "nf", "(" * 1200 + "a" + ")" * 1200)
+    assert (code, out) == (4, "")
+    assert "nest 1200 deep" in err and "MAX_NESTING_DEPTH" in err
+
+
 def test_no_arguments(capsys):
     assert _run(capsys)[0] == 2
 

@@ -145,6 +145,15 @@ def test_presentation_lhs_must_be_plain_word():
             loads(base % bad)
 
 
+def test_presentation_rule_with_zero_denominator():
+    doc = (
+        '{"version": "1", "objects": {"sys": {"type": "presentation",'
+        ' "generators": ["a", "b"], "rules": [{"lhs": "b*a", "rhs": "1/0*a*b"}]}}}'
+    )
+    with pytest.raises(InputError, match="division by zero"):
+        loads(doc)
+
+
 def test_select_object():
     doc = francia_input_document()
     pair = select_object(doc, "cone_pair", "base")

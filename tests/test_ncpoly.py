@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logcentre.errors import InputError, NonterminationSuspected
+from logcentre.errors import InputError, NonterminationSuspected, ResourceLimit
 from logcentre.ncpoly import (
+    MAX_NESTING_DEPTH,
     CommPoly,
     LocalElement,
     NCPoly,
@@ -81,6 +82,18 @@ def test_parse_errors():
         parse_poly("1.5 * a", GENS)
     with pytest.raises(InputError):
         parse_poly("a*d", GENS)
+    for zero in ("1/0", "2*a + 1/00*b"):
+        with pytest.raises(InputError, match="division by zero"):
+            parse_poly(zero, GENS)
+
+
+def test_parse_nesting_depth_limit():
+    deepest = MAX_NESTING_DEPTH
+    assert parse_poly("(" * deepest + "a" + ")" * deepest, GENS) == A
+    assert parse_poly("(a)" * 3 * deepest, GENS) == A ** (3 * deepest)
+    for depth in (deepest + 1, 1200):
+        with pytest.raises(ResourceLimit, match=f"parentheses nest {depth} deep"):
+            parse_poly("(" * depth + "a" + ")" * depth, GENS)
 
 
 @given(

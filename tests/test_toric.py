@@ -597,6 +597,7 @@ def test_cover_scales_rays_by_boundary_index():
     cover = log_canonical_cover(pair)
     assert cover.degree == 6
     u = pair_functional(pair)
+    assert cover.functional == u
     for ray, e in zip(pair.cone.rays, (2, 3)):
         scaled = tuple(e * x for x in ray)
         assert pairing(u, scaled) == 1
@@ -664,3 +665,42 @@ def test_correspondence_needs_q_cartier():
     pair = ConePair(_square_pair().cone, ToricDivisor((0, 0, 0, 0)))
     with pytest.raises(NotApplicable, match=r"^K\+D is not Q-Cartier$"):
         cover_correspondence_check(pair)
+
+
+def test_correspondence_refuses_in_order():
+    # K+D not Q-Cartier and 1/3 not standard: the Q-Cartier refusal comes first.
+    pair = ConePair(_square_pair().cone, ToricDivisor((Fraction(1, 3), 0, 0, 0)))
+    with pytest.raises(NotApplicable, match=r"^K\+D is not Q-Cartier$") as refused:
+        cover_correspondence_check(pair)
+    assert not isinstance(refused.value, NonStandardBoundary)
+    with pytest.raises(NonStandardBoundary, match=r"^boundary coefficient 1/3 "):
+        cover_correspondence_check(ConePair(_orthant(2), ToricDivisor((Fraction(1, 3), 0))))
+
+
+def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
+    from logcentre import cli, toric
+    from logcentre.casestudies import francia_input_document
+    from logcentre.corpus import random_standard_pairs
+    from logcentre.iodoc import serialize_document
+
+    solved = []
+
+    def counted(cone, divisor):
+        solved.append(divisor.coeffs)
+        return q_cartier_functional(cone, divisor)
+
+    monkeypatch.setattr(toric, "q_cartier_functional", counted)
+    monkeypatch.setattr(cli, "q_cartier_functional", counted)
+    base = francia_input_document().objects["base"]
+    for pair in (base, *random_standard_pairs(1, 3)):
+        solved.clear()
+        assert cover_correspondence_check(pair) is True
+        # -(K+D) on the base, then K on the cover.
+        assert solved == [tuple(d - 1 for d in pair.boundary.coeffs), (-1,) * len(pair.cone.rays)]
+
+    path = tmp_path / "francia.json"
+    path.write_text(serialize_document(francia_input_document()))
+    solved.clear()
+    assert cli.main(["toric", "canonical", f"{path}#cover"]) == 0
+    assert capsys.readouterr().out == "canonical=true u=(0,0,1) index=1\n"
+    assert len(solved) == 1

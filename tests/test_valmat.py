@@ -4,25 +4,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logcentre.errors import PreconditionViolation, RepresentationOverflow
+from logcentre.errors import PreconditionViolation
 from logcentre.valmat import (
     INF,
-    MonomialMatrix,
     ValMatrix,
     centralizer,
+    inflate,
+    omega_power,
+    radical_power,
+    standard_order,
+    tropical_mul,
+)
+from oracles import (
+    MonomialMatrix,
+    RepresentationOverflow,
     dualizing_module,
     ideal_of,
-    inflate,
     jacobson_radical,
     monomial_identity,
     monomial_mul,
     monomial_pow,
-    omega_power,
-    radical_power,
-    standard_order,
+    shift,
     t_scalar,
     tropical_identity,
-    tropical_mul,
     y_matrix,
     y_power,
 )
@@ -142,7 +146,7 @@ def test_tropical_identity_is_neutral():
 
 
 def test_shift_scales_every_entry():
-    shifted = standard_order(3).shift(2)
+    shifted = shift(standard_order(3), 2)
     assert shifted.entries == ((2, 2, 2), (3, 2, 2), (3, 3, 2))
 
 
