@@ -91,10 +91,6 @@ class ValMatrix:
             rows.append(row)
         object.__setattr__(self, "entries", tuple(rows))
 
-    @classmethod
-    def from_rows(cls, rows) -> "ValMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
     @property
     def size(self) -> int:
         return len(self.entries)

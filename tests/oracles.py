@@ -12,6 +12,10 @@ q * t^n (or zero) and multiply as ordinary matrices, raising
 normal element y with y^e = t lives there, so identities such as "the radical
 is generated by y on either side" are checked on actual elements rather than
 on valuations.
+
+Rewriting is checked against a second strategy: ``rightmost_normal_form``
+rewrites the rightmost redex, where ``logcentre.ncpoly.normal_form`` rewrites
+the leftmost match of the first rule. On a confluent system the two agree.
 """
 
 from dataclasses import dataclass
@@ -19,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from logcentre.errors import LogCentreError
+from logcentre.ncpoly import NCPoly
 from logcentre.valmat import INF, ValMatrix
 
 
@@ -231,3 +236,29 @@ def ideal_of(a: MonomialMatrix) -> ValMatrix:
             for row in a.entries
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# Rewriting: a second reduction strategy.
+
+
+def rightmost_normal_form(poly: NCPoly, system) -> NCPoly:
+    """Reduce by always rewriting the rightmost redex, the last rule first."""
+    result = NCPoly.zero()
+    stack = list(poly.terms())
+    while stack:
+        word, coeff = stack.pop()
+        redexes = [
+            (pos, index)
+            for index, (lhs, _) in enumerate(system.rules)
+            for pos in range(len(word) - len(lhs) + 1)
+            if word[pos : pos + len(lhs)] == lhs
+        ]
+        if not redexes:
+            result = result + NCPoly.monomial(word, coeff)
+            continue
+        pos, index = max(redexes)
+        lhs, rhs = system.rules[index]
+        for body, factor in rhs.terms():
+            stack.append((word[:pos] + body + word[pos + len(lhs) :], coeff * factor))
+    return result

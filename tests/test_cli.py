@@ -224,6 +224,21 @@ def test_zero_denominator_exit_code(capsys, tmp_path):
     assert err == "error: division by zero in '1/0'\n"
 
 
+def test_unresolved_system_exit_code(capsys, tmp_path):
+    # z*w = x*v holds in the algebra but both sides are irreducible: an
+    # answer would be a wrong "no", so the system is refused as input.
+    doc = {
+        "version": "1",
+        "objects": {"sys": {"type": "presentation", "generators": ["v", "w", "x", "y", "z"],
+                            "rules": [{"lhs": "x*y", "rhs": "z"}, {"lhs": "y*w", "rhs": "v"}]}},
+    }
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "ncpoly", "identity", "z*w", "x*v", "--system", f"{path}#sys")
+    assert (code, out) == (2, "")
+    assert err == "error: sys: rules x*y -> z and y*w -> v do not resolve on x*y*w\n"
+
+
 def test_nesting_depth_exit_code(capsys):
     code, out, err = _run(capsys, "ncpoly", "nf", "(" * 1200 + "a" + ")" * 1200)
     assert (code, out) == (4, "")

@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import rightmost_normal_form
 
 from logcentre.errors import InputError, NonterminationSuspected, ResourceLimit
+from logcentre.iodoc import loads
 from logcentre.ncpoly import (
     MAX_NESTING_DEPTH,
-    CommPoly,
-    LocalElement,
     NCPoly,
     RewriteSystem,
     builtin_system,
@@ -22,6 +24,7 @@ from logcentre.ncpoly import (
     quiver_relations_hold,
     verify_identity,
 )
+from logcentre.ncpoly import _critical_pairs, _quadric_system
 
 GENS = ("a", "b", "c")
 A, B, C = (NCPoly.generator(x) for x in GENS)
@@ -218,17 +221,98 @@ def test_normal_form_words_are_sorted(poly):
         assert tuple(sorted(word)) == word
 
 
-def test_step_cap():
+def test_step_cap(monkeypatch):
     system = clifford_system()
     big = (A + B + C) ** 4
+    monkeypatch.setenv("LOGCENTRE_STEP_CAP", "1")
     with pytest.raises(NonterminationSuspected):
-        normal_form(big * big, system, step_cap=1)
+        normal_form(big * big, system)
 
 
 def test_step_cap_env_override(monkeypatch):
+    system = clifford_system()
     monkeypatch.setenv("LOGCENTRE_STEP_CAP", "1")
     with pytest.raises(NonterminationSuspected):
-        normal_form(parse_poly("c*b*a", GENS), clifford_system())
+        normal_form(parse_poly("c*b*a", GENS), system)
+    with pytest.raises(NonterminationSuspected):
+        clifford_system()  # resolving its critical pair c*b*a is rewriting too
+
+
+# Confluence: every critical pair must resolve.
+
+
+def test_rejects_unresolved_overlap():
+    # z*w = x*v holds in the algebra but both words are irreducible, so
+    # verify_identity would answer a wrong "no" on this system.
+    z, v = NCPoly.generator("z"), NCPoly.generator("v")
+    with pytest.raises(ValueError, match=r"x\*y -> z and y\*w -> v do not resolve on x\*y\*w"):
+        RewriteSystem(("v", "w", "x", "y", "z"), ((("x", "y"), z), (("y", "w"), v)))
+    doc = (
+        '{"version": "1", "objects": {"sys": {"type": "presentation",'
+        ' "generators": ["v", "w", "x", "y", "z"],'
+        ' "rules": [{"lhs": "x*y", "rhs": "z"}, {"lhs": "y*w", "rhs": "v"}]}}}'
+    )
+    with pytest.raises(InputError, match=r"sys: rules .* do not resolve on x\*y\*w"):
+        loads(doc)
+
+
+def test_inclusions_are_critical_pairs():
+    a, b = NCPoly.generator("a"), NCPoly.generator("b")
+    with pytest.raises(ValueError, match=r"do not resolve on a\*b$"):
+        RewriteSystem(("a", "b"), ((("a", "b"), a), (("a", "b"), b)))
+    with pytest.raises(ValueError, match=r"do not resolve on a\*b\*a$"):
+        RewriteSystem(("a", "b"), ((("a", "b", "a"), a), (("b",), NCPoly.one())))
+    RewriteSystem(("a", "b"), ((("a", "b", "a"), NCPoly.zero()), (("b",), NCPoly.zero())))
+
+
+def test_shipped_systems_are_confluent():
+    qp = loads(
+        '{"version": "1", "objects": {"qp": {"type": "presentation",'
+        ' "generators": ["x", "y"], "rules": [{"lhs": "y*x", "rhs": "2*x*y"}]}}}'
+    ).objects["qp"]
+    counts = [len(list(_critical_pairs(s.rules))) for s in (clifford_system(), qp, _quadric_system())]
+    assert counts == [1, 0, 8]
+    words = [word for _, _, word, _, _ in _critical_pairs(clifford_system().rules)]
+    assert words == [("c", "b", "a")]
+
+
+def _random_system(rng):
+    """A terminating system: 2-3 generators, 1-3 rules, left sides of length 1-3."""
+    gens = ("a", "b", "c")[: rng.randint(2, 3)]
+    probe = RewriteSystem(gens, ())
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = tuple(rng.choice(gens) for _ in range(rng.randint(1, 3)))
+        smaller = [
+            word
+            for size in range(len(lhs) + 1)
+            for word in product(gens, repeat=size)
+            if probe.word_key(word) < probe.word_key(lhs)
+        ]
+        rhs = NCPoly.zero()
+        for word in rng.sample(smaller, min(len(smaller), rng.randint(0, 2))):
+            rhs = rhs + NCPoly.monomial(word, rng.choice((1, -1, 2)))
+        rules.append((lhs, rhs))
+    return gens, tuple(rules)
+
+
+def test_confluent_systems_agree_with_rightmost_reduction():
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for _ in range(60):
+        gens, rules = _random_system(rng)
+        try:
+            system = RewriteSystem(gens, rules)
+        except ValueError as exc:
+            assert "do not resolve" in str(exc)
+            rejected += 1
+            continue
+        accepted += 1
+        for size in range(6):
+            for word in product(gens, repeat=size):
+                poly = NCPoly.monomial(word)
+                assert normal_form(poly, system) == rightmost_normal_form(poly, system)
+    assert accepted and rejected
 
 
 # Centrality and identities in the quadric algebra.
@@ -264,23 +348,26 @@ def test_resolution_matrix_composes_to_zero():
     assert matrix_compose(mat, col, system) == ((NCPoly.zero(),),) * 3
 
 
-# Commutative quadric quotient and the local matrix model.
+# The quadric cone k[a,b,c,d]/(ad - bc) as a rewrite system.
 
 
-def test_comm_poly_relation():
-    a, b, c, d = (CommPoly.var(x) for x in "abcd")
-    assert a * d == b * c
-    assert a * a * d == a * b * c
-    assert (a * d - b * c).is_zero
-    assert a * d * d == b * c * d
+def test_quadric_relation():
+    system = _quadric_system()
+    a, b, c, d = (NCPoly.generator(x) for x in "abcd")
+    assert verify_identity(a * d, b * c, system)
+    assert verify_identity(a * a * d, a * b * c, system)
+    assert verify_identity(a * d * d, b * c * d, system)
+    assert not verify_identity(a * d, a * c, system)
 
 
-def test_local_element_equality():
-    a, b, c, d = (CommPoly.var(x) for x in "abcd")
-    half_b = LocalElement(b, 1)  # b/a
-    assert half_b == LocalElement(a * b, 2)
-    assert half_b * LocalElement(a, 0) == LocalElement(b, 0)
-    assert half_b * LocalElement(c, 0) == LocalElement(d, 0)  # bc/a = d
+def test_quadric_cleared_denominators():
+    # b/a = ab/a^2, (b/a)*a = b and (b/a)*c = d, each times a power of a
+    system = _quadric_system()
+    a, b, c, d = (NCPoly.generator(x) for x in "abcd")
+    assert verify_identity(b * a * a, a * b * a, system)
+    assert verify_identity(b * a, a * b, system)
+    assert verify_identity(b * c, a * d, system)
+    assert not verify_identity(b * c, a * c, system)
 
 
 def test_quiver_and_invariant_checks():

@@ -61,7 +61,7 @@ def _to_lists(m: ValMatrix):
 
 
 def _to_valmat(lists) -> ValMatrix:
-    return ValMatrix.from_rows([[INF if x is None else x for x in row] for row in lists])
+    return ValMatrix([[INF if x is None else x for x in row] for row in lists])
 
 
 def test_frozen_building_blocks():
