@@ -27,9 +27,11 @@ def solve_exact(rows, rhs):
     with a nonzero integer determinant is solved by Cramer's rule, and the
     solution is checked against every equation in integers. Returns the
     solution as a tuple of Fractions, or None when the system is inconsistent.
-    Raises ValueError when no d equations are independent (column rank below
-    d), consistent or not.
+    Raises ValueError when rhs has not one entry per equation, or when no d
+    equations are independent (column rank below d), consistent or not.
     """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     n = len(rows[0])
     eqs = [clear_denominators([*row, r]) for row, r in zip(rows, rhs)]
     for subset in combinations(eqs, n):
@@ -69,25 +71,6 @@ def xgcd(a: int, b: int):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def integer_kernel_of_row(row):
-    """Basis of {x integer vector : row . x = 0} for a nonzero integer row."""
-    n = len(row)
-    if all(v == 0 for v in row):
-        raise ValueError("row must be nonzero")
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    cur = list(row)
-    for j in range(1, n):
-        a, b = cur[0], cur[j]
-        if b == 0:
-            continue
-        g, x, y = xgcd(a, b)
-        c0, cj = cols[0], cols[j]
-        cols[0] = [x * p + y * q for p, q in zip(c0, cj)]
-        cols[j] = [(-b // g) * p + (a // g) * q for p, q in zip(c0, cj)]
-        cur[0], cur[j] = g, 0
-    return [tuple(c) for c in cols[1:]]
 
 
 def hermite_column_form(cols):

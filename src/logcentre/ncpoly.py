@@ -459,10 +459,9 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
     return out
 
 
-def is_central(poly: NCPoly, system: RewriteSystem, generators=None) -> bool:
-    """True when the polynomial commutes with every listed generator."""
-    names = tuple(generators) if generators is not None else system.generators
-    for name in names:
+def is_central(poly: NCPoly, system: RewriteSystem) -> bool:
+    """True when the polynomial commutes with every generator of the system."""
+    for name in system.generators:
         gen = NCPoly.generator(name)
         if not normal_form(gen * poly - poly * gen, system).is_zero:
             return False

@@ -3,7 +3,8 @@
 All cone data lives in coordinates with respect to a chosen lattice basis: a
 lattice point is an integer coordinate vector, a divisor functional is a
 rational coordinate vector, and the pairing between the two is the plain dot
-product of coordinate vectors. The ambient rational basis only matters when
+product of coordinate vectors, taken in integers after clearing the
+functional's denominators. The ambient rational basis only matters when
 identifying a sublattice (index-one covers) or converting external vectors.
 
 The classification tests are linear algebra. A toric Weil divisor sum(n_i D_i)
@@ -16,7 +17,9 @@ conv(0, rays), so the canonical test enumerates only the bounding box of that
 polytope. Hilbert bases are enumerated from the bounding box of the generator
 zonotope and reduced in order of degree (the sum of the facet values) against
 the basis elements already found; both enumerations are exact and auditable at
-the intended desk scale (dimension <= 4, small coordinates).
+the intended desk scale (dimension <= 4, small coordinates). The index-one
+cover lattice is one integer Hermite form, and its rays are exact solves on
+that basis.
 """
 
 from __future__ import annotations
@@ -41,13 +44,6 @@ from .orders import standard_index
 MAX_DIM = 4
 MAX_RAY_COORD = 100
 MAX_BOX_POINTS = 10**6
-
-
-def pairing(u, v) -> Fraction:
-    """Dot product of a dual functional and a lattice coordinate vector."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch in pairing")
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -88,13 +84,12 @@ class Lattice:
     def to_ambient(self, coords) -> tuple:
         if len(coords) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(
-            sum((Fraction(c) * vec[i] for c, vec in zip(coords, self.basis)), Fraction(0))
-            for i in range(self.dim)
-        )
+        return tuple(sum(c * vec[i] for c, vec in zip(coords, self.basis)) for i in range(self.dim))
 
     def to_coords(self, ambient) -> tuple:
         """Exact rational coordinates of an ambient vector in this basis."""
+        if len(ambient) != self.dim:
+            raise ValueError("dimension mismatch")
         columns = list(zip(*self.basis))
         solution = linalg.solve_exact(columns, [Fraction(x) for x in ambient])
         _require(solution is not None, "lattice basis failed to span")
@@ -287,7 +282,8 @@ def _klt_verdict(pair: ConePair, u) -> KltResult:
     """klt_check given the pair's -(K+D) functional u (None if there is none)."""
     if u is None:
         return KltResult(False, None)
-    return KltResult(all(pairing(u, v) > 0 for v in pair.cone.rays), u)
+    w = linalg.clear_denominators(u)
+    return KltResult(all(sum(a * b for a, b in zip(w, v)) > 0 for v in pair.cone.rays), u)
 
 
 def _box(name: str, lo, hi) -> list:
@@ -373,7 +369,7 @@ def canonical_verdict(cone: Cone, u) -> bool:
     # 0 < u < 1 in integers: m*u is integral and compared with 0 and m. As u > 0
     # on the cone minus the origin, the lower bound only drops points not wanted.
     m = cartier_index(u)
-    w = [int(x * m) for x in u]
+    w = linalg.clear_denominators(u)
     for p in product(*box):
         if 0 < sum(a * b for a, b in zip(w, p)) < m and cone.contains(p):
             return False
@@ -391,11 +387,12 @@ class CoverResult:
 def log_canonical_cover(pair: ConePair) -> CoverResult:
     """Index-one cover of a pair with standard coefficients.
 
-    The cover lattice is the sublattice where the -(K+D) functional is
-    integral; its index equals the Cartier index m of K+D, the functional
+    The cover lattice is the sublattice where the -(K+D) functional u is
+    integral: the x with w.x = 0 mod m, where m is the Cartier index of K+D
+    and w = m*u, given by its Hermite basis. Its index is m, the functional
     becomes integral (Cartier canonical class) on the cover, pairs to exactly
     1 with every cover ray, and the rays are rescaled by the local indices e_i
-    of the boundary. All of these are checked on every invocation.
+    of the boundary. All of these are checked in integers on every invocation.
     """
     u = pair_functional(pair)
     if u is None:
@@ -410,42 +407,35 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
         indices.append(e)
     dim = pair.cone.dim
     m = cartier_index(u)
-    scaled = [int(x * m) for x in u]
-    kernel = linalg.integer_kernel_of_row(scaled + [-m])
-    columns = linalg.hermite_column_form([vec[:dim] for vec in kernel])
+    w = linalg.clear_denominators(u)
+    # The columns (w_j, e_j) and (m, 0, ..., 0) span Z^(d+1), as gcd(w, m) = 1,
+    # and the columns that are 0 in the first coordinate span {x : w.x = 0 mod m}.
+    # So the Hermite form has pivot 1 in the first row, and dropping that column
+    # and that row leaves the Hermite form of the cover lattice.
+    hermite = linalg.hermite_column_form(
+        [(wj, *(int(i == j) for i in range(dim))) for j, wj in enumerate(w)] + [(m,) + (0,) * dim]
+    )
+    columns = [col[1:] for col in hermite[1:]]
     _require(len(columns) == dim, "sublattice basis has wrong rank")
     _require(abs(linalg.det_int(columns)) == m, "sublattice index differs from the Cartier index")
     for col in columns:
-        _require(pairing(u, col).denominator == 1, "functional is not integral on the sublattice")
+        _require(sum(a * b for a, b in zip(w, col)) % m == 0,
+                 "functional is not integral on the sublattice")
+    rows = list(zip(*columns))
     cover_rays = []
     for ray, e in zip(pair.cone.rays, indices):
-        value = pairing(u, ray)
-        _require(value.denominator == e, "ray rescaling differs from the boundary index")
-        target = tuple(e * x for x in ray)
-        coords = _solve_lower_triangular_int(columns, target)
-        _require(gcd(*(abs(c) for c in coords)) == 1, "cover ray is not primitive")
-        _require(pairing(u, target) == 1, "cover ray does not pair to one")
+        value = sum(a * b for a, b in zip(w, ray))
+        _require(m // gcd(value, m) == e, "ray rescaling differs from the boundary index")
+        coords = linalg.solve_exact(rows, [e * x for x in ray])
+        _require(all(c.denominator == 1 for c in coords), "vector lies outside the sublattice")
+        coords = tuple(int(c) for c in coords)
+        _require(gcd(*coords) == 1, "cover ray is not primitive")
+        _require(e * value == m, "cover ray does not pair to one")
         cover_rays.append(coords)
     ambient_basis = tuple(pair.cone.lattice.to_ambient(col) for col in columns)
     cover_lattice = Lattice(ambient_basis)
     cover_cone = Cone(cover_lattice, tuple(cover_rays))
     return CoverResult(cover_lattice, cover_cone, m, u)
-
-
-def _solve_lower_triangular_int(columns, target):
-    """Solve sum x_j * col_j = target over the integers for a lower-triangular
-    column basis; the target is required to lie in the lattice."""
-    dim = len(columns)
-    x = [0] * dim
-    for row in range(dim):
-        residue = target[row] - sum(columns[j][row] * x[j] for j in range(row))
-        pivot = columns[row][row]
-        _require(residue % pivot == 0, "vector lies outside the sublattice")
-        x[row] = residue // pivot
-    for row in range(dim):
-        _require(sum(columns[j][row] * x[j] for j in range(dim)) == target[row],
-                 "triangular solve failed")
-    return tuple(x)
 
 
 def dual_cone(cone: Cone) -> Cone:

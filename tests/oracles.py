@@ -2,7 +2,11 @@
 
 Fraction Gauss-Jordan elimination is the independent route against which the
 integer kernels of ``logcentre.linalg`` (Cramer's rule on integer determinants,
-facet normals from signed minors) are checked.
+facet normals from signed minors) are checked. ``pairing`` is the Fraction dot
+product of a functional and a lattice vector, and ``integer_kernel_of_row``
+builds the index-one cover lattice the older way, from the kernel of the row
+(m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
+checked.
 
 The valuation-matrix closed forms of ``logcentre.valmat`` are checked against
 second closed forms of the radical and the dualizing module, and against an
@@ -23,6 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from logcentre.errors import LogCentreError
+from logcentre.linalg import xgcd
 from logcentre.ncpoly import NCPoly
 from logcentre.valmat import INF, ValMatrix
 
@@ -55,6 +60,32 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows)[1]) if rows else 0
+
+
+def pairing(u, v) -> Fraction:
+    """Dot product of a dual functional and a lattice coordinate vector."""
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch in pairing")
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def integer_kernel_of_row(row):
+    """Basis of {x integer vector : row . x = 0} for a nonzero integer row."""
+    n = len(row)
+    if all(v == 0 for v in row):
+        raise ValueError("row must be nonzero")
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cur = list(row)
+    for j in range(1, n):
+        a, b = cur[0], cur[j]
+        if b == 0:
+            continue
+        g, x, y = xgcd(a, b)
+        c0, cj = cols[0], cols[j]
+        cols[0] = [x * p + y * q for p, q in zip(c0, cj)]
+        cols[j] = [(-b // g) * p + (a // g) * q for p, q in zip(c0, cj)]
+        cur[0], cur[j] = g, 0
+    return [tuple(c) for c in cols[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from logcentre.toric import (
     klt_check,
     log_canonical_cover,
     pair_functional,
-    pairing,
     q_cartier_functional,
 )
 from logcentre.valmat import (
@@ -48,7 +47,15 @@ from logcentre.valmat import (
     standard_order,
     tropical_mul,
 )
-from oracles import dualizing_module, ideal_of, monomial_pow, t_scalar, y_matrix, y_power
+from oracles import (
+    dualizing_module,
+    ideal_of,
+    monomial_pow,
+    pairing,
+    t_scalar,
+    y_matrix,
+    y_power,
+)
 
 
 def _gate(num, desc, failures, elapsed=None, bound=None):

@@ -263,23 +263,29 @@ def test_resource_limit_exit_code(capsys, tmp_path):
 
 
 def test_step_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("LOGCENTRE_STEP_CAP", "1")
+    # Building the Clifford system takes 2 steps and c*b*a needs 3, so the cap
+    # trips in the query itself: the same cap lets the query a through.
+    monkeypatch.setenv("LOGCENTRE_STEP_CAP", "2")
     code, _, err = _run(capsys, "ncpoly", "nf", "c*b*a")
     assert code == 4
     assert "error" in err
+    code, out, _ = _run(capsys, "ncpoly", "nf", "a")
+    assert code == 0
+    assert out.strip() == "a"
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch, francia_doc):
     # A sublattice of twice the index trips the cover's postcondition: a bug, not bad input.
+    # The cover drops the first Hermite column, so the fault goes into the second.
     from logcentre import linalg
 
     hermite = linalg.hermite_column_form
 
-    def doubled_first_column(cols):
-        first, *rest = hermite(cols)
-        return [tuple(2 * x for x in first), *rest]
+    def doubled_second_column(cols):
+        first, second, *rest = hermite(cols)
+        return [first, tuple(2 * x for x in second), *rest]
 
-    monkeypatch.setattr(linalg, "hermite_column_form", doubled_first_column)
+    monkeypatch.setattr(linalg, "hermite_column_form", doubled_second_column)
     code, out, err = _run(capsys, "toric", "cover", francia_doc + "#base")
     assert code == 5
     assert out == ""

@@ -1,4 +1,7 @@
+import hashlib
 from fractions import Fraction
+
+import pytest
 
 from logcentre.corpus import random_standard_pairs
 from logcentre.orders import standard_index
@@ -45,3 +48,28 @@ def test_simplicial_boundaries_use_small_indices():
             continue
         for coeff in pair.boundary.coeffs:
             assert coeff in {0, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6)}
+
+
+def _digest(pairs) -> str:
+    text = "".join(
+        repr((
+            pair.cone.rays,
+            tuple(tuple(str(x) for x in vec) for vec in pair.cone.lattice.basis),
+            tuple(str(c) for c in pair.boundary.coeffs),
+        )) + "\n"
+        for pair in pairs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The inputs of the corpus benchmark workload, pinned when the generator still
+# built every cover and refused samples on the size of the cover's box.
+PINNED = {
+    0: "03159418af7f8cb995861cacf6430732a3122f3e8d4192fb6cca5298975319e9",
+    201: "7ffdd0f10e1fa33a56eb2f6cb522a06d4327274c34e6b963b8344b2b928f21a4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_batches_are_pinned(seed):
+    assert _digest(random_standard_pairs(seed, 1200)) == PINNED[seed]

@@ -1,12 +1,16 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every private name in src is read.
 
-No linter ships with the project, so this is the unused-import rule done with
-the standard library's ``ast``: a name bound by ``import`` or ``from ...
-import`` must be read somewhere in the module. Names listed in ``__all__`` and
-imports on a line marked ``# noqa: F401`` count as used.
+No linter ships with the project, so these are two dead-code rules done with
+the standard library's ``ast``. A name bound by ``import`` or ``from ...
+import`` must be read somewhere in the module; names listed in ``__all__`` and
+imports on a line marked ``# noqa: F401`` count as used. A private name (one
+leading underscore) that a module of ``src/logcentre`` defines at top level
+must be read somewhere in ``src/logcentre`` outside its own definition: tests
+do not keep a helper of the program alive.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,46 @@ def test_files_are_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _reads(tree) -> Counter:
+    """Names read in the tree: loaded names, attributes and imported names."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def _private_definitions(tree):
+    """(name, node) for each private name a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_in_src_is_read():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{path.relative_to(ROOT)} line {node.lineno}: {name}"
+        for path, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if reads[name] == _reads(node)[name]
+    ]
+    assert unread == []

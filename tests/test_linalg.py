@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import rank, rref
+from oracles import rref
 
 from logcentre import linalg
 
@@ -43,6 +43,14 @@ def test_solve_exact_overdetermined_consistent():
 def test_solve_exact_underdetermined_raises():
     with pytest.raises(ValueError):
         linalg.solve_exact([[1, 1]], [1])
+
+
+def test_solve_exact_needs_one_rhs_per_equation():
+    rows = [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="^2 equations but 3 right-hand sides$"):
+        linalg.solve_exact(rows, [1, 0, 5])
+    with pytest.raises(ValueError, match="^2 equations but 1 right-hand sides$"):
+        linalg.solve_exact(rows, [1])
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(_matrix(n), st.lists(_small, min_size=n, max_size=n))))
@@ -138,17 +146,6 @@ def test_xgcd_identity(a, b):
     g, x, y = linalg.xgcd(a, b)
     assert g == gcd(a, b)
     assert a * x + b * y == g
-
-
-@given(st.lists(_small, min_size=2, max_size=5))
-def test_integer_kernel_of_row(row):
-    if not any(row):
-        return
-    kernel = linalg.integer_kernel_of_row(row)
-    assert len(kernel) == len(row) - 1
-    assert rank(kernel) == len(row) - 1
-    for vec in kernel:
-        assert sum(r * v for r, v in zip(row, vec)) == 0
 
 
 def _hnf_shape_ok(cols):

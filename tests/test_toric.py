@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import rank, rref
+from oracles import integer_kernel_of_row, pairing, rank, rref
 
 from logcentre import linalg
 from logcentre.errors import NonStandardBoundary, NotApplicable, ResourceLimit
@@ -26,7 +26,6 @@ from logcentre.toric import (
     klt_check,
     log_canonical_cover,
     pair_functional,
-    pairing,
     q_cartier_functional,
 )
 
@@ -60,6 +59,15 @@ def test_lattice_roundtrip_and_membership():
     with pytest.raises(ValueError):
         lattice.coords_of((0, 0, Fraction(1, 4)))
     assert lattice.to_coords((0, 0, Fraction(1, 4))) == (0, 0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("ambient", [(1, 0, 0, 5), (1, 0)], ids=["long", "short"])
+def test_lattice_coordinates_need_matching_dimension(ambient):
+    # An extra entry is not dropped: (1, 0, 0, 5) is no point of Z^3.
+    lattice = Lattice.standard(3)
+    for convert in (lattice.to_coords, lattice.coords_of, lattice.to_ambient):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            convert(ambient)
 
 
 def test_lattice_requires_invertible_basis():
@@ -613,6 +621,44 @@ def test_trivial_cover_is_identity():
     assert cover.degree == 1
     assert cover.cover_cone.rays == pair.cone.rays
     assert cover.cover_lattice.same_lattice(Lattice.standard(3))
+
+
+def _kernel_route(pair):
+    # {x : m*u . x = 0 mod m} as the projection of the integer kernel of the
+    # row (m*u, -m): the projected kernel vectors and their Hermite form.
+    u = pair_functional(pair)
+    m = cartier_index(u)
+    row = [int(m * x) for x in u] + [-m]
+    kernel = integer_kernel_of_row(row)
+    for vec in kernel:
+        assert sum(a * b for a, b in zip(row, vec)) == 0
+    projected = [vec[:-1] for vec in kernel]
+    return projected, linalg.hermite_column_form(projected)
+
+
+def test_cover_lattice_matches_kernel_route():
+    rng = random.Random(80)
+    degrees, rational = set(), 0
+    while len(degrees) < 8 or rational < 100:
+        dim = rng.choice((2, 3))
+        basis = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+                 for _ in range(dim)]
+        if rng.random() < 0.3 or rank(basis) < dim:
+            basis = Lattice.standard(dim).basis
+        rays = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim)]
+        if linalg.det_int(rays) == 0:
+            continue
+        indices = [rng.choice((1, 2, 3, 4, 6)) for _ in rays]
+        boundary = ToricDivisor(tuple(Fraction(e - 1, e) for e in indices))
+        pair = ConePair(Cone.from_rays(rays, Lattice(basis)), boundary)
+        cover = log_canonical_cover(pair)
+        projected, hermite = _kernel_route(pair)
+        to_ambient = pair.cone.lattice.to_ambient
+        assert cover.cover_lattice.same_lattice(Lattice(tuple(map(to_ambient, projected)))), pair
+        assert cover.cover_lattice.basis == tuple(map(to_ambient, hermite)), pair
+        degrees.add(cover.degree)
+        rational += pair.cone.lattice != Lattice.standard(dim)
+    assert 1 in degrees and max(degrees) >= 12
 
 
 def test_cover_requires_standard_coefficients():
