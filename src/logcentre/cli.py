@@ -7,6 +7,11 @@ Four command groups mirror the library layout::
     logcentre ncpoly   nf | central | identity | quotient-check
     logcentre examples run | input
 
+``COMMANDS`` is the one source of these names: each group maps to its help
+and its commands, each command to its help, handler and arguments, and
+``build_parser`` builds every parser level from it. A handler returns the
+exit code, the JSON result and the text rendering.
+
 File arguments take the form ``PATH`` or ``PATH#name`` where ``name`` picks
 one object out of a document; without a name the unique object of the
 expected type is used. Every leaf command accepts ``--format text|json`` for
@@ -35,7 +40,7 @@ from .errors import (
     ResourceLimit,
 )
 from .iodoc import rational_to_json
-from .ncpoly import builtin_system, is_central, normal_form, parse_poly, verify_identity
+from .ncpoly import BUILTIN_SYSTEMS, is_central, normal_form, parse_poly, verify_identity
 from .orders import cover_graded_valuations, discriminant
 from .toric import (
     ConePair,
@@ -46,11 +51,10 @@ from .toric import (
     dual_cone_generators,
     klt_check,
     log_canonical_cover,
+    pair_functional,
     q_cartier_functional,
 )
 from .valmat import centralizer, omega_power
-
-_BUILTIN_SYSTEMS = ("clifford",)
 
 
 def _fmt_functional(u) -> str:
@@ -58,7 +62,7 @@ def _fmt_functional(u) -> str:
 
 
 def _functional_json(u):
-    return None if u is None else [rational_to_json(Fraction(x)) for x in u]
+    return None if u is None else [rational_to_json(x) for x in u]
 
 
 def _load_target(spec: str, want: str):
@@ -68,16 +72,17 @@ def _load_target(spec: str, want: str):
 
 
 def _load_system(spec: str):
-    if spec in _BUILTIN_SYSTEMS:
-        return builtin_system(spec)
+    if spec in BUILTIN_SYSTEMS:
+        return BUILTIN_SYSTEMS[spec]()
     return _load_target(spec, "presentation")
 
 
-def _divisor_for(pair: ConePair, spec: str) -> ToricDivisor:
-    if spec == "K":
-        return canonical_divisor(pair.cone)
+def _functional_for(pair: ConePair, spec: str):
+    """Supporting functional of the divisor named by --divisor, or None."""
     if spec == "K+D":
-        return ToricDivisor(tuple(d - 1 for d in pair.boundary.coeffs))
+        return pair_functional(pair)
+    if spec == "K":
+        return q_cartier_functional(pair.cone, canonical_divisor(pair.cone))
     try:
         coeffs = tuple(Fraction(part.strip()) for part in spec.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -86,7 +91,7 @@ def _divisor_for(pair: ConePair, spec: str) -> ToricDivisor:
         raise InputError(
             f"divisor spec has {len(coeffs)} coefficients, cone has {len(pair.cone.rays)} rays"
         )
-    return ToricDivisor(coeffs)
+    return q_cartier_functional(pair.cone, ToricDivisor(coeffs))
 
 
 def _cmd_omega_center(args):
@@ -109,8 +114,7 @@ def _cmd_discriminant(args):
 
 
 def _cmd_qcartier(args):
-    pair = _load_target(args.target, "cone_pair")
-    u = q_cartier_functional(pair.cone, _divisor_for(pair, args.divisor))
+    u = _functional_for(_load_target(args.target, "cone_pair"), args.divisor)
     result = {"divisor": args.divisor, "functional": _functional_json(u)}
     if u is None:
         return 3, result, "none"
@@ -118,8 +122,7 @@ def _cmd_qcartier(args):
 
 
 def _cmd_index(args):
-    pair = _load_target(args.target, "cone_pair")
-    u = q_cartier_functional(pair.cone, _divisor_for(pair, args.divisor))
+    u = _functional_for(_load_target(args.target, "cone_pair"), args.divisor)
     index = None if u is None else cartier_index(u)
     result = {"divisor": args.divisor, "index": index}
     if index is None:
@@ -147,7 +150,7 @@ def _cmd_klt(args):
 
 def _cmd_canonical(args):
     pair = _load_target(args.target, "cone_pair")
-    u = q_cartier_functional(pair.cone, canonical_divisor(pair.cone))
+    u = _functional_for(pair, "K")
     verdict = canonical_verdict(pair.cone, u)
     index = cartier_index(u)
     flag = "true" if verdict else "false"
@@ -226,11 +229,60 @@ def _cmd_examples_input(args):
     return 0, result, rendered.rstrip("\n")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="stdout rendering (default text)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="also write the JSON result to PATH")
+_TARGET = ("target", {"metavar": "FILE[#name]"})
+_INDEX = ("--e", {"type": int, "required": True, "help": "ramification index"})
+_NAME = ("name", {})
+_EXPR = ("expr", {})
+_DIVISOR = ("--divisor", {"default": "K+D",
+                          "help": "K, K+D (default), or comma separated coefficients"})
+_SYSTEM = ("--system", {"default": "clifford"})
+_COMMON_FLAGS = (
+    ("--format", {"choices": ("text", "json"), "default": "text",
+                  "help": "stdout rendering (default text)"}),
+    ("--out", {"metavar": "PATH", "default": None,
+               "help": "also write the JSON result to PATH"}),
+)
+
+# group -> (help, command -> (help, handler, arguments)); each argument is
+# (name or flag, add_argument keywords) and every command also gets _COMMON_FLAGS.
+COMMANDS = {
+    "order": ("graded centres of ramified matrix orders", {
+        "omega-center": ("centre valuation of a dualizing power", _cmd_omega_center, (
+            _INDEX,
+            ("--i", {"type": int, "required": True, "help": "power of the dualizing module"}),
+        )),
+        "cover-center": ("valuations of the graded cover centre", _cmd_cover_center, (
+            _INDEX,
+            ("--m", {"type": int, "required": True, "help": "number of graded pieces"}),
+        )),
+        "discriminant": ("discriminant divisor of an order", _cmd_discriminant, (_TARGET,)),
+    }),
+    "toric": ("affine toric log pair classification", {
+        "qcartier": ("supporting functional of a divisor", _cmd_qcartier, (_TARGET, _DIVISOR)),
+        "index": ("Cartier index of a divisor", _cmd_index, (_TARGET, _DIVISOR)),
+        "klt": ("Kawamata log terminal test for a pair", _cmd_klt, (_TARGET,)),
+        "canonical": ("canonical singularity test for a cone", _cmd_canonical, (_TARGET,)),
+        "cover": ("index-one cover of a standard pair", _cmd_cover, (_TARGET,)),
+        "dual-gens": ("generators of the dual cone semigroup", _cmd_dual_gens, (_TARGET,)),
+    }),
+    "ncpoly": ("noncommutative polynomial rewriting", {
+        "nf": ("normal form of an expression", _cmd_nf, (
+            _EXPR,
+            ("--system", {"default": "clifford",
+                          "help": "builtin name or FILE[#name] (default clifford)"}),
+        )),
+        "central": ("does the element commute with all generators", _cmd_central,
+                    (_EXPR, _SYSTEM)),
+        "identity": ("are two expressions equal in the algebra", _cmd_identity,
+                     (("lhs", {}), ("rhs", {}), _SYSTEM)),
+        "quotient-check": ("consistency of a named algebra model", _cmd_quotient_check,
+                           (_NAME,)),
+    }),
+    "examples": ("bundled case studies", {
+        "run": ("run a case study and report every check", _cmd_examples_run, (_NAME,)),
+        "input": ("print a case study input document", _cmd_examples_input, (_NAME,)),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,105 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for hereditary order centres and toric log pairs.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    order = groups.add_parser("order", help="graded centres of ramified matrix orders")
-    order_sub = order.add_subparsers(dest="command", required=True)
-
-    p = order_sub.add_parser("omega-center", help="centre valuation of a dualizing power")
-    p.add_argument("--e", type=int, required=True, help="ramification index")
-    p.add_argument("--i", type=int, required=True, help="power of the dualizing module")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_omega_center)
-
-    p = order_sub.add_parser("cover-center", help="valuations of the graded cover centre")
-    p.add_argument("--e", type=int, required=True, help="ramification index")
-    p.add_argument("--m", type=int, required=True, help="number of graded pieces")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_cover_center)
-
-    p = order_sub.add_parser("discriminant", help="discriminant divisor of an order")
-    p.add_argument("target", metavar="FILE[#name]")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_discriminant)
-
-    toric = groups.add_parser("toric", help="affine toric log pair classification")
-    toric_sub = toric.add_subparsers(dest="command", required=True)
-
-    p = toric_sub.add_parser("qcartier", help="supporting functional of a divisor")
-    p.add_argument("target", metavar="FILE[#name]")
-    p.add_argument("--divisor", default="K+D",
-                   help="K, K+D (default), or comma separated coefficients")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_qcartier)
-
-    p = toric_sub.add_parser("index", help="Cartier index of a divisor")
-    p.add_argument("target", metavar="FILE[#name]")
-    p.add_argument("--divisor", default="K+D",
-                   help="K, K+D (default), or comma separated coefficients")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_index)
-
-    p = toric_sub.add_parser("klt", help="Kawamata log terminal test for a pair")
-    p.add_argument("target", metavar="FILE[#name]")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_klt)
-
-    p = toric_sub.add_parser("canonical", help="canonical singularity test for a cone")
-    p.add_argument("target", metavar="FILE[#name]")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_canonical)
-
-    p = toric_sub.add_parser("cover", help="index-one cover of a standard pair")
-    p.add_argument("target", metavar="FILE[#name]")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_cover)
-
-    p = toric_sub.add_parser("dual-gens", help="generators of the dual cone semigroup")
-    p.add_argument("target", metavar="FILE[#name]")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dual_gens)
-
-    nc = groups.add_parser("ncpoly", help="noncommutative polynomial rewriting")
-    nc_sub = nc.add_subparsers(dest="command", required=True)
-
-    p = nc_sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("expr")
-    p.add_argument("--system", default="clifford",
-                   help="builtin name or FILE[#name] (default clifford)")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_nf)
-
-    p = nc_sub.add_parser("central", help="does the element commute with all generators")
-    p.add_argument("expr")
-    p.add_argument("--system", default="clifford")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_central)
-
-    p = nc_sub.add_parser("identity", help="are two expressions equal in the algebra")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("--system", default="clifford")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_identity)
-
-    p = nc_sub.add_parser("quotient-check", help="consistency of a named algebra model")
-    p.add_argument("name")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_quotient_check)
-
-    examples = groups.add_parser("examples", help="bundled case studies")
-    ex_sub = examples.add_subparsers(dest="command", required=True)
-
-    p = ex_sub.add_parser("run", help="run a case study and report every check")
-    p.add_argument("name")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_examples_run)
-
-    p = ex_sub.add_parser("input", help="print a case study input document")
-    p.add_argument("name")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_examples_input)
-
+    for group, (group_help, commands) in COMMANDS.items():
+        leaves = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="command", required=True
+        )
+        for command, (command_help, handler, arguments) in commands.items():
+            leaf = leaves.add_parser(command, help=command_help)
+            for name, options in arguments + _COMMON_FLAGS:
+                leaf.add_argument(name, **options)
+            leaf.set_defaults(handler=handler)
     return parser
 
 

@@ -14,6 +14,9 @@ Object schemas:
   coordinates, default the standard lattice).
 * ``presentation``: ``generators``, optional ``weights``, and ``rules`` given
   as ``{"lhs": "b*a", "rhs": "a*b - 2*c^3"}`` with expression syntax.
+
+Each type tag maps to its class, parser and serializer in one table, which
+drives parsing, serialization and ``select_object``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .orders import OrderSpec, RamificationDatum
 from .toric import Cone, ConePair, Lattice, ToricDivisor
 
 VERSION = "1"
-
-_TYPES = ("order", "cone_pair", "presentation")
 
 
 @dataclass
@@ -110,10 +111,9 @@ def _parse_cone_pair(name: str, spec: dict) -> ConePair:
         if not isinstance(ray, list):
             raise InputError(f"{name}: each ray must be a list")
         parsed_rays.append(tuple(_int_from_json(x, f"{name}.rays") for x in ray))
+    lattice = None
     basis_raw = spec.get("lattice")
-    if basis_raw is None:
-        lattice = Lattice.standard(len(parsed_rays[0]))
-    else:
+    if basis_raw is not None:
         if not isinstance(basis_raw, list):
             raise InputError(f"{name}: lattice must be a list of basis vectors")
         basis = []
@@ -190,14 +190,10 @@ def parse_document(data) -> InputDocument:
         if not isinstance(spec, dict):
             raise InputError(f"{name}: object must be a JSON object")
         kind = spec.get("type")
-        if kind == "order":
-            objects[name] = _parse_order(name, spec)
-        elif kind == "cone_pair":
-            objects[name] = _parse_cone_pair(name, spec)
-        elif kind == "presentation":
-            objects[name] = _parse_presentation(name, spec)
-        else:
-            raise InputError(f"{name}: unknown type {kind!r}; expected one of {_TYPES}")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise InputError(f"{name}: unknown type {kind!r}; expected one of {tuple(_KINDS)}")
+        _, parse, _ = _KINDS[kind]
+        objects[name] = parse(name, spec)
     return InputDocument(version, objects)
 
 
@@ -220,7 +216,6 @@ def load_path(path: str) -> InputDocument:
 
 def _serialize_order(spec: OrderSpec) -> dict:
     return {
-        "type": "order",
         "ramification": [
             {"prime": r.prime_id, "e": r.e, "blocks": list(r.blocks)}
             for r in spec.ramification
@@ -230,7 +225,6 @@ def _serialize_order(spec: OrderSpec) -> dict:
 
 def _serialize_cone_pair(pair: ConePair) -> dict:
     return {
-        "type": "cone_pair",
         "lattice": [[rational_to_json(x) for x in row] for row in pair.cone.lattice.basis],
         "rays": [list(ray) for ray in pair.cone.rays],
         "boundary": [rational_to_json(c) for c in pair.boundary.coeffs],
@@ -239,23 +233,28 @@ def _serialize_cone_pair(pair: ConePair) -> dict:
 
 def _serialize_presentation(system: RewriteSystem) -> dict:
     return {
-        "type": "presentation",
         "generators": list(system.generators),
         "weights": list(system.weights),
         "rules": [{"lhs": "*".join(lhs), "rhs": str(rhs)} for lhs, rhs in system.rules],
     }
 
 
+# type tag -> (class, parser, serializer); the serializer leaves out the tag.
+_KINDS = {
+    "order": (OrderSpec, _parse_order, _serialize_order),
+    "cone_pair": (ConePair, _parse_cone_pair, _serialize_cone_pair),
+    "presentation": (RewriteSystem, _parse_presentation, _serialize_presentation),
+}
+
+
 def serialize_document(doc: InputDocument) -> str:
     """Canonical JSON text; parse(serialize(doc)) reproduces the objects."""
     objects = {}
     for name, obj in doc.objects.items():
-        if isinstance(obj, OrderSpec):
-            objects[name] = _serialize_order(obj)
-        elif isinstance(obj, ConePair):
-            objects[name] = _serialize_cone_pair(obj)
-        elif isinstance(obj, RewriteSystem):
-            objects[name] = _serialize_presentation(obj)
+        for kind, (cls, _, serialize) in _KINDS.items():
+            if isinstance(obj, cls):
+                objects[name] = {"type": kind, **serialize(obj)}
+                break
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
     return json.dumps({"version": doc.version, "objects": objects}, indent=2) + "\n"
@@ -263,17 +262,17 @@ def serialize_document(doc: InputDocument) -> str:
 
 def select_object(doc: InputDocument, want: str, name=None):
     """Fetch the named object, or the unique object of the wanted type."""
-    classes = {"order": OrderSpec, "cone_pair": ConePair, "presentation": RewriteSystem}
-    if want not in classes:
+    if want not in _KINDS:
         raise ValueError(f"unknown object type {want!r}")
+    cls = _KINDS[want][0]
     if name is not None:
         if name not in doc.objects:
             raise InputError(f"document has no object named {name!r}")
         obj = doc.objects[name]
-        if not isinstance(obj, classes[want]):
+        if not isinstance(obj, cls):
             raise InputError(f"object {name!r} is not of type {want!r}")
         return obj
-    matches = [n for n, obj in doc.objects.items() if isinstance(obj, classes[want])]
+    matches = [n for n, obj in doc.objects.items() if isinstance(obj, cls)]
     if len(matches) == 1:
         return doc.objects[matches[0]]
     if not matches:

@@ -516,10 +516,13 @@ def clifford_system() -> RewriteSystem:
     return RewriteSystem(("a", "b", "c"), rules, weights=(3, 3, 2))
 
 
+BUILTIN_SYSTEMS = {"clifford": clifford_system}
+
+
 def builtin_system(name: str) -> RewriteSystem:
-    if name == "clifford":
-        return clifford_system()
-    raise InputError(f"unknown builtin system {name!r}")
+    if name not in BUILTIN_SYSTEMS:
+        raise InputError(f"unknown builtin system {name!r}")
+    return BUILTIN_SYSTEMS[name]()
 
 
 def _quadric_system() -> RewriteSystem:

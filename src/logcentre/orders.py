@@ -84,9 +84,6 @@ class QDivisor:
                 return coeff
         return Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -20,7 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, ResourceLimit
+
+# Products and the centralizer are cubic in e: centralizer(omega_power(e, 1)) takes
+# about 0.15 s at e = 100 and 1.2 s at e = 200 (2-core VM, Python 3.11).
+MAX_RAMIFICATION_INDEX = 100
 
 
 class _PlusInfinity:
@@ -105,6 +109,11 @@ class ValMatrix:
 def _check_index(e: int) -> int:
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"ramification index must be a positive integer, got {e!r}")
+    if e > MAX_RAMIFICATION_INDEX:
+        raise ResourceLimit(
+            f"ramification index {e} exceeds the desk-scale limit "
+            f"MAX_RAMIFICATION_INDEX = {MAX_RAMIFICATION_INDEX}"
+        )
     return e
 
 

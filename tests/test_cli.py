@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from logcentre import cli
 from logcentre.casestudies import francia_input_document
 from logcentre.cli import main
 from logcentre.iodoc import serialize_document
+from logcentre.valmat import MAX_RAMIFICATION_INDEX
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -28,6 +33,18 @@ def test_omega_center(capsys):
     assert (code, out) == (0, "0\n")
     code, out, _ = _run(capsys, "order", "omega-center", "--e", "3", "--i", "2")
     assert (code, out) == (0, "-1\n")
+
+
+def test_omega_center_index_limit(capsys):
+    code, out, err = _run(
+        capsys, "order", "omega-center", "--e", str(MAX_RAMIFICATION_INDEX + 1), "--i", "1"
+    )
+    assert (code, out) == (4, "")
+    assert f"index {MAX_RAMIFICATION_INDEX + 1} " in err and "MAX_RAMIFICATION_INDEX" in err
+    code, _, _ = _run(
+        capsys, "order", "omega-center", "--e", str(MAX_RAMIFICATION_INDEX), "--i", "1"
+    )
+    assert code == 0
 
 
 def test_cover_center(capsys):
@@ -290,6 +307,22 @@ def test_internal_invariant_exit_code(capsys, monkeypatch, francia_doc):
     assert code == 5
     assert out == ""
     assert "internal invariant violated" in err
+
+
+def _synopsis(text):
+    """(group, [command, ...]) for each line like ``logcentre order a | b | c``."""
+    lines = [line.split() for line in text.splitlines() if " | " in line]
+    return [
+        (words[1], " ".join(words[2:]).split(" | "))
+        for words in lines
+        if words[0] == "logcentre"
+    ]
+
+
+def test_synopsis_matches_command_table():
+    table = [(group, list(commands)) for group, (_, commands) in cli.COMMANDS.items()]
+    assert _synopsis(cli.__doc__) == table
+    assert _synopsis(README.read_text(encoding="utf-8")) == table
 
 
 def test_module_entry_point():

@@ -124,6 +124,12 @@ def test_cone_pair_defaults():
     assert pair.cone.lattice.dim == 2
 
 
+def test_empty_ray_is_an_input_error():
+    # The default lattice comes from Cone.from_rays, inside the loader's error handling.
+    with pytest.raises(InputError, match="p: "):
+        loads('{"version": "1", "objects": {"p": {"type": "cone_pair", "rays": [[]]}}}')
+
+
 def test_presentation_parsing():
     doc = loads(
         '{"version": "1", "objects": {"sys": {"type": "presentation",'

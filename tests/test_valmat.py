@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logcentre.errors import PreconditionViolation
+from logcentre.errors import PreconditionViolation, ResourceLimit
 from logcentre.valmat import (
     INF,
+    MAX_RAMIFICATION_INDEX,
     ValMatrix,
     centralizer,
     inflate,
@@ -202,6 +203,14 @@ def test_valmatrix_validation():
         ValMatrix(((0.5,),))
     with pytest.raises(ValueError):
         tropical_mul(standard_order(2), standard_order(3))
+
+
+def test_ramification_index_limit():
+    big = MAX_RAMIFICATION_INDEX + 1
+    for build in (standard_order, lambda e: radical_power(e, 1), lambda e: omega_power(e, 1)):
+        assert build(MAX_RAMIFICATION_INDEX).size == MAX_RAMIFICATION_INDEX
+        with pytest.raises(ResourceLimit, match=f"index {big} .*MAX_RAMIFICATION_INDEX"):
+            build(big)
 
 
 # Element-level monomial model.
