@@ -8,8 +8,10 @@ compared by total weight, then by length (at equal weight a longer word is
 smaller), then left-to-right by generator rank, which is a multiplication
 compatible well-order, so every rewrite sequence halts. Construction also
 resolves every critical pair, so the system is confluent and a normal form is
-the same whichever redex is rewritten first. A step cap guards against
-accidentally explosive (though still finite) reductions.
+the same whichever redex is rewritten first. A normal form merges terms by
+word and rewrites the largest pending word first, so each distinct word is
+rewritten once. A step cap on the number of distinct words one call rewrites
+guards against accidentally explosive (though still finite) reductions.
 
 Normal forms decide identities and centrality in algebras presented by such
 systems. The rank two quiver algebra over the quadric cone k[a,b,c,d]/(ad - bc)
@@ -19,6 +21,7 @@ generators and trades bc for ad, and the quiver's matrices have entries in it.
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
 from dataclasses import dataclass
@@ -360,6 +363,9 @@ class RewriteSystem:
         if len(weights) != len(gens) or any(w <= 0 for w in weights):
             raise ValueError("need one positive weight per generator")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_rank", {g: i for i, g in enumerate(gens)})
+        object.__setattr__(self, "_negated_rank", {g: -i for i, g in enumerate(gens)})
+        object.__setattr__(self, "_weight", dict(zip(gens, weights)))
         rules = []
         for lhs, rhs in self.rules:
             lhs = tuple(lhs)
@@ -377,6 +383,10 @@ class RewriteSystem:
                     )
             rules.append((lhs, rhs))
         object.__setattr__(self, "rules", tuple(rules))
+        by_first: dict = {}
+        for index, (lhs, _) in enumerate(rules):
+            by_first.setdefault(lhs[0], []).append((index, lhs, len(lhs)))
+        object.__setattr__(self, "_by_first", by_first)
         for i, j, word, left, right in _critical_pairs(self.rules):
             if normal_form(left, self) != normal_form(right, self):
                 raise ValueError(
@@ -386,18 +396,38 @@ class RewriteSystem:
 
     def word_key(self, word):
         """Order key: total weight, then -length, then generator ranks."""
-        rank = {g: i for i, g in enumerate(self.generators)}
-        weight = sum(self.weights[rank[letter]] for letter in word)
-        return (weight, -len(word), tuple(rank[letter] for letter in word))
+        weight = sum(map(self._weight.__getitem__, word))
+        return (weight, -len(word), tuple(map(self._rank.__getitem__, word)))
+
+    def _descending_key(self, word):
+        """A key that sorts words largest first in the order of word_key.
+
+        Rank tuples are compared only between words of equal length, where
+        negating every rank reverses their order.
+        """
+        weight = sum(map(self._weight.__getitem__, word))
+        return (-weight, len(word), tuple(map(self._negated_rank.__getitem__, word)))
 
     def find_redex(self, word):
-        """(rule index, position) of the highest-priority leftmost match."""
-        for index, (lhs, _) in enumerate(self.rules):
-            span = len(lhs)
-            for pos in range(len(word) - span + 1):
+        """(rule index, position) of the highest-priority leftmost match.
+
+        Rules are indexed by the first letter of their left-hand side; a
+        position is tried only against rules of lower index than the best
+        match so far, so the lowest rule index wins and, within it, the
+        leftmost position.
+        """
+        best = None
+        bound = len(self.rules)
+        for pos, letter in enumerate(word):
+            for index, lhs, span in self._by_first.get(letter, ()):
+                if index >= bound:
+                    break
                 if word[pos : pos + span] == lhs:
-                    return index, pos
-        return None
+                    if not index:
+                        return index, pos
+                    best, bound = (index, pos), index
+                    break
+        return best
 
 
 def _rule_str(rule) -> str:
@@ -430,19 +460,32 @@ def _critical_pairs(rules):
 
 
 def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
-    """Fully reduce a polynomial, raising NonterminationSuspected past the cap."""
+    """Fully reduce a polynomial, raising NonterminationSuspected past the cap.
+
+    Pending terms are merged by word and rewritten largest word first. Every
+    reduct of a word is strictly smaller than it, so a popped word never comes
+    back: each distinct word is rewritten once, with its merged coefficient,
+    and a word whose terms cancel is dropped unrewritten. The step cap counts
+    these distinct rewrites.
+    """
     cap = int(os.environ.get(STEP_CAP_ENV) or DEFAULT_STEP_CAP)
     unknown = poly.letters() - frozenset(system.generators)
     if unknown:
         raise InputError(f"polynomial uses unknown generators {sorted(unknown)}")
+    key = system._descending_key
+    pending = dict(poly._terms)
+    heap = [(key(word), word) for word in pending]
+    heapq.heapify(heap)
     result: dict = {}
-    stack = list(poly._terms.items())
     steps = 0
-    while stack:
-        word, coeff = stack.pop()
+    while heap:
+        word = heapq.heappop(heap)[1]
+        coeff = pending.pop(word)
+        if not coeff:
+            continue
         hit = system.find_redex(word)
         if hit is None:
-            _accumulate(result, word, coeff)
+            result[word] = coeff
             continue
         steps += 1
         if steps > cap:
@@ -453,7 +496,12 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
         lhs, rhs = system.rules[index]
         prefix, suffix = word[:pos], word[pos + len(lhs) :]
         for body, factor in rhs._terms.items():
-            stack.append((prefix + body + suffix, coeff * factor))
+            reduct = prefix + body + suffix
+            if reduct in pending:
+                pending[reduct] += coeff * factor
+            else:
+                pending[reduct] = coeff * factor
+                heapq.heappush(heap, (key(reduct), reduct))
     out = NCPoly.zero()
     out._terms = result
     return out

@@ -15,6 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import ResourceLimit
+
+# The graded pieces are listed whole, so m is a desk-scale bound: at 10**6
+# the tuple and its text took 139 MB.
+MAX_GRADING_LENGTH = 10_000
+
 
 @dataclass(frozen=True)
 class RamificationDatum:
@@ -116,10 +122,16 @@ def cover_graded_valuations(e: int, m: int) -> tuple:
     Each value equals both the scalar centralizer of the i-th dualizing power
     of the standard order with index e, and minus the coefficient of the
     rounded-down multiple floor(i*D) of the boundary at that prime; the test
-    suite verifies all three routes agree.
+    suite verifies all three routes agree. ResourceLimit when m exceeds
+    MAX_GRADING_LENGTH.
     """
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"ramification index must be a positive integer, got {e!r}")
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"grading length must be a positive integer, got {m!r}")
+    if m > MAX_GRADING_LENGTH:
+        raise ResourceLimit(
+            f"grading length {m} exceeds the desk-scale limit "
+            f"MAX_GRADING_LENGTH = {MAX_GRADING_LENGTH}"
+        )
     return tuple(-(i * (e - 1) // e) for i in range(m))

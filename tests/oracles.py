@@ -18,8 +18,11 @@ is generated by y on either side" are checked on actual elements rather than
 on valuations.
 
 Rewriting is checked against a second strategy: ``rightmost_normal_form``
-rewrites the rightmost redex, where ``logcentre.ncpoly.normal_form`` rewrites
-the leftmost match of the first rule. On a confluent system the two agree.
+rewrites the rightmost redex of each term on its own, where
+``logcentre.ncpoly.normal_form`` merges terms by word and rewrites the largest
+word first, at the leftmost match of the first rule. On a confluent system the
+two agree. ``rule_order_redex`` scans every rule and position in turn, the
+reference for the first-letter index of ``RewriteSystem.find_redex``.
 """
 
 from dataclasses import dataclass
@@ -293,3 +296,13 @@ def rightmost_normal_form(poly: NCPoly, system) -> NCPoly:
         for body, factor in rhs.terms():
             stack.append((word[:pos] + body + word[pos + len(lhs) :], coeff * factor))
     return result
+
+
+def rule_order_redex(word, system):
+    """(rule index, position) of the leftmost match of the first matching rule."""
+    for index, (lhs, _) in enumerate(system.rules):
+        span = len(lhs)
+        for pos in range(len(word) - span + 1):
+            if word[pos : pos + span] == lhs:
+                return index, pos
+    return None

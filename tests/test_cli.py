@@ -7,6 +7,7 @@ from logcentre import cli
 from logcentre.casestudies import francia_input_document
 from logcentre.cli import main
 from logcentre.iodoc import serialize_document
+from logcentre.orders import MAX_GRADING_LENGTH
 from logcentre.valmat import MAX_RAMIFICATION_INDEX
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,6 +51,13 @@ def test_omega_center_index_limit(capsys):
 def test_cover_center(capsys):
     code, out, _ = _run(capsys, "order", "cover-center", "--e", "3", "--m", "3")
     assert (code, out) == (0, "0 0 -1\n")
+
+
+def test_cover_center_grading_limit(capsys):
+    big = MAX_GRADING_LENGTH + 1
+    code, out, err = _run(capsys, "order", "cover-center", "--e", "3", "--m", str(big))
+    assert (code, out) == (4, "")
+    assert f"length {big} " in err and "MAX_GRADING_LENGTH" in err
 
 
 def test_discriminant(capsys, francia_doc):

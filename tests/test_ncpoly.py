@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import rightmost_normal_form
+from oracles import rightmost_normal_form, rule_order_redex
 
 from logcentre.errors import InputError, NonterminationSuspected, ResourceLimit
 from logcentre.iodoc import loads
@@ -238,6 +238,27 @@ def test_step_cap_env_override(monkeypatch):
         clifford_system()  # resolving its critical pair c*b*a is rewriting too
 
 
+@pytest.mark.parametrize(
+    "text, needed",
+    [
+        ("(a+b+c)^6", 779),  # distinct words; rewriting term by term took 9573
+        ("c*b*a - b*c*a", 3),  # merged: c*b*a -> -b*c*a joins the other term
+    ],
+)
+def test_step_cap_counts_distinct_rewrites(monkeypatch, text, needed):
+    fresh = clifford_system()
+    used = clifford_system()
+    normal_form((A + B + C) ** 4, used)
+    poly = parse_poly(text, GENS)
+    monkeypatch.setenv("LOGCENTRE_STEP_CAP", str(needed))
+    expected = normal_form(poly, fresh)
+    assert normal_form(poly, used) == expected
+    monkeypatch.setenv("LOGCENTRE_STEP_CAP", str(needed - 1))
+    for system in (fresh, used):
+        with pytest.raises(NonterminationSuspected):
+            normal_form(poly, system)
+
+
 # Confluence: every critical pair must resolve.
 
 
@@ -296,23 +317,66 @@ def _random_system(rng):
     return gens, tuple(rules)
 
 
-def test_confluent_systems_agree_with_rightmost_reduction():
-    rng = random.Random(7)
-    accepted = rejected = 0
-    for _ in range(60):
+def _random_systems(seed=7, count=60):
+    """The seeded random systems that construction accepts, and how many it refused."""
+    rng = random.Random(seed)
+    accepted, rejected = [], 0
+    for _ in range(count):
         gens, rules = _random_system(rng)
         try:
-            system = RewriteSystem(gens, rules)
+            accepted.append(RewriteSystem(gens, rules))
         except ValueError as exc:
             assert "do not resolve" in str(exc)
             rejected += 1
-            continue
-        accepted += 1
+    return accepted, rejected
+
+
+def _quantum_plane():
+    x, y = NCPoly.generator("x"), NCPoly.generator("y")
+    return RewriteSystem(("x", "y"), ((("y", "x"), 2 * x * y),))
+
+
+def test_confluent_systems_agree_with_rightmost_reduction():
+    accepted, rejected = _random_systems()
+    assert accepted and rejected
+    for system in accepted:
         for size in range(6):
-            for word in product(gens, repeat=size):
+            for word in product(system.generators, repeat=size):
                 poly = NCPoly.monomial(word)
                 assert normal_form(poly, system) == rightmost_normal_form(poly, system)
-    assert accepted and rejected
+
+
+def test_merged_and_cancelling_terms_agree_with_rightmost_reduction():
+    rng = random.Random(11)
+    accepted, _ = _random_systems()
+    for system in accepted:
+        for _ in range(20):
+            poly = NCPoly.zero()
+            for _ in range(rng.randint(2, 6)):
+                word = tuple(rng.choice(system.generators) for _ in range(rng.randint(0, 5)))
+                poly = poly + NCPoly.monomial(word, rng.choice((1, -1, 2, -2)))
+            assert normal_form(poly, system) == rightmost_normal_form(poly, system)
+    clifford, quantum = clifford_system(), _quantum_plane()
+    x, y = (NCPoly.generator(g) for g in quantum.generators)
+    signs = (1, -1)
+    cases = [
+        (clifford, (sa * A + sb * B + sc * C) ** n)
+        for sa, sb, sc in product(signs, repeat=3)
+        for n in range(5)
+    ] + [(quantum, (sx * x + sy * y) ** n) for sx, sy in product(signs, repeat=2) for n in range(7)]
+    # a*c + c*a reduces to a*c - a*c, so every Clifford power from 2 on cancels terms
+    assert normal_form(A * C + C * A, clifford).is_zero
+    for system, poly in cases:
+        assert normal_form(poly, system) == rightmost_normal_form(poly, system)
+
+
+def test_find_redex_matches_rule_order_scan():
+    accepted, _ = _random_systems()
+    systems = accepted + [clifford_system(), _quantum_plane(), _quadric_system()]
+    for system in systems:
+        for size in range(6):
+            for word in product(system.generators, repeat=size):
+                assert system.find_redex(word) == rule_order_redex(word, system)
 
 
 # Centrality and identities in the quadric algebra.

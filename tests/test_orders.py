@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from logcentre.errors import ResourceLimit
 from logcentre.orders import (
+    MAX_GRADING_LENGTH,
     OrderSpec,
     QDivisor,
     RamificationDatum,
@@ -123,3 +125,10 @@ def test_bad_arguments():
         cover_graded_valuations(0, 3)
     with pytest.raises(ValueError):
         cover_graded_valuations(2, 0)
+
+
+def test_grading_length_limit():
+    assert len(cover_graded_valuations(3, MAX_GRADING_LENGTH)) == MAX_GRADING_LENGTH
+    big = MAX_GRADING_LENGTH + 1
+    with pytest.raises(ResourceLimit, match=f"length {big} .*MAX_GRADING_LENGTH"):
+        cover_graded_valuations(3, big)
