@@ -1,16 +1,16 @@
 """Small exact linear-algebra kernels over the integers.
 
-Everything here is dense, tiny (dimension at most a handful), and exact, and
-there is no Fraction elimination: a rational system is scaled to integers and
-solved by Cramer's rule on an integer cofactor determinant, and lattice work
-uses extended gcd column operations. Inputs are sequences of rows unless a
-function says columns.
+Everything here is dense, small, and exact, and there is no Fraction
+elimination. Determinants and solves share one fraction-free (Bareiss)
+elimination in integers (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): a rational
+system is first scaled to integers. Lattice work uses extended gcd column
+operations. Inputs are sequences of rows unless a function says columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 
@@ -20,29 +20,60 @@ def clear_denominators(row) -> list:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
+def _eliminate(rows, n: int) -> int:
+    """Fraction-free elimination of the integer rows on their first n columns,
+    in place: below pivot p, row i becomes p*row_i - row_i[k]*pivot, divided
+    exactly by the previous pivot. Afterwards rows[:n] are upper triangular and
+    every later row is zero on the first n columns; its other entries are zero
+    where it agrees with the combination of pivot rows that matches it on them.
+    Returns 0 when the first n columns have rank below n, else the last pivot
+    times the sign of the row swaps: for an n x n matrix, its determinant.
+    """
+    if len(rows) < n:
+        return 0
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = rows[k]
+        if not pivot[k]:
+            i = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
+            if i is None:
+                return 0
+            rows[k], rows[i], pivot = rows[i], pivot, rows[i]
+            sign = -sign
+        p = pivot[k]
+        for i in range(k + 1, len(rows)):
+            a = rows[i][k]
+            if a or p != previous:  # otherwise the row stays as it is
+                rows[i] = [(p * x - a * y) // previous for x, y in zip(rows[i], pivot)]
+        previous = p
+    return sign * previous
+
+
 def solve_exact(rows, rhs):
     """Solve row_i . x = rhs_i exactly for d unknowns.
 
-    Each equation is scaled to integers, the first d-subset of the equations
-    with a nonzero integer determinant is solved by Cramer's rule, and the
-    solution is checked against every equation in integers. Returns the
-    solution as a tuple of Fractions, or None when the system is inconsistent.
-    Raises ValueError when rhs has not one entry per equation, or when no d
-    equations are independent (column rank below d), consistent or not.
+    Each equation is scaled to integers and the augmented system is
+    eliminated without fractions. The system is consistent exactly when the
+    equations left over below the d pivot rows have become 0 = 0; back
+    substitution in integers then gives det * x, the Cramer numerators.
+    Returns the solution as a tuple of Fractions, or None when the system is
+    inconsistent. Raises ValueError when rhs has not one entry per equation,
+    or when no d equations are independent (column rank below d), consistent
+    or not.
     """
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     n = len(rows[0])
     eqs = [clear_denominators([*row, r]) for row, r in zip(rows, rhs)]
-    for subset in combinations(eqs, n):
-        det = det_int([eq[:n] for eq in subset])
-        if det:
-            break
-    else:
+    det = _eliminate(eqs, n)
+    if not det:
         raise ValueError("system does not determine a unique solution")
-    nums = [det_int([eq[:i] + eq[n:] + eq[i + 1 : n] for eq in subset]) for i in range(n)]
-    if any(sum(a * x for a, x in zip(eq, nums)) != eq[n] * det for eq in eqs):
+    if any(eq[n] for eq in eqs[n:]):
         return None
+    nums = [0] * n
+    for k in reversed(range(n)):
+        rest = sum(a * x for a, x in zip(eqs[k][k + 1 : n], nums[k + 1 :]))
+        nums[k] = (det * eqs[k][n] - rest) // eqs[k][k]
     return tuple(Fraction(x, det) for x in nums)
 
 
@@ -105,14 +136,8 @@ def hermite_column_form(cols):
 
 
 def det_int(cols) -> int:
-    """Determinant of a square integer matrix by cofactor expansion along its
-    first column (rows or columns alike); the 0x0 matrix has determinant 1.
-    Exponential in the size, which stays at most MAX_DIM = 4 in toric."""
-    if not cols:
-        return 1
-    total = 0
-    for i, x in enumerate(cols[0]):
-        if x:
-            minor = [col[:i] + col[i + 1 :] for col in cols[1:]]
-            total += (-1) ** i * x * det_int(minor)
-    return total
+    """Determinant of a square integer matrix (rows or columns alike) by
+    fraction-free elimination; the 0x0 matrix has determinant 1. Polynomial
+    in the size: O(n^3) integer operations on entries no larger than its
+    minors."""
+    return _eliminate(list(cols), len(cols))

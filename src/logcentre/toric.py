@@ -18,8 +18,8 @@ polytope. Hilbert bases are enumerated from the bounding box of the generator
 zonotope and reduced in order of degree (the sum of the facet values) against
 the basis elements already found; both enumerations are exact and auditable at
 the intended desk scale (dimension <= 4, small coordinates). The index-one
-cover lattice is one integer Hermite form, and its rays are exact solves on
-that basis.
+cover lattice is one integer Hermite form, its rays are exact solves on that
+basis, and its K functional is the pair's -(K+D) functional read on that basis.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
@@ -44,6 +44,9 @@ from .orders import standard_index
 MAX_DIM = 4
 MAX_RAY_COORD = 100
 MAX_BOX_POINTS = 10**6
+# Facet enumeration pairs each (d-1)-subset of the n rays with each ray, C(n, d-1) * n
+# times: about 0.3 s at this cap (Python 3.11, 2-core VM), or 28 rays in dimension 4.
+MAX_FACET_PAIRINGS = 10**5
 
 
 def _require(condition: bool, message: str) -> None:
@@ -59,8 +62,9 @@ class Lattice:
     basis[i] is the i-th basis vector; lattice coordinates are taken with
     respect to this basis, so the standard lattice has the identity basis. A
     basis is nonsingular when its determinant, with each vector scaled to
-    integers, is nonzero. Coordinates and the dual basis are exact solves of
-    the basis equations (linalg.solve_exact).
+    integers, is nonzero. That determinant, the coordinates and the dual basis
+    all come from the one fraction-free integer elimination in linalg
+    (det_int, solve_exact).
     """
 
     basis: tuple
@@ -170,18 +174,25 @@ class Cone:
             raise ValueError("cone needs at least one ray")
         dim = self.lattice.dim
         if dim > MAX_DIM:
-            raise ResourceLimit(f"dimension {dim} exceeds the desk-scale limit {MAX_DIM}")
+            raise ResourceLimit(f"dimension {dim} exceeds the desk-scale limit MAX_DIM = {MAX_DIM}")
         for ray in rays:
             if len(ray) != dim:
                 raise ValueError("ray dimension mismatch")
             if any(abs(x) > MAX_RAY_COORD for x in ray):
                 raise ResourceLimit(
-                    f"ray coordinate exceeds the desk-scale bound {MAX_RAY_COORD}"
+                    f"ray {ray} has a coordinate above the desk-scale bound "
+                    f"MAX_RAY_COORD = {MAX_RAY_COORD}"
                 )
             if linalg.primitive_vector(ray) != ray:
                 raise ValueError(f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
+        pairings = comb(len(rays), dim - 1) * len(rays)
+        if pairings > MAX_FACET_PAIRINGS:
+            raise ResourceLimit(
+                f"{len(rays)} rays in dimension {dim} need {pairings} facet pairings, "
+                f"above the cap MAX_FACET_PAIRINGS = {MAX_FACET_PAIRINGS}"
+            )
         facets, spanning = _facet_normals(dim, rays)
         if not spanning:
             raise ValueError("cone is not full-dimensional")
@@ -294,7 +305,8 @@ def _box(name: str, lo, hi) -> list:
         count *= b - a + 1
     if count > MAX_BOX_POINTS:
         raise ResourceLimit(
-            f"{name} bounding box holds {count} points, above the cap {MAX_BOX_POINTS}"
+            f"{name} bounding box holds {count} points, above the cap "
+            f"MAX_BOX_POINTS = {MAX_BOX_POINTS}"
         )
     return [range(a, b + 1) for a, b in zip(lo, hi)]
 
@@ -382,6 +394,7 @@ class CoverResult:
     cover_cone: Cone
     degree: int
     functional: tuple  # the -(K+D) functional of the pair that defines the cover
+    cover_functional: tuple  # the cover's K functional in cover coordinates (integers)
 
 
 def log_canonical_cover(pair: ConePair) -> CoverResult:
@@ -389,10 +402,11 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
 
     The cover lattice is the sublattice where the -(K+D) functional u is
     integral: the x with w.x = 0 mod m, where m is the Cartier index of K+D
-    and w = m*u, given by its Hermite basis. Its index is m, the functional
-    becomes integral (Cartier canonical class) on the cover, pairs to exactly
-    1 with every cover ray, and the rays are rescaled by the local indices e_i
-    of the boundary. All of these are checked in integers on every invocation.
+    and w = m*u, given by its Hermite basis. Its index is m, and the rays are
+    rescaled by the local indices e_i of the boundary. Read in cover
+    coordinates, u is the K functional of the cover: w.col/m on each basis
+    column, integral (Cartier canonical class), and exactly 1 on every cover
+    ray. All of these are checked in integers on every invocation.
     """
     u = pair_functional(pair)
     if u is None:
@@ -418,9 +432,9 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     columns = [col[1:] for col in hermite[1:]]
     _require(len(columns) == dim, "sublattice basis has wrong rank")
     _require(abs(linalg.det_int(columns)) == m, "sublattice index differs from the Cartier index")
-    for col in columns:
-        _require(sum(a * b for a, b in zip(w, col)) % m == 0,
-                 "functional is not integral on the sublattice")
+    values = [sum(a * b for a, b in zip(w, col)) for col in columns]
+    _require(all(v % m == 0 for v in values), "functional is not integral on the sublattice")
+    cover_u = tuple(v // m for v in values)
     rows = list(zip(*columns))
     cover_rays = []
     for ray, e in zip(pair.cone.rays, indices):
@@ -430,12 +444,13 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
         _require(all(c.denominator == 1 for c in coords), "vector lies outside the sublattice")
         coords = tuple(int(c) for c in coords)
         _require(gcd(*coords) == 1, "cover ray is not primitive")
-        _require(e * value == m, "cover ray does not pair to one")
+        _require(sum(a * b for a, b in zip(cover_u, coords)) == 1,
+                 "cover ray does not pair to one")
         cover_rays.append(coords)
     ambient_basis = tuple(pair.cone.lattice.to_ambient(col) for col in columns)
     cover_lattice = Lattice(ambient_basis)
     cover_cone = Cone(cover_lattice, tuple(cover_rays))
-    return CoverResult(cover_lattice, cover_cone, m, u)
+    return CoverResult(cover_lattice, cover_cone, m, u, cover_u)
 
 
 def dual_cone(cone: Cone) -> Cone:
@@ -453,4 +468,5 @@ def cover_correspondence_check(pair: ConePair) -> bool:
     """True when the klt verdict of the pair matches the canonical verdict of
     its index-one cover; a mismatch signals an implementation bug."""
     cover = log_canonical_cover(pair)
-    return _klt_verdict(pair, cover.functional).is_klt == canonical_check(cover.cover_cone)
+    klt = _klt_verdict(pair, cover.functional).is_klt
+    return klt == canonical_verdict(cover.cover_cone, cover.cover_functional)

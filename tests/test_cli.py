@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,34 @@ def test_resource_limit_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, "toric", "klt", str(path))
     assert code == 4
     assert "error" in err
+
+
+def _write_cone_pair(tmp_path, spec):
+    path = tmp_path / "pair.json"
+    doc = {"version": "1", "objects": {"pair": {"type": "cone_pair", **spec}}}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_dense_lattice_exit_code(capsys, tmp_path):
+    # The lattice's 12x12 determinant comes before the dimension refusal; a
+    # cofactor expansion of it would take about half an hour.
+    rng = random.Random(12)
+    lattice = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    rays = [[int(i == j) for j in range(12)] for i in range(12)]
+    path = _write_cone_pair(tmp_path, {"lattice": lattice, "rays": rays, "boundary": [0] * 12})
+    code, out, err = _run(capsys, "toric", "klt", path)
+    assert (code, out) == (4, "")
+    assert "dimension 12" in err and "MAX_DIM = 4" in err
+
+
+def test_facet_pairings_exit_code(capsys, tmp_path):
+    # 30 rays in dimension 4 need C(30, 3) * 30 = 121,800 subset-ray pairings.
+    rays = [[k, 1, 0, 0] for k in range(30)]
+    path = _write_cone_pair(tmp_path, {"rays": rays, "boundary": [0] * 30})
+    code, out, err = _run(capsys, "toric", "klt", path)
+    assert (code, out) == (4, "")
+    assert "need 121800 facet pairings" in err and "MAX_FACET_PAIRINGS" in err
 
 
 def test_step_cap_exit_code(capsys, monkeypatch):

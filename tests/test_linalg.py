@@ -122,6 +122,58 @@ def test_det_matches_cofactor_expansion(rows):
     assert linalg.det_int(rows) == _det_oracle(rows)
 
 
+def _det_by_elimination(rows):
+    """Fraction Gaussian elimination: the signed product of the pivots."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(work)):
+        i = next((i for i in range(k, len(work)) if work[i][k]), None)
+        if i is None:
+            return Fraction(0)
+        if i != k:
+            work[k], work[i] = work[i], work[k]
+            det = -det
+        det *= work[k][k]
+        for j in range(k + 1, len(work)):
+            f = work[j][k] / work[k][k]
+            work[j] = [a - f * b for a, b in zip(work[j], work[k])]
+    return det
+
+
+def _solve_or_deficient(rows, rhs):
+    try:
+        return linalg.solve_exact(rows, rhs)
+    except ValueError as exc:
+        assert str(exc) == "system does not determine a unique solution"
+        return "deficient"
+
+
+def test_det_and_solve_match_fraction_elimination_above_dimension_four():
+    # Dense matrices of size 5 to 12, where a cofactor expansion would take
+    # minutes to hours; about a third are made singular by a repeated
+    # combination of rows. Each is solved square, and with one more equation
+    # that keeps or breaks consistency.
+    rng = random.Random(51)
+    outcomes = set()
+    for n in range(5, 13):
+        for _ in range(6):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 1 / 3:
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            det = linalg.det_int(rows)
+            assert det == _det_by_elimination(rows), rows
+            x = [rng.randint(-5, 5) for _ in range(n)]
+            eqs = rows + [[rng.randint(-9, 9) for _ in range(n)]]
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in eqs]
+            rhs[-1] += rng.randint(0, 1)
+            for system in ((rows, rhs[:n]), (eqs, rhs)):
+                expected = _oracle_solve(*system)
+                assert _solve_or_deficient(*system) == expected, system
+                outcomes.add(expected if expected in ("deficient", None) else "solved")
+            assert (det == 0) == (_oracle_solve(rows, rhs[:n]) == "deficient")
+    assert outcomes == {"solved", None, "deficient"}
+
+
 def test_primitive_vector_examples():
     assert linalg.primitive_vector((2, 4, 6)) == (1, 2, 3)
     assert linalg.primitive_vector((-3, 6)) == (-1, 2)

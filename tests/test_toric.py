@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import integer_kernel_of_row, pairing, rank, rref
 
-from logcentre import linalg
+from logcentre import linalg, toric
 from logcentre.errors import NonStandardBoundary, NotApplicable, ResourceLimit
 from logcentre.toric import (
     Cone,
@@ -239,6 +239,46 @@ def test_cone_resource_limits():
         _orthant(5)
     with pytest.raises(ResourceLimit):
         Cone.from_rays(((1, 0), (101, 1)))
+
+
+def test_dimension_limit_names_its_constant():
+    with pytest.raises(ResourceLimit, match=r"^dimension 5 exceeds .* MAX_DIM = 4$"):
+        _orthant(5)
+
+
+def test_ray_coordinate_limit_names_its_constant():
+    with pytest.raises(ResourceLimit, match=r"^ray \(101, 1\) has .* MAX_RAY_COORD = 100$"):
+        Cone.from_rays(((1, 0), (101, 1)))
+
+
+def test_box_limit_names_its_constant():
+    cone = Cone.from_rays(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (99, 99, 99, 1)))
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^zonotope bounding box holds 2060602 points, .* MAX_BOX_POINTS = 1000000$",
+    ):
+        hilbert_basis(cone)
+
+
+def _paraboloid_rays(count):
+    # Points (a, b, a^2 + b^2) at height 1 lie on a strictly convex surface,
+    # so every one of them spans an extreme ray.
+    points = sorted(product(range(-9, 10), repeat=2), key=lambda p: (p[0] ** 2 + p[1] ** 2, p))
+    return [(a, b, a * a + b * b, 1) for a, b in points[:count]]
+
+
+def test_facet_enumeration_is_capped():
+    # C(28, 3) * 28 = 91,728 pairings fit under the cap; C(29, 3) * 29 = 105,966 do not.
+    assert toric.MAX_FACET_PAIRINGS == 10**5
+    assert len(Cone.from_rays(_paraboloid_rays(28)).rays) == 28
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^29 rays in dimension 4 need 105966 facet pairings, "
+        r"above the cap MAX_FACET_PAIRINGS = 100000$",
+    ):
+        Cone.from_rays(_paraboloid_rays(29))
+    with pytest.raises(ResourceLimit, match="need 6572800 facet pairings"):
+        Cone.from_rays(_paraboloid_rays(80))
 
 
 def test_one_dimensional_cone():
@@ -702,6 +742,17 @@ def test_dual_generators_square_pair():
 # Correspondence.
 
 
+def test_cover_functional_is_the_solved_one():
+    from logcentre.casestudies import francia_input_document
+    from logcentre.corpus import random_standard_pairs
+
+    base = francia_input_document().objects["base"]
+    for pair in (base, *random_standard_pairs(1, 300)):
+        cover = log_canonical_cover(pair)
+        solved = q_cartier_functional(cover.cover_cone, canonical_divisor(cover.cover_cone))
+        assert cover.cover_functional == solved, pair
+
+
 def test_correspondence_on_fixed_pairs():
     assert cover_correspondence_check(_square_pair()) is True
     assert cover_correspondence_check(_third_pair()) is True
@@ -741,8 +792,8 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
     for pair in (base, *random_standard_pairs(1, 3)):
         solved.clear()
         assert cover_correspondence_check(pair) is True
-        # -(K+D) on the base, then K on the cover.
-        assert solved == [tuple(d - 1 for d in pair.boundary.coeffs), (-1,) * len(pair.cone.rays)]
+        # -(K+D) on the base only: the cover brings its own K functional.
+        assert solved == [tuple(d - 1 for d in pair.boundary.coeffs)]
 
     path = tmp_path / "francia.json"
     path.write_text(serialize_document(francia_input_document()))
