@@ -12,14 +12,18 @@ is Q-Cartier exactly when some functional u has <u, v_i> = -n_i on every ray
 v_i; the pair (X, D) is Kawamata log terminal when the functional representing
 -(K+D) exists and is positive on the rays; and a cone whose canonical class is
 Q-Cartier is canonical when that functional u is >= 1 on every nonzero lattice
-point of the cone. As u = 1 on every ray, the points with u < 1 all lie in
-conv(0, rays), so the canonical test enumerates only the bounding box of that
-polytope. Hilbert bases are enumerated from the bounding box of the generator
-zonotope and reduced in order of degree (the sum of the facet values) against
-the basis elements already found; both enumerations are exact and auditable at
-the intended desk scale (dimension <= 4, small coordinates). The index-one
-cover lattice is one integer Hermite form, its rays are exact solves on that
-basis, and its K functional is the pair's -(K+D) functional read on that basis.
+point of the cone. Both lattice-point questions are answered from one
+enumeration (Bruns and Koch, "Computing the integral closure of an affine
+semigroup", 2001): the cone is covered by simplicial pieces, and every lattice
+point of a piece is a nonnegative integer combination of its rays plus a point
+of its half-open fundamental parallelepiped, which holds |det| points. As u = 1
+on every ray, a point with u < 1 is such a parallelepiped point (Reid's form of
+the Reid-Tai criterion, "Young person's guide to canonical singularities",
+1987), and so is every Hilbert basis element other than a ray. Hilbert bases
+are reduced in order of degree (the sum of the facet values) against the basis
+elements already found. The index-one cover lattice is one integer Hermite
+form, its rays are exact solves on that basis, and its K functional is the
+pair's -(K+D) functional read on that basis.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .orders import standard_index
 
 MAX_DIM = 4
 MAX_RAY_COORD = 100
-MAX_BOX_POINTS = 10**6
+MAX_PARALLELEPIPED_POINTS = 10**6
 # Facet enumeration pairs each (d-1)-subset of the n rays with each ray, C(n, d-1) * n
 # times: about 0.3 s at this cap (Python 3.11, 2-core VM), or 28 rays in dimension 4.
 MAX_FACET_PAIRINGS = 10**5
@@ -61,25 +65,34 @@ class Lattice:
 
     basis[i] is the i-th basis vector; lattice coordinates are taken with
     respect to this basis, so the standard lattice has the identity basis. A
-    basis is nonsingular when its determinant, with each vector scaled to
-    integers, is nonzero. That determinant, the coordinates and the dual basis
-    all come from the one fraction-free integer elimination in linalg
-    (det_int, solve_exact).
+    basis is nonsingular when its determinant, cleared to integers, is
+    nonzero. The basis is cleared once, to integer vectors over one common
+    denominator, and that determinant and the ambient vectors of lattice points
+    are taken in integers; the coordinates and the dual basis come from the one
+    fraction-free integer elimination in linalg (solve_exact).
     """
 
     basis: tuple
+    _scaled: tuple = field(init=False, compare=False, repr=False)
+    _denominator: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in vec) for vec in self.basis)
         if not rows or any(len(vec) != len(rows) for vec in rows):
             raise ValueError("basis must be a nonempty square list of vectors")
+        denominator = lcm(*(x.denominator for vec in rows for x in vec))
+        scaled = tuple(
+            tuple(x.numerator * (denominator // x.denominator) for x in vec) for vec in rows
+        )
         object.__setattr__(self, "basis", rows)
-        if linalg.det_int([linalg.clear_denominators(vec) for vec in rows]) == 0:
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_denominator", denominator)
+        if linalg.det_int(scaled) == 0:
             raise ValueError("matrix is singular")
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)))
+        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -88,7 +101,10 @@ class Lattice:
     def to_ambient(self, coords) -> tuple:
         if len(coords) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(sum(c * vec[i] for c, vec in zip(coords, self.basis)) for i in range(self.dim))
+        return tuple(
+            Fraction(sum(c * vec[i] for c, vec in zip(coords, self._scaled)), self._denominator)
+            for i in range(self.dim)
+        )
 
     def to_coords(self, ambient) -> tuple:
         """Exact rational coordinates of an ambient vector in this basis."""
@@ -126,19 +142,22 @@ class Lattice:
         return True
 
 
+def _minors(vectors, dim: int) -> list:
+    """Signed maximal minors of dim - 1 vectors: orthogonal to each of them,
+    and zero exactly when they span less than a hyperplane. In dimension 1 the
+    empty set of vectors gives (1,)."""
+    return [
+        (-1) ** i * linalg.det_int([v[:i] + v[i + 1 :] for v in vectors]) for i in range(dim)
+    ]
+
+
 def _facet_normals(dim: int, rays) -> tuple:
     """Facet normals of the cone over the rays, and whether the rays span the
     space: some (d-1)-subset spans a hyperplane that a further ray leaves."""
     found = set()
     spanning = False
     for subset in combinations(rays, dim - 1):
-        # Signed maximal minors: orthogonal to the subset, and zero exactly
-        # when the subset spans less than a hyperplane. In dimension 1 the
-        # empty subset gives (1,).
-        n = [
-            (-1) ** i * linalg.det_int([ray[:i] + ray[i + 1 :] for ray in subset])
-            for i in range(dim)
-        ]
+        n = _minors(subset, dim)
         if not any(n):
             continue
         n = linalg.primitive_vector(n)
@@ -297,51 +316,85 @@ def _klt_verdict(pair: ConePair, u) -> KltResult:
     return KltResult(all(sum(a * b for a, b in zip(w, v)) > 0 for v in pair.cone.rays), u)
 
 
-def _box(name: str, lo, hi) -> list:
-    """Coordinate ranges of the integer box [lo, hi]; ResourceLimit when it
-    holds more than MAX_BOX_POINTS points."""
-    count = 1
-    for a, b in zip(lo, hi):
-        count *= b - a + 1
-    if count > MAX_BOX_POINTS:
+def _parallelepiped_points(cone: Cone):
+    """Lattice points of the half-open fundamental parallelepipeds of simplicial
+    pieces that cover the cone; the origin is one of them, and pieces overlap,
+    so points can repeat.
+
+    Each piece is the first ray v_1 joined to d - 1 independent rays on a facet
+    that v_1 is off. Sliding a point x of the cone back along v_1 until it
+    leaves, it leaves through such a facet, so x lies in v_1 plus the facet,
+    and the facet is covered by its independent (d-1)-sets of rays
+    (Caratheodory). Row i of a piece's adjugate is the minors vector n_i of the
+    other d - 1 rays, oriented so that n_i.v_i = |det|; then x has
+    coefficient n_i.x / |det| on v_i, and subtracting the integer parts of
+    those coefficients folds x into the parallelepiped. The |det| cosets of the
+    piece's lattice are represented by the points 0 <= x_i < pivot_i of its
+    Hermite form. Before any point is listed, the sum of |det| over the
+    pieces, which is the number of points listed, is checked against
+    MAX_PARALLELEPIPED_POINTS (ResourceLimit).
+    """
+    dim, first = cone.dim, cone.rays[0]
+    pieces = []
+    for facet in cone.facets:
+        if sum(a * b for a, b in zip(facet, first)) == 0:
+            continue
+        on = [ray for ray in cone.rays if sum(a * b for a, b in zip(facet, ray)) == 0]
+        for subset in combinations(on, dim - 1):
+            piece = (first, *subset)
+            normals = [_minors(piece[:i] + piece[i + 1 :], dim) for i in range(dim)]
+            size = abs(sum(a * b for a, b in zip(normals[0], first)))
+            if size:  # otherwise the subset spans less than the facet
+                normals = [
+                    n if sum(a * b for a, b in zip(n, v)) > 0 else [-x for x in n]
+                    for n, v in zip(normals, piece)
+                ]
+                pieces.append((piece, normals, size))
+    count = sum(size for _, _, size in pieces)
+    if count > MAX_PARALLELEPIPED_POINTS:
         raise ResourceLimit(
-            f"{name} bounding box holds {count} points, above the cap "
-            f"MAX_BOX_POINTS = {MAX_BOX_POINTS}"
+            f"fundamental parallelepipeds hold {count} lattice points, above the cap "
+            f"MAX_PARALLELEPIPED_POINTS = {MAX_PARALLELEPIPED_POINTS}"
         )
-    return [range(a, b + 1) for a, b in zip(lo, hi)]
+    for piece, normals, size in pieces:
+        hermite = linalg.hermite_column_form(piece)
+        for x in product(*(range(col[i]) for i, col in enumerate(hermite))):
+            p = list(x)
+            for n, v in zip(normals, piece):
+                q = sum(a * b for a, b in zip(n, x)) // size
+                if q:
+                    p = [a - q * b for a, b in zip(p, v)]
+            yield tuple(p)
 
 
 def hilbert_basis(cone: Cone) -> tuple:
     """Minimal generating set of the semigroup of lattice points of the cone.
 
-    Every irreducible element lies in the zonotope spanned by the ray
-    generators, so the integer points of its bounding box that lie in the cone
-    are exhaustive candidates. Candidates are compared by facet values: x - y
-    lies in the cone exactly when y is at most x in every facet value. A
-    reducible x is a sum y + z of nonzero lattice points of the cone; one
-    summand has at most half the degree of x (the sum of its facet values) and
-    lies above a basis element of at most that degree. So candidates are taken
-    in order of degree and kept unless a ray, or a kept element of at most half
-    their degree, lies below them. Output is sorted lexicographically.
+    Every irreducible element is a ray or a nonzero point of a fundamental
+    parallelepiped of the simplicial pieces that cover the cone, so these are
+    exhaustive candidates; ResourceLimit when the parallelepipeds hold more
+    than MAX_PARALLELEPIPED_POINTS points. Candidates are compared by facet
+    values: x - y lies in the cone exactly when y is at most x in every facet
+    value. A reducible x is a sum y + z of nonzero lattice points of the cone;
+    one summand has at most half the degree of x (the sum of its facet values)
+    and lies above a basis element of at most that degree. So candidates are
+    taken in order of degree and kept unless a ray, or a kept element of at
+    most half their degree, lies below them; this reduction compares each
+    candidate with the basis elements found so far, so its work also grows
+    with the size of the basis. Output is sorted lexicographically.
     """
     facets = cone.facets
 
     def facet_values(p):
         return tuple(sum(a * b for a, b in zip(n, p)) for n in facets)
 
-    coords = list(zip(*cone.rays))
-    box = _box(
-        "zonotope",
-        [sum(min(0, x) for x in c) for c in coords],
-        [sum(max(0, x) for x in c) for c in coords],
-    )
+    candidates = set(_parallelepiped_points(cone))
+    candidates.discard((0,) * cone.dim)
+    candidates.update(cone.rays)
     graded = []
-    for p in product(*box):
+    for p in candidates:
         values = facet_values(p)
-        degree = sum(values)
-        # Facets span the dual space, so only the origin has degree 0.
-        if degree and min(values) >= 0:
-            graded.append((degree, values, p))
+        graded.append((sum(values), values, p))
     graded.sort(key=itemgetter(0))
     ray_values = [facet_values(ray) for ray in cone.rays]
     kept_degrees, kept, basis = [], [], []
@@ -362,12 +415,13 @@ def canonical_check(cone: Cone) -> bool:
     """Canonical-singularities test for the cone with empty boundary.
 
     Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable).
-    Its functional u has <u, v_i> = 1 on every ray, so the part of the cone
-    where u <= 1 is conv(0, v_1, ..., v_n), and the cone is canonical exactly
-    when no nonzero lattice point of that polytope has u < 1. The test scans
-    the bounding box of the polytope and stops at the first such point; the
-    cap bounds that scanned box: ResourceLimit when it holds more than
-    MAX_BOX_POINTS points.
+    Its functional u has <u, v_i> = 1 on every ray, and the cone is canonical
+    exactly when no nonzero lattice point has u < 1. When K is Cartier, u is
+    integral and positive off the origin, so the answer is yes at once.
+    Otherwise a nonzero point with u < 1 is a point of a fundamental
+    parallelepiped of the simplicial pieces that cover the cone, so the test
+    lists those points and stops at the first such one; ResourceLimit when
+    the parallelepipeds hold more than MAX_PARALLELEPIPED_POINTS points.
     """
     return canonical_verdict(cone, q_cartier_functional(cone, canonical_divisor(cone)))
 
@@ -376,16 +430,14 @@ def canonical_verdict(cone: Cone, u) -> bool:
     """canonical_check given the functional u of K (None if K is not Q-Cartier)."""
     if u is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
-    coords = list(zip(*cone.rays))
-    box = _box("conv(0, rays)", [min(0, *c) for c in coords], [max(0, *c) for c in coords])
-    # 0 < u < 1 in integers: m*u is integral and compared with 0 and m. As u > 0
-    # on the cone minus the origin, the lower bound only drops points not wanted.
     m = cartier_index(u)
+    if m == 1:
+        return True  # u is a positive integer on every nonzero point of the cone
+    # 0 < u < 1 in integers: m*u is integral and compared with 0 and m; u = 0
+    # only at the origin.
     w = linalg.clear_denominators(u)
-    for p in product(*box):
-        if 0 < sum(a * b for a, b in zip(w, p)) < m and cone.contains(p):
-            return False
-    return True
+    points = _parallelepiped_points(cone)
+    return not any(0 < sum(a * b for a, b in zip(w, p)) < m for p in points)
 
 
 @dataclass(frozen=True)

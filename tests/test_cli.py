@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ from logcentre.iodoc import serialize_document
 from logcentre.orders import MAX_GRADING_LENGTH
 from logcentre.valmat import MAX_RAMIFICATION_INDEX
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture
@@ -360,6 +363,25 @@ def test_synopsis_matches_command_table():
     table = [(group, list(commands)) for group, (_, commands) in cli.COMMANDS.items()]
     assert _synopsis(cli.__doc__) == table
     assert _synopsis(README.read_text(encoding="utf-8")) == table
+
+
+def _limit_constants(source):
+    """Names of the MAX_* constants that a module assigns at top level."""
+    return {
+        target.id
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+
+
+def test_readme_names_every_limit_constant():
+    defined = set()
+    for path in (ROOT / "src" / "logcentre").glob("*.py"):
+        defined |= _limit_constants(path.read_text(encoding="utf-8"))
+    named = set(re.findall(r"\bMAX_[A-Z_]+\b", README.read_text(encoding="utf-8")))
+    assert named == defined
 
 
 def test_module_entry_point():

@@ -251,13 +251,18 @@ def test_ray_coordinate_limit_names_its_constant():
         Cone.from_rays(((1, 0), (101, 1)))
 
 
-def test_box_limit_names_its_constant():
-    cone = Cone.from_rays(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (99, 99, 99, 1)))
-    with pytest.raises(
-        ResourceLimit,
-        match=r"^zonotope bounding box holds 2060602 points, .* MAX_BOX_POINTS = 1000000$",
-    ):
-        hilbert_basis(cone)
+def test_parallelepiped_limit_names_its_constant():
+    # One simplicial piece of determinant 100^4 - 1; K has index 101, so the
+    # canonical test has to enumerate too.
+    cone = Cone.from_rays(((100, 1, 0, 0), (0, 100, 1, 0), (0, 0, 100, 1), (1, 0, 0, 100)))
+    assert toric.MAX_PARALLELEPIPED_POINTS == 10**6
+    for check in (hilbert_basis, canonical_check):
+        with pytest.raises(
+            ResourceLimit,
+            match=r"^fundamental parallelepipeds hold 99999999 lattice points, "
+            r"above the cap MAX_PARALLELEPIPED_POINTS = 1000000$",
+        ):
+            check(cone)
 
 
 def _paraboloid_rays(count):
@@ -460,10 +465,18 @@ def test_hilbert_basis_of_rectangle_cones():
             assert canonical_check(cone) is True
 
 
-def test_hilbert_basis_resource_limit():
-    cone = Cone.from_rays(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (99, 99, 99, 1)))
-    with pytest.raises(ResourceLimit):
-        hilbert_basis(cone)
+def test_det_one_cone_is_answered():
+    # Its zonotope spans a box of over 2 * 10^6 points, but its one
+    # parallelepiped holds only the origin.
+    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (99, 99, 99, 1))
+    cone = Cone.from_rays(rays)
+    assert hilbert_basis(cone) == tuple(sorted(rays))
+    assert canonical_check(cone) is True
+
+
+def test_hilbert_basis_of_a_det_99_cone():
+    cone = Cone.from_rays(((1, 0, 0), (0, 1, 0), (97, 98, 99)))
+    assert hilbert_basis(cone) == ((0, 1, 0), (1, 0, 0), (1, 1, 1), (49, 50, 50), (97, 98, 99))
 
 
 # Canonical test.
@@ -481,28 +494,25 @@ def test_canonical_requires_q_cartier():
         canonical_check(_square_pair().cone)
 
 
-def test_canonical_caps_the_scanned_box():
-    # The cube cone's conv(0, rays) box holds 21^3 * 2 = 18,522 points, its
-    # zonotope box 81^3 * 9 = 4,782,969: only hilbert_basis refuses.
+def test_canonical_refusals_come_in_order():
+    # K of the cube cone is Cartier, so it is canonical without enumeration.
     cube = Cone.from_rays([(a, b, c, 1) for a in (-10, 10) for b in (-10, 10) for c in (-10, 10)])
     assert canonical_check(cube) is True
-    with pytest.raises(ResourceLimit):
-        hilbert_basis(cube)
-    # The conv(0, rays) box of this cone holds 100^3 * 2 = 2 * 10^6 points.
-    big = Cone.from_rays(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (99, 99, 99, 1)))
-    with pytest.raises(ResourceLimit):
-        canonical_check(big)
-    # NotApplicable comes before the cap (box of 100^3 * 3 points).
+    # NotApplicable comes before the cap, which hilbert_basis meets.
     not_q_cartier = Cone.from_rays(
-        ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (99, 99, 99, 2), (0, 0, 0, 1))
+        ((100, 1, 0, 0), (0, 100, 1, 0), (0, 0, 100, 1), (1, 0, 0, 100), (1, 0, 0, 0))
     )
     with pytest.raises(NotApplicable):
         canonical_check(not_q_cartier)
+    with pytest.raises(ResourceLimit):
+        hilbert_basis(not_q_cartier)
 
 
+@lru_cache(maxsize=None)
 def _all_pairs_hilbert_basis(cone):
     # Oracle: candidates from the zonotope box, each one tested for
-    # reducibility against every other candidate.
+    # reducibility against every other candidate. Cached, as _oracle_canonical
+    # asks for the same cones again.
     dim = cone.dim
     lo = [sum(min(0, r[i]) for r in cone.rays) for i in range(dim)]
     hi = [sum(max(0, r[i]) for r in cone.rays) for i in range(dim)]
@@ -587,6 +597,54 @@ def test_canonical_and_hilbert_basis_match_oracles_on_random_cones():
         _assert_is_hilbert_basis(cone, basis)
         verdicts.append(expected)
     assert {True, False, None} <= set(verdicts)
+
+
+def _height_two_rays(rng):
+    # 6 to 8 points of a box in {-1, 0, 1}^3, each with an odd coordinate, at
+    # height 2: primitive rays on which K is u = x_4 / 2, of index 2. In a
+    # quarter of the draws one ray is moved to height 3, which leaves no u.
+    lows = [rng.choice((-1, 0)) for _ in range(3)]
+    pool = [(*v, 2) for v in product(*(range(lo, 2) for lo in lows)) if any(x % 2 for x in v)]
+    rays = rng.sample(pool, min(len(pool), rng.randint(6, 8)))
+    if rng.random() < 0.25:
+        rays[0] = rays[0][:3] + (3,)
+    return rays
+
+
+def _zonotope_box_size(rays):
+    size = 1
+    for coords in zip(*rays):
+        size *= sum(abs(x) for x in coords) + 1
+    return size
+
+
+def test_canonical_and_hilbert_basis_match_oracles_on_cones_with_large_facets():
+    # A facet with 4 or more rays splits into overlapping simplicial pieces,
+    # so the parallelepipeds repeat points.
+    rng = random.Random(6264)
+    wanted = {6: 4, 7: 4, 8: 2}  # cones still to check, by ray count
+    seen = []
+    while any(wanted.values()):
+        rays = _height_two_rays(rng)
+        if not wanted.get(len(rays)) or _zonotope_box_size(rays) > 2100:
+            continue  # the box bound keeps the all-pairs oracle under a second
+        try:
+            cone = Cone.from_rays(rays)
+        except ValueError:
+            continue  # a ray not extreme
+        if max(sum(pairing(n, ray) == 0 for ray in cone.rays) for n in cone.facets) < 4:
+            continue
+        expected = _oracle_canonical(cone)
+        if expected is None:
+            with pytest.raises(NotApplicable):
+                canonical_check(cone)
+        else:
+            assert cartier_index(q_cartier_functional(cone, canonical_divisor(cone))) > 1
+            assert canonical_check(cone) is expected, cone
+        assert hilbert_basis(cone) == _all_pairs_hilbert_basis(cone), cone
+        wanted[len(rays)] -= 1
+        seen.append(expected)
+    assert set(seen) == {True, False, None}
 
 
 def test_facets_of_random_cones():
