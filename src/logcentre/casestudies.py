@@ -35,8 +35,8 @@ from .toric import (
     ConePair,
     Lattice,
     ToricDivisor,
-    canonical_check,
     canonical_divisor,
+    canonical_verdict,
     cartier_index,
     cover_correspondence_check,
     dual_cone_generators,
@@ -217,15 +217,14 @@ def _francia_report() -> CaseStudyReport:
         "cover-canonical",
         "the cover has canonical singularities",
         True,
-        canonical_check(cover.cover_cone),
+        canonical_verdict(cover.cover_cone, cover.cover_functional),
     )
-    cover_u = q_cartier_functional(cover.cover_cone, canonical_divisor(cover.cover_cone))
     _check(
         checks,
         "cover-gorenstein",
         "canonical class of the cover is Cartier",
         True,
-        cover_u is not None and cartier_index(cover_u) == 1,
+        cartier_index(cover.cover_functional) == 1,
     )
     _check(
         checks,

@@ -1,6 +1,11 @@
 """Noncommutative polynomial arithmetic with terminating, confluent rewriting.
 
 Polynomials are finite rational combinations of words over named generators.
+Integral coefficients are plain ints and only true fractions are Fractions, so
+integer work never pays for Fraction arithmetic; ints and Fractions compare,
+hash and print alike. The parser expands products in full and powers by
+squaring, and charges each product its term products plus the letters it
+writes against the work budget MAX_PARSE_WORK.
 A :class:`RewriteSystem` carries rules ``lhs -> rhs`` together with a
 termination witness: a weighted degree order under which every monomial of a
 rule's right-hand side is strictly smaller than its left-hand side. Words are
@@ -37,12 +42,20 @@ STEP_CAP_ENV = "LOGCENTRE_STEP_CAP"
 # The parser recurses four frames per parenthesis, so this stays well inside
 # Python's default recursion limit of 1000.
 MAX_NESTING_DEPTH = 100
+# Term products plus letters written by the parser's products and powers:
+# (a+b+c)^10 costs about 7e5 and a^40000 about 1.2e5, where a^1000000 and
+# (a+b+c)^12 are refused.
+MAX_PARSE_WORK = 2 * 10**6
 
 
-def _coerce(value) -> Fraction:
+def _coerce(value):
+    """An exact coefficient: an int when it is integral, else a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not exact; use Fraction")
-    return Fraction(value)
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _accumulate(data: dict, key, coeff) -> None:
@@ -97,7 +110,7 @@ class NCPoly:
         return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     def letters(self) -> frozenset:
-        return frozenset(letter for word in self._terms for letter in word)
+        return frozenset().union(*self._terms)
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -134,9 +147,14 @@ class NCPoly:
         if other is None:
             return NotImplemented
         data: dict = {}
+        get = data.get
+        right = other._terms.items()
         for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                _accumulate(data, w1 + w2, c1 * c2)
+            for w2, c2 in right:
+                word = w1 + w2
+                data[word] = get(word, 0) + c1 * c2
+        for word in [word for word, coeff in data.items() if not coeff]:
+            del data[word]
         out = NCPoly.zero()
         out._terms = data
         return out
@@ -150,10 +168,7 @@ class NCPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = NCPoly.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return _power(self, exponent, NCPoly.__mul__)
 
     def __eq__(self, other):
         other = _as_poly(other)
@@ -184,6 +199,23 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly({self})"
+
+
+def _power(base: NCPoly, exponent: int, multiply) -> NCPoly:
+    """base**exponent by repeated squaring, with multiply(x, y) for each product.
+
+    Powers of one element commute, so the order of the factors is immaterial.
+    """
+    if not exponent:
+        return NCPoly.one()
+    out = None
+    while True:
+        if exponent & 1:
+            out = base if out is None else multiply(out, base)
+        exponent >>= 1
+        if not exponent:
+            return out
+        base = multiply(base, base)
 
 
 def _word_str(word) -> str:
@@ -224,7 +256,7 @@ def _tokenize(text: str):
         number, name, op = match.groups()
         if number is not None:
             try:
-                tokens.append(("number", Fraction(number)))
+                tokens.append(("number", Fraction(number) if "/" in number else int(number)))
             except ZeroDivisionError:
                 raise InputError(f"division by zero in {number!r}") from None
         elif name is not None:
@@ -236,12 +268,31 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^, parentheses and juxtaposition."""
+    """Recursive descent over +, -, *, ^, parentheses and juxtaposition.
+
+    Every product A*B, powers included, is charged |A|*|B| + |B|*sum|a| +
+    |A|*sum|b| (term products plus letters written) before it is formed, and
+    the parse is refused once the charges pass MAX_PARSE_WORK.
+    """
 
     def __init__(self, tokens, generators):
         self.tokens = tokens
         self.pos = 0
         self.generators = tuple(generators)
+        self.work = 0
+
+    def product(self, left: NCPoly, right: NCPoly) -> NCPoly:
+        left_terms, right_terms = left._terms, right._terms
+        self.work += len(left_terms) * len(right_terms) + (
+            len(right_terms) * sum(map(len, left_terms))
+            + len(left_terms) * sum(map(len, right_terms))
+        )
+        if self.work > MAX_PARSE_WORK:
+            raise ResourceLimit(
+                f"expanding the expression takes at least {self.work} term products "
+                f"and letters, above the parse work budget MAX_PARSE_WORK = {MAX_PARSE_WORK}"
+            )
+        return left * right
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -260,12 +311,15 @@ class _Parser:
         return poly
 
     def expr(self) -> NCPoly:
-        poly = self.term()
+        # Summands are merged into one dict, so a long sum costs linear time.
+        data = dict(self.term()._terms)
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+            sign = -1 if self.take()[1] == "-" else 1
+            for word, coeff in self.term()._terms.items():
+                _accumulate(data, word, sign * coeff)
+        out = NCPoly.zero()
+        out._terms = data
+        return out
 
     def term(self) -> NCPoly:
         sign = 1
@@ -277,12 +331,12 @@ class _Parser:
             kind, value = self.peek()
             if (kind, value) == ("op", "*"):
                 self.take()
-                poly = poly * self.factor()
+                poly = self.product(poly, self.factor())
             elif kind in ("name", "number") or (kind, value) == ("op", "("):
-                poly = poly * self.factor()
+                poly = self.product(poly, self.factor())
             else:
                 break
-        return sign * poly
+        return poly if sign > 0 else -poly
 
     def factor(self) -> NCPoly:
         base = self.atom()
@@ -291,7 +345,7 @@ class _Parser:
             kind, value = self.take()
             if kind != "number" or value.denominator != 1 or value < 0:
                 raise InputError("exponent must be a nonnegative integer")
-            base = base ** int(value)
+            base = _power(base, int(value), self.product)
         return base
 
     def atom(self) -> NCPoly:
@@ -319,7 +373,8 @@ class _Parser:
 def parse_poly(text: str, generators) -> NCPoly:
     """Parse an expression like ``a*b - 2*c^3`` over the given generators.
 
-    ResourceLimit when parentheses nest deeper than MAX_NESTING_DEPTH.
+    ResourceLimit when parentheses nest deeper than MAX_NESTING_DEPTH or the
+    products of the expansion cost more than MAX_PARSE_WORK.
     """
     tokens = _tokenize(text)
     depth = deepest = 0

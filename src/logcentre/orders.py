@@ -97,12 +97,15 @@ class QDivisor:
 
 
 def standard_index(coeff) -> Optional[int]:
-    """The e with coeff == (e-1)/e, or None if the coefficient is not standard."""
-    coeff = Fraction(coeff)
-    if not 0 <= coeff < 1:
-        return None
-    inv = 1 / (1 - coeff)
-    return int(inv) if inv.denominator == 1 else None
+    """The e with coeff == (e-1)/e, or None if the coefficient is not standard.
+
+    (e-1)/e is in lowest terms, so p/q in lowest terms is standard exactly
+    when q - p = 1 (which also gives 0 <= p/q < 1), and then e = q.
+    """
+    if not isinstance(coeff, (int, Fraction)):
+        coeff = Fraction(coeff)
+    p, q = coeff.numerator, coeff.denominator
+    return q if q - p == 1 else None
 
 
 def discriminant(spec: OrderSpec) -> QDivisor:

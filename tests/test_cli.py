@@ -274,6 +274,15 @@ def test_nesting_depth_exit_code(capsys):
     assert "nest 1200 deep" in err and "MAX_NESTING_DEPTH" in err
 
 
+def test_parse_work_exit_code(capsys):
+    for expr in ("a^1000000", "(a+b+c)^12"):
+        code, out, err = _run(capsys, "ncpoly", "nf", expr)
+        assert (code, out) == (4, "")
+        assert "MAX_PARSE_WORK" in err and "at least" in err
+    code, out, _ = _run(capsys, "ncpoly", "nf", "a^40000")
+    assert (code, out) == (0, "a^40000\n")
+
+
 def test_no_arguments(capsys):
     assert _run(capsys)[0] == 2
 

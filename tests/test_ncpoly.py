@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import rightmost_normal_form, rule_order_redex
 
+from logcentre import ncpoly
 from logcentre.errors import InputError, NonterminationSuspected, ResourceLimit
 from logcentre.iodoc import loads
 from logcentre.ncpoly import (
     MAX_NESTING_DEPTH,
+    MAX_PARSE_WORK,
     NCPoly,
     RewriteSystem,
     builtin_system,
@@ -97,6 +99,85 @@ def test_parse_nesting_depth_limit():
     for depth in (deepest + 1, 1200):
         with pytest.raises(ResourceLimit, match=f"parentheses nest {depth} deep"):
             parse_poly("(" * depth + "a" + ")" * depth, GENS)
+
+
+def test_parse_work_budget():
+    assert parse_poly("a^40000", GENS) == NCPoly.monomial(("a",) * 40000)
+    assert len(parse_poly("(a+b+c)^10", GENS).terms()) == 3**10
+    for text in ("a^1000000", "(a+b+c)^12", "(a+b+c)^6*(a+b+c)^6"):
+        with pytest.raises(ResourceLimit, match=f"MAX_PARSE_WORK = {MAX_PARSE_WORK}"):
+            parse_poly(text, GENS)
+
+
+def test_parse_work_counts_products_and_letters(monkeypatch):
+    # (a+b)*(a+b)*c: 2*2 + 2*2 + 2*2 term products and letters, then 4*1 + 1*8 + 4*1.
+    monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", 27)
+    with pytest.raises(ResourceLimit, match="at least 28 "):
+        parse_poly("(a+b)*(a+b)*c", GENS)
+    monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", 28)
+    assert parse_poly("(a+b)*(a+b)*c", GENS) == (A + B) ** 2 * C
+
+
+def _coefficient_types(poly):
+    return {type(coeff) for _, coeff in poly.terms()}
+
+
+def test_integral_coefficients_stay_int():
+    system = clifford_system()
+    for text in ("a*b - 2*c^3", "(a - 3*b + 2*c)^5", "4/2*b*a", "(b*a)^3 - 7"):
+        poly = parse_poly(text, GENS)
+        assert _coefficient_types(poly) == {int}, text
+        assert _coefficient_types(normal_form(poly, system)) <= {int}, text
+    for _, rhs in system.rules:
+        assert _coefficient_types(rhs) == {int}
+    half = parse_poly("1/2*a + 3*b", GENS)
+    assert {coeff for _, coeff in half.terms()} == {Fraction(1, 2), 3}
+
+
+def _random_expression(rng, depth):
+    """(text, dict of word -> Fraction) for a random expression over a, b."""
+    roll = rng.random() if depth else 0
+    if roll < 0.4:
+        if rng.random() < 0.6:
+            letter = rng.choice("ab")
+            return letter, {(letter,): Fraction(1)}
+        value = Fraction(rng.randint(0, 5), rng.choice((1, 1, 2, 3)))
+        return f"{value.numerator}/{value.denominator}", {(): value}
+    if roll < 0.55:
+        text, terms = _random_expression(rng, depth - 1)
+        return f"-({text})", {w: -c for w, c in terms.items()}
+    if roll < 0.85:
+        (left, p), (right, q) = (_random_expression(rng, depth - 1) for _ in range(2))
+        op = rng.choice("+-*")
+        if op == "*":
+            return f"({left})*({right})", _reference_product(p, q)
+        sign = 1 if op == "+" else -1
+        terms = dict(p)
+        for w, c in q.items():
+            terms[w] = terms.get(w, 0) + sign * c
+        return f"({left}) {op} ({right})", terms
+    text, terms = _random_expression(rng, depth - 1)
+    exponent = rng.randint(0, 6)
+    power = {(): Fraction(1)}
+    for _ in range(exponent):
+        power = _reference_product(power, terms)
+    return f"({text})^{exponent}", power
+
+
+def _reference_product(p, q):
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return out
+
+
+def test_parse_matches_fraction_reference():
+    rng = random.Random(13)
+    for _ in range(300):
+        text, terms = _random_expression(rng, 3)
+        expected = {w: c for w, c in terms.items() if c}
+        assert dict(parse_poly(text, ("a", "b")).terms()) == expected, text
 
 
 @given(

@@ -71,6 +71,23 @@ def test_standard_index_inverts_the_coefficient(e):
     assert standard_index(Fraction(e - 1, e)) == e
 
 
+def _standard_index_by_inversion(coeff):
+    """The formula standard_index used to evaluate: e = 1/(1 - coeff) if integral."""
+    coeff = Fraction(coeff)
+    if not 0 <= coeff < 1:
+        return None
+    inv = 1 / (1 - coeff)
+    return int(inv) if inv.denominator == 1 else None
+
+
+def test_standard_index_matches_inversion():
+    coeffs = {Fraction(p, q) for q in range(1, 51) for p in range(-q - 1, 2 * q + 2)}
+    coeffs |= set(range(-3, 4)) | {True, False}
+    coeffs |= {"0", "1", "1/2", "2/4", "3/4", "-1/2", "5/3", "49/50", "48/50", " 6/7 "}
+    for coeff in coeffs:
+        assert standard_index(coeff) == _standard_index_by_inversion(coeff), coeff
+
+
 def test_discriminant_examples():
     assert str(discriminant(_spec(("B", 2)))) == "1/2*B"
     assert discriminant(_spec(("B", 1))).terms == ()
