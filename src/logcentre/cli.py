@@ -31,16 +31,16 @@ from fractions import Fraction
 
 from . import iodoc
 from .casestudies import input_document, run_case_study
-from .errors import (
-    InputError,
-    InternalError,
-    LogCentreError,
-    NonterminationSuspected,
-    NotApplicable,
-    ResourceLimit,
-)
+from .errors import InputError, InternalError, LogCentreError, NotApplicable, ResourceLimit
 from .iodoc import rational_to_json
-from .ncpoly import BUILTIN_SYSTEMS, is_central, normal_form, parse_poly, verify_identity
+from .ncpoly import (
+    BUILTIN_SYSTEMS,
+    commutative_quotient_check,
+    is_central,
+    normal_form,
+    parse_poly,
+    verify_identity,
+)
 from .orders import cover_graded_valuations, discriminant
 from .toric import (
     ConePair,
@@ -210,8 +210,6 @@ def _cmd_identity(args):
 
 
 def _cmd_quotient_check(args):
-    from .ncpoly import commutative_quotient_check
-
     verdict = commutative_quotient_check(args.name)
     result = {"name": args.name, "consistent": verdict}
     return (0 if verdict else 3), result, f"consistent={'true' if verdict else 'false'}"
@@ -314,7 +312,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimit, NonterminationSuspected) as exc:
+    except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except NotApplicable as exc:

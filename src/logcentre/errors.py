@@ -1,11 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per exit code.
 
-The command line front end maps these onto exit codes: malformed input is a
-usage problem, a missing mathematical object is a negative verdict, and blown
-enumeration budgets are resource failures. A failed internal invariant is a
-bug in the package and gets its own code, so it never reads as bad input.
-Every class here is raised by the package itself; test oracles that need an
-error of their own define it next to the oracle.
+The command line front end maps each class onto its exit code: malformed
+input is a usage problem (InputError, 2), a missing mathematical object is a
+negative verdict (NotApplicable, 3), a blown work budget is a resource
+failure (ResourceLimit, 4), and a failed internal invariant is a bug in the
+package (InternalError, 5), so it never reads as bad input. A bad argument to
+a library function is a plain ValueError. Test oracles that need an error of
+their own define it next to the oracle.
 """
 
 
@@ -17,24 +18,12 @@ class InputError(LogCentreError):
     """Malformed input document, unparsable value, or unknown named object."""
 
 
-class PreconditionViolation(LogCentreError):
-    """An operation was invoked on data outside its stated contract."""
-
-
 class NotApplicable(LogCentreError):
     """The requested quantity does not exist for this input."""
 
 
-class NonStandardBoundary(NotApplicable):
-    """Cover constructions require boundary coefficients of the form (e-1)/e."""
-
-
 class ResourceLimit(LogCentreError):
-    """A desk-scale enumeration limit was exceeded."""
-
-
-class NonterminationSuspected(LogCentreError):
-    """Rewriting exceeded the configured step cap."""
+    """A desk-scale work limit was exceeded."""
 
 
 class InternalError(LogCentreError):

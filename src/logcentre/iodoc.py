@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .ncpoly import RewriteSystem, parse_poly
+from .ncpoly import RewriteSystem, parse_poly, read_int
 from .orders import OrderSpec, RamificationDatum
 from .toric import Cone, ConePair, Lattice, ToricDivisor
 
@@ -199,7 +199,9 @@ def parse_document(data) -> InputDocument:
 
 def loads(text: str) -> InputDocument:
     try:
-        data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        data = json.loads(
+            text, parse_float=_reject_float, parse_int=read_int, parse_constant=_reject_float
+        )
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     return parse_document(data)

@@ -15,8 +15,9 @@ compatible well-order, so every rewrite sequence halts. Construction also
 resolves every critical pair, so the system is confluent and a normal form is
 the same whichever redex is rewritten first. A normal form merges terms by
 word and rewrites the largest pending word first, so each distinct word is
-rewritten once. A step cap on the number of distinct words one call rewrites
-guards against accidentally explosive (though still finite) reductions.
+rewritten once. Every reduction halts, so the only guard is a work limit:
+one call rewrites at most MAX_REWRITE_STEPS distinct words, and past that
+normal_form raises ResourceLimit.
 
 Normal forms decide identities and centrality in algebras presented by such
 systems. The rank two quiver algebra over the quadric cone k[a,b,c,d]/(ad - bc)
@@ -27,18 +28,17 @@ generators and trades bc for ad, and the quiver's matrices have entries in it.
 from __future__ import annotations
 
 import heapq
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError, NonterminationSuspected, ResourceLimit
+from .errors import InputError, ResourceLimit
 
 Word = tuple
 
-DEFAULT_STEP_CAP = 10**6
-STEP_CAP_ENV = "LOGCENTRE_STEP_CAP"
+# Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
+MAX_REWRITE_STEPS = 10**6
 # The parser recurses four frames per parenthesis, so this stays well inside
 # Python's default recursion limit of 1000.
 MAX_NESTING_DEPTH = 100
@@ -240,6 +240,18 @@ def _as_poly(value) -> Optional[NCPoly]:
     return None
 
 
+def read_int(text: str) -> int:
+    """The integer an optionally signed digit string spells, InputError if too long.
+
+    Python refuses to convert very long digit strings; the refusal is bad input.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise InputError(f"integer literal of {digits} digits is too long") from None
+
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
 
 
@@ -255,10 +267,14 @@ def _tokenize(text: str):
             raise InputError(f"cannot tokenize {remainder[:20]!r}")
         number, name, op = match.groups()
         if number is not None:
-            try:
-                tokens.append(("number", Fraction(number) if "/" in number else int(number)))
-            except ZeroDivisionError:
-                raise InputError(f"division by zero in {number!r}") from None
+            numerator, _, denominator = number.partition("/")
+            value = read_int(numerator)
+            if denominator:
+                denominator = read_int(denominator)
+                if not denominator:
+                    raise InputError(f"division by zero in {number!r}")
+                value = Fraction(value, denominator)
+            tokens.append(("number", value))
         elif name is not None:
             tokens.append(("name", name))
         else:
@@ -418,7 +434,6 @@ class RewriteSystem:
         if len(weights) != len(gens) or any(w <= 0 for w in weights):
             raise ValueError("need one positive weight per generator")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_rank", {g: i for i, g in enumerate(gens)})
         object.__setattr__(self, "_negated_rank", {g: -i for i, g in enumerate(gens)})
         object.__setattr__(self, "_weight", dict(zip(gens, weights)))
         rules = []
@@ -430,9 +445,9 @@ class RewriteSystem:
             for letter in lhs + tuple(rhs.letters()):
                 if letter not in gens:
                     raise ValueError(f"rule uses unknown generator {letter!r}")
-            top = self.word_key(lhs)
+            top = self._descending_key(lhs)
             for word, _ in rhs.terms():
-                if not self.word_key(word) < top:
+                if not self._descending_key(word) > top:
                     raise ValueError(
                         f"rule {_word_str(lhs)} -> {rhs} breaks the termination order"
                     )
@@ -449,16 +464,13 @@ class RewriteSystem:
                     f"do not resolve on {_word_str(word)}"
                 )
 
-    def word_key(self, word):
-        """Order key: total weight, then -length, then generator ranks."""
-        weight = sum(map(self._weight.__getitem__, word))
-        return (weight, -len(word), tuple(map(self._rank.__getitem__, word)))
-
     def _descending_key(self, word):
-        """A key that sorts words largest first in the order of word_key.
+        """A key that sorts words largest first in the word order.
 
-        Rank tuples are compared only between words of equal length, where
-        negating every rank reverses their order.
+        A word is larger when its total weight is larger, then when it is
+        shorter, then when its generator ranks are larger left to right. Rank
+        tuples are compared only between words of equal length, where negating
+        every rank reverses their order.
         """
         weight = sum(map(self._weight.__getitem__, word))
         return (-weight, len(word), tuple(map(self._negated_rank.__getitem__, word)))
@@ -515,15 +527,15 @@ def _critical_pairs(rules):
 
 
 def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
-    """Fully reduce a polynomial, raising NonterminationSuspected past the cap.
+    """Fully reduce a polynomial; ResourceLimit past MAX_REWRITE_STEPS rewrites.
 
     Pending terms are merged by word and rewritten largest word first. Every
     reduct of a word is strictly smaller than it, so a popped word never comes
     back: each distinct word is rewritten once, with its merged coefficient,
-    and a word whose terms cancel is dropped unrewritten. The step cap counts
-    these distinct rewrites.
+    and a word whose terms cancel is dropped unrewritten. The step limit
+    counts these distinct rewrites.
     """
-    cap = int(os.environ.get(STEP_CAP_ENV) or DEFAULT_STEP_CAP)
+    limit = MAX_REWRITE_STEPS
     unknown = poly.letters() - frozenset(system.generators)
     if unknown:
         raise InputError(f"polynomial uses unknown generators {sorted(unknown)}")
@@ -543,9 +555,10 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
             result[word] = coeff
             continue
         steps += 1
-        if steps > cap:
-            raise NonterminationSuspected(
-                f"rewriting exceeded {cap} steps; raise {STEP_CAP_ENV} if intended"
+        if steps > limit:
+            raise ResourceLimit(
+                f"reducing the polynomial takes at least {steps} distinct rewrites, "
+                f"above the rewrite step limit MAX_REWRITE_STEPS = {limit}"
             )
         index, pos = hit
         lhs, rhs = system.rules[index]

@@ -37,12 +37,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import linalg
-from .errors import (
-    InternalError,
-    NonStandardBoundary,
-    NotApplicable,
-    ResourceLimit,
-)
+from .errors import InternalError, NotApplicable, ResourceLimit
 from .orders import standard_index
 
 MAX_DIM = 4
@@ -467,9 +462,7 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     for d in pair.boundary.coeffs:
         e = standard_index(d)
         if e is None:
-            raise NonStandardBoundary(
-                f"boundary coefficient {d} is not of the form (e-1)/e"
-            )
+            raise NotApplicable(f"boundary coefficient {d} is not of the form (e-1)/e")
         indices.append(e)
     dim = pair.cone.dim
     m = cartier_index(u)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from logcentre import cli
+from logcentre import cli, ncpoly
 from logcentre.casestudies import francia_input_document
 from logcentre.cli import main
 from logcentre.iodoc import serialize_document
@@ -283,6 +283,29 @@ def test_parse_work_exit_code(capsys):
     assert (code, out) == (0, "a^40000\n")
 
 
+def test_long_integer_literal_exit_code(capsys):
+    # Python refuses to read more than a few thousand digits; that is bad input.
+    for expr in ("9" * 5000 + "*a", "a*1/" + "7" * 5000):
+        code, out, err = _run(capsys, "ncpoly", "nf", expr)
+        assert (code, out) == (2, "")
+        assert "integer literal of 5000 digits is too long" in err
+        assert "sys." not in err and "set_int_max_str_digits" not in err
+    code, out, _ = _run(capsys, "ncpoly", "nf", "9" * 4000 + "*a")
+    assert (code, out) == (0, "9" * 4000 + "*a\n")
+
+
+def test_long_integer_in_document_exit_code(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        '{"version": "1", "objects": {"pair": {"type": "cone_pair",'
+        f' "rays": [[1, 0], [-{"3" * 5000}, 1]], "boundary": [0, 0]}}}}}}'
+    )
+    code, out, err = _run(capsys, "toric", "klt", str(path))
+    assert (code, out) == (2, "")
+    assert "integer literal of 5000 digits is too long" in err
+    assert "sys." not in err and "set_int_max_str_digits" not in err
+
+
 def test_no_arguments(capsys):
     assert _run(capsys)[0] == 2
 
@@ -331,10 +354,10 @@ def test_facet_pairings_exit_code(capsys, tmp_path):
 def test_step_cap_exit_code(capsys, monkeypatch):
     # Building the Clifford system takes 2 steps and c*b*a needs 3, so the cap
     # trips in the query itself: the same cap lets the query a through.
-    monkeypatch.setenv("LOGCENTRE_STEP_CAP", "2")
+    monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", 2)
     code, _, err = _run(capsys, "ncpoly", "nf", "c*b*a")
     assert code == 4
-    assert "error" in err
+    assert "at least 3 distinct rewrites" in err and "MAX_REWRITE_STEPS = 2" in err
     code, out, _ = _run(capsys, "ncpoly", "nf", "a")
     assert code == 0
     assert out.strip() == "a"

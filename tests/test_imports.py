@@ -6,7 +6,8 @@ import`` must be read somewhere in the module; names listed in ``__all__`` and
 imports on a line marked ``# noqa: F401`` count as used. A private name (one
 leading underscore) that a module of ``src/logcentre`` defines at top level
 must be read somewhere in ``src/logcentre`` outside its own definition: tests
-do not keep a helper of the program alive.
+do not keep a helper of the program alive. A third rule keeps every limit a
+module constant: no module of ``src/logcentre`` reads an environment variable.
 """
 
 import ast
@@ -94,3 +95,26 @@ def test_every_private_name_in_src_is_read():
         if reads[name] == _reads(node)[name]
     ]
     assert unread == []
+
+
+def _environment_reads(tree) -> list:
+    """Line numbers where the tree reads os.environ or os.getenv, however imported."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names))
+    ]
+
+
+def test_src_reads_no_environment_variable():
+    # Every limit is a module constant; an environment knob would hide one.
+    reads = {
+        str(path.relative_to(ROOT)): _environment_reads(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    assert {path: lines for path, lines in reads.items() if lines} == {}
+    assert _environment_reads(ast.parse("import os\nos.environ.get('X')\n")) == [2]
+    assert _environment_reads(ast.parse("from os import getenv\n")) == [1]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logcentre.errors import PreconditionViolation, ResourceLimit
+from logcentre.errors import ResourceLimit
 from logcentre.valmat import (
     INF,
     MAX_RAMIFICATION_INDEX,
@@ -164,7 +164,7 @@ def test_centralizer_of_omega_power_closed_form(e, i):
 
 
 def test_centralizer_requires_bimodule():
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(ValueError, match="not closed under multiplication by the standard order"):
         centralizer(tropical_identity(2))
 
 
