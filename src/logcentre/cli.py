@@ -86,7 +86,7 @@ def _functional_for(pair: ConePair, spec: str):
     try:
         coeffs = tuple(Fraction(part.strip()) for part in spec.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad divisor spec {spec!r}") from exc
+        raise InputError(f"bad divisor spec {iodoc.excerpt(spec)}") from exc
     if len(coeffs) != len(pair.cone.rays):
         raise InputError(
             f"divisor spec has {len(coeffs)} coefficients, cone has {len(pair.cone.rays)} rays"

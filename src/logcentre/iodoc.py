@@ -43,6 +43,13 @@ def _reject_float(text):
     raise InputError(f"floating point literal {text!r}; use integers or \"p/q\" strings")
 
 
+def excerpt(text: str) -> str:
+    """text quoted for an error line; past 20 characters, its start and its length."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _rat_from_json(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational, got a boolean")
@@ -52,7 +59,7 @@ def _rat_from_json(value, where: str) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad rational {value!r}") from exc
+            raise InputError(f"{where}: bad rational {excerpt(value)}") from exc
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")
 
 

@@ -15,7 +15,9 @@ compatible well-order, so every rewrite sequence halts. Construction also
 resolves every critical pair, so the system is confluent and a normal form is
 the same whichever redex is rewritten first. A normal form merges terms by
 word and rewrites the largest pending word first, so each distinct word is
-rewritten once. Every reduction halts, so the only guard is a work limit:
+rewritten once. It holds words as strings, one character per generator, so a
+redex is found by str.find and a reduct's order key follows from its parent's
+and the rule's. Every reduction halts, so the only guard is a work limit:
 one call rewrites at most MAX_REWRITE_STEPS distinct words, and past that
 normal_form raises ResourceLimit.
 
@@ -434,9 +436,13 @@ class RewriteSystem:
         if len(weights) != len(gens) or any(w <= 0 for w in weights):
             raise ValueError("need one positive weight per generator")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_negated_rank", {g: -i for i, g in enumerate(gens)})
-        object.__setattr__(self, "_weight", dict(zip(gens, weights)))
-        rules = []
+        # Generator i is the character chr(n-1-i), so words of equal weight and
+        # length sort largest first as their coded strings do.
+        code = {g: chr(len(gens) - 1 - i) for i, g in enumerate(gens)}
+        object.__setattr__(self, "_code", code)
+        object.__setattr__(self, "_name", {c: g for g, c in code.items()})
+        object.__setattr__(self, "_char_weight", {code[g]: w for g, w in zip(gens, weights)})
+        rules, coded = [], []
         for lhs, rhs in self.rules:
             lhs = tuple(lhs)
             if not lhs:
@@ -446,17 +452,18 @@ class RewriteSystem:
                 if letter not in gens:
                     raise ValueError(f"rule uses unknown generator {letter!r}")
             top = self._descending_key(lhs)
-            for word, _ in rhs.terms():
-                if not self._descending_key(word) > top:
+            reducts = []
+            for word, factor in rhs.terms():
+                key = self._descending_key(word)
+                if not key > top:
                     raise ValueError(
                         f"rule {_word_str(lhs)} -> {rhs} breaks the termination order"
                     )
+                reducts.append((key[2], factor, key[0] - top[0]))
             rules.append((lhs, rhs))
+            coded.append((top[2], len(lhs), tuple(reducts)))
         object.__setattr__(self, "rules", tuple(rules))
-        by_first: dict = {}
-        for index, (lhs, _) in enumerate(rules):
-            by_first.setdefault(lhs[0], []).append((index, lhs, len(lhs)))
-        object.__setattr__(self, "_by_first", by_first)
+        object.__setattr__(self, "_coded_rules", tuple(coded))
         for i, j, word, left, right in _critical_pairs(self.rules):
             if normal_form(left, self) != normal_form(right, self):
                 raise ValueError(
@@ -465,36 +472,28 @@ class RewriteSystem:
                 )
 
     def _descending_key(self, word):
-        """A key that sorts words largest first in the word order.
+        """(-weight, length, coded word): sorts words largest first in the word order.
 
         A word is larger when its total weight is larger, then when it is
-        shorter, then when its generator ranks are larger left to right. Rank
-        tuples are compared only between words of equal length, where negating
-        every rank reverses their order.
+        shorter, then when its generator ranks are larger left to right, that
+        is when its coded string is smaller. KeyError on an unknown generator.
         """
-        weight = sum(map(self._weight.__getitem__, word))
-        return (-weight, len(word), tuple(map(self._negated_rank.__getitem__, word)))
+        text = "".join(map(self._code.__getitem__, word))
+        return (-sum(map(self._char_weight.__getitem__, text)), len(text), text)
 
     def find_redex(self, word):
-        """(rule index, position) of the highest-priority leftmost match.
+        """(rule index, position) of the leftmost match of the first matching rule.
 
-        Rules are indexed by the first letter of their left-hand side; a
-        position is tried only against rules of lower index than the best
-        match so far, so the lowest rule index wins and, within it, the
-        leftmost position.
+        The word is coded one character per generator, so a rule matches where
+        ``str.find`` finds its coded left-hand side; normal_form runs the same
+        loop on the words it holds coded.
         """
-        best = None
-        bound = len(self.rules)
-        for pos, letter in enumerate(word):
-            for index, lhs, span in self._by_first.get(letter, ()):
-                if index >= bound:
-                    break
-                if word[pos : pos + span] == lhs:
-                    if not index:
-                        return index, pos
-                    best, bound = (index, pos), index
-                    break
-        return best
+        text = "".join(map(self._code.__getitem__, word))
+        for index, (lhs, _, _) in enumerate(self._coded_rules):
+            pos = text.find(lhs)
+            if pos >= 0:
+                return index, pos
+        return None
 
 
 def _rule_str(rule) -> str:
@@ -533,26 +532,36 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
     reduct of a word is strictly smaller than it, so a popped word never comes
     back: each distinct word is rewritten once, with its merged coefficient,
     and a word whose terms cancel is dropped unrewritten. The step limit
-    counts these distinct rewrites.
+    counts these distinct rewrites. Words are coded on entry (see find_redex)
+    and decoded on exit. The heap holds _descending_key triples, and a reduct's
+    weight is its parent's less the rule's weight drop w(lhs) - w(body).
     """
     limit = MAX_REWRITE_STEPS
-    unknown = poly.letters() - frozenset(system.generators)
-    if unknown:
-        raise InputError(f"polynomial uses unknown generators {sorted(unknown)}")
-    key = system._descending_key
-    pending = dict(poly._terms)
-    heap = [(key(word), word) for word in pending]
+    key, rules, name = system._descending_key, system._coded_rules, system._name
+    pending: dict = {}
+    heap = []
+    try:
+        for word, coeff in poly._terms.items():
+            entry = key(word)
+            pending[entry[2]] = coeff
+            heap.append(entry)
+    except KeyError:
+        unknown = poly.letters() - frozenset(system.generators)
+        raise InputError(f"polynomial uses unknown generators {sorted(unknown)}") from None
     heapq.heapify(heap)
     result: dict = {}
     steps = 0
     while heap:
-        word = heapq.heappop(heap)[1]
-        coeff = pending.pop(word)
+        negated_weight, _, text = heapq.heappop(heap)
+        coeff = pending.pop(text)
         if not coeff:
             continue
-        hit = system.find_redex(word)
-        if hit is None:
-            result[word] = coeff
+        for lhs, span, reducts in rules:
+            pos = text.find(lhs)
+            if pos >= 0:
+                break
+        else:
+            result[tuple(map(name.__getitem__, text))] = coeff
             continue
         steps += 1
         if steps > limit:
@@ -560,16 +569,14 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
                 f"reducing the polynomial takes at least {steps} distinct rewrites, "
                 f"above the rewrite step limit MAX_REWRITE_STEPS = {limit}"
             )
-        index, pos = hit
-        lhs, rhs = system.rules[index]
-        prefix, suffix = word[:pos], word[pos + len(lhs) :]
-        for body, factor in rhs._terms.items():
+        prefix, suffix = text[:pos], text[pos + span :]
+        for body, factor, drop in reducts:
             reduct = prefix + body + suffix
             if reduct in pending:
                 pending[reduct] += coeff * factor
             else:
                 pending[reduct] = coeff * factor
-                heapq.heappush(heap, (key(reduct), reduct))
+                heapq.heappush(heap, (negated_weight + drop, len(reduct), reduct))
     out = NCPoly.zero()
     out._terms = result
     return out

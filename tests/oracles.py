@@ -22,7 +22,7 @@ rewrites the rightmost redex of each term on its own, where
 ``logcentre.ncpoly.normal_form`` merges terms by word and rewrites the largest
 word first, at the leftmost match of the first rule. On a confluent system the
 two agree. ``rule_order_redex`` scans every rule and position in turn, the
-reference for the first-letter index of ``RewriteSystem.find_redex``.
+reference for ``RewriteSystem.find_redex``.
 """
 
 from dataclasses import dataclass

@@ -306,6 +306,26 @@ def test_long_integer_in_document_exit_code(capsys, tmp_path):
     assert "sys." not in err and "set_int_max_str_digits" not in err
 
 
+def test_long_rational_in_document_is_not_echoed(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        '{"version": "1", "objects": {"pair": {"type": "cone_pair",'
+        f' "rays": [[1, 0], [0, 1]], "boundary": [0, "1/{"7" * 5000}"]}}}}}}'
+    )
+    code, out, err = _run(capsys, "toric", "klt", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: pair.boundary: bad rational '1/777777777777777777'... (5002 characters)\n"
+
+
+def test_long_divisor_spec_is_not_echoed(capsys, francia_doc):
+    spec = "1/" + "7" * 5000 + ",0,0,0"
+    code, out, err = _run(capsys, "toric", "qcartier", francia_doc + "#base", "--divisor", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: bad divisor spec '1/777777777777777777'... (5008 characters)\n"
+    code, _, err = _run(capsys, "toric", "qcartier", francia_doc + "#base", "--divisor", "1/x")
+    assert (code, err) == (2, "error: bad divisor spec '1/x'\n")
+
+
 def test_no_arguments(capsys):
     assert _run(capsys)[0] == 2
 

@@ -340,6 +340,22 @@ def test_step_cap_counts_distinct_rewrites(monkeypatch, text, needed):
             normal_form(poly, system)
 
 
+@pytest.mark.parametrize("text", ["(x+y)^{n}", "(x-y)^{n}", "(-x+y)^{n}"])
+def test_quantum_power_rewrite_count_closed_form(monkeypatch, text):
+    # Every word of length n occurs in the expansion; a rewrite keeps the
+    # number of y's, so no coefficients cancel, and each of the 2^n - n - 1
+    # words that are not x^i y^j is rewritten exactly once.
+    system = _quantum_plane()
+    for n in range(2, 11):
+        poly = parse_poly(text.format(n=n), system.generators)
+        needed = 2**n - n - 1
+        monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", needed)
+        normal_form(poly, system)
+        monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", needed - 1)
+        with pytest.raises(ResourceLimit, match=f"at least {needed} distinct rewrites"):
+            normal_form(poly, system)
+
+
 # Confluence: every critical pair must resolve.
 
 
@@ -458,6 +474,37 @@ def test_find_redex_matches_rule_order_scan():
         for size in range(6):
             for word in product(system.generators, repeat=size):
                 assert system.find_redex(word) == rule_order_redex(word, system)
+
+
+def _commuting_system(gens, used, extra=()):
+    """The generators in `used` commute (y*x -> x*y for x before y), plus `extra` rules."""
+    rules = [((y, x), NCPoly.monomial((x, y))) for i, x in enumerate(used) for y in used[i + 1 :]]
+    return RewriteSystem(gens, tuple(rules) + tuple(extra))
+
+
+def test_generator_coding_edge_cases():
+    # Names that are prefixes of each other, and 300 generators, whose codes
+    # chr(299), chr(298), ... pass one byte for the first 44 of them.
+    prefixed = ("x", "x1", "x10")
+    square = ((("x1", "x1"), NCPoly.generator("x10")),)
+    many = tuple(f"g{i}" for i in range(300))
+    used = ("g0", "g1", "g43", "g44", "g298", "g299")
+    top = ((("g299", "g299"), NCPoly.generator("g0") - NCPoly.generator("g44")),)
+    cases = [
+        (_commuting_system(prefixed, prefixed, square), prefixed),
+        (_commuting_system(many, used, top), used + ("g150",)),
+    ]
+    for system, letters in cases:
+        for size in range(5):
+            for word in product(letters, repeat=size):
+                assert system.find_redex(word) == rule_order_redex(word, system)
+                poly = NCPoly.monomial(word, 3) - NCPoly.monomial(word[::-1])
+                assert normal_form(poly, system) == rightmost_normal_form(poly, system)
+        foreign = NCPoly.monomial(("z", letters[0], "x1 ")) + NCPoly.generator("w")
+        with pytest.raises(InputError) as caught:
+            normal_form(foreign, system)
+        unknown = sorted({"z", "x1 ", "w"} - set(system.generators))
+        assert str(caught.value) == f"polynomial uses unknown generators {unknown}"
 
 
 # Centrality and identities in the quadric algebra.
