@@ -4,8 +4,8 @@ The package has four pillars:
 
 * :mod:`logcentre.valmat`: min-plus valuation matrices modelling fractional
   ideal lattices over a discrete valuation ring: closed-form radical and
-  dualizing powers, block inflation and the centre valuation. The test
-  suite cross-checks them against an exact monomial matrix model.
+  dualizing powers and the centre valuation. The test suite cross-checks
+  them against an exact monomial matrix model.
 * :mod:`logcentre.orders`: ramification data, discriminant divisors with
   standard coefficients and the valuations of graded centre pieces.
 * :mod:`logcentre.toric`: rational cones over explicit lattices, Q-Cartier

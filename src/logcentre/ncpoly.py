@@ -3,9 +3,9 @@
 Polynomials are finite rational combinations of words over named generators.
 Integral coefficients are plain ints and only true fractions are Fractions, so
 integer work never pays for Fraction arithmetic; ints and Fractions compare,
-hash and print alike. The parser expands products in full and powers by
-squaring, and charges each product its term products plus the letters it
-writes against the work budget MAX_PARSE_WORK.
+hash and print alike. The parser walks a flat list of bare tokens, expands
+products in full and powers by squaring, and charges each product its term
+products plus the letters it writes against the work budget MAX_PARSE_WORK.
 A :class:`RewriteSystem` carries rules ``lhs -> rhs`` together with a
 termination witness: a weighted degree order under which every monomial of a
 rule's right-hand side is strictly smaller than its left-hand side. Words are
@@ -15,11 +15,11 @@ compatible well-order, so every rewrite sequence halts. Construction also
 resolves every critical pair, so the system is confluent and a normal form is
 the same whichever redex is rewritten first. A normal form merges terms by
 word and rewrites the largest pending word first, so each distinct word is
-rewritten once. It holds words as strings, one character per generator, so a
-redex is found by str.find and a reduct's order key follows from its parent's
-and the rule's. Every reduction halts, so the only guard is a work limit:
-one call rewrites at most MAX_REWRITE_STEPS distinct words, and past that
-normal_form raises ResourceLimit.
+rewritten once. It holds words as strings, one character per generator, in
+buckets of equal weight and length: a redex is found by str.find, and within
+a bucket the word order is str order. The only guard is a work limit: past
+MAX_REWRITE_STEPS distinct rewrites in one call, normal_form raises
+ResourceLimit.
 
 Normal forms decide identities and centrality in algebras presented by such
 systems. The rank two quiver algebra over the quadric cone k[a,b,c,d]/(ad - bc)
@@ -29,15 +29,15 @@ generators and trades bc for ad, and the quiver's matrices have entries in it.
 
 from __future__ import annotations
 
-import heapq
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import groupby
 from typing import Optional
 
 from .errors import InputError, ResourceLimit
-
-Word = tuple
 
 # Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
 MAX_REWRITE_STEPS = 10**6
@@ -121,16 +121,12 @@ class NCPoly:
         data = dict(self._terms)
         for word, coeff in other._terms.items():
             _accumulate(data, word, coeff)
-        out = NCPoly.zero()
-        out._terms = data
-        return out
+        return _poly(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NCPoly.zero()
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return _poly({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -157,9 +153,7 @@ class NCPoly:
                 data[word] = get(word, 0) + c1 * c2
         for word in [word for word, coeff in data.items() if not coeff]:
             del data[word]
-        out = NCPoly.zero()
-        out._terms = data
-        return out
+        return _poly(data)
 
     def __rmul__(self, other):
         other = _as_poly(other)
@@ -203,6 +197,13 @@ class NCPoly:
         return f"NCPoly({self})"
 
 
+def _poly(data: dict) -> NCPoly:
+    """The polynomial on data, a dict of nonzero coefficients, taken without a copy."""
+    out = object.__new__(NCPoly)
+    out._terms = data
+    return out
+
+
 def _power(base: NCPoly, exponent: int, multiply) -> NCPoly:
     """base**exponent by repeated squaring, with multiply(x, y) for each product.
 
@@ -221,15 +222,8 @@ def _power(base: NCPoly, exponent: int, multiply) -> NCPoly:
 
 
 def _word_str(word) -> str:
-    pieces = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        pieces.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
-        i = j
-    return "*".join(pieces)
+    runs = [(letter, len(list(run))) for letter, run in groupby(word)]
+    return "*".join(letter if size == 1 else f"{letter}^{size}" for letter, size in runs)
 
 
 def _as_poly(value) -> Optional[NCPoly]:
@@ -254,49 +248,52 @@ def read_int(text: str) -> int:
         raise InputError(f"integer literal of {digits} digits is too long") from None
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S))")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens _Parser reads, in one pass; ResourceLimit past MAX_NESTING_DEPTH."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == pos:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise InputError(f"cannot tokenize {remainder[:20]!r}")
-        number, name, op = match.groups()
-        if number is not None:
-            numerator, _, denominator = number.partition("/")
-            value = read_int(numerator)
-            if denominator:
-                denominator = read_int(denominator)
+    depth = deepest = 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex  # 1 integer, 2 fraction, 3 name, 4 operator, 5 anything else
+        token = match[kind]
+        if kind == 4:
+            depth += (token == "(") - (token == ")")
+            deepest = max(deepest, depth)
+        elif kind == 5:
+            raise InputError(f"cannot tokenize {text[match.start():].strip()[:20]!r}")
+        elif kind < 3:
+            token = read_int(match[1])
+            if kind == 2:
+                denominator = read_int(match[2])
                 if not denominator:
-                    raise InputError(f"division by zero in {number!r}")
-                value = Fraction(value, denominator)
-            tokens.append(("number", value))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", op))
-        pos = match.end()
+                    raise InputError(f"division by zero in {text[match.start(1):match.end()]!r}")
+                token = _coerce(Fraction(token, denominator))
+        tokens.append(token)
+    if deepest > MAX_NESTING_DEPTH:
+        raise ResourceLimit(
+            f"parentheses nest {deepest} deep, above the nesting depth limit "
+            f"MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}"
+        )
+    tokens.append(None)
     return tokens
 
 
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses and juxtaposition.
 
-    Every product A*B, powers included, is charged |A|*|B| + |B|*sum|a| +
-    |A|*sum|b| (term products plus letters written) before it is formed, and
-    the parse is refused once the charges pass MAX_PARSE_WORK.
+    It reads the flat token list by index: an operator is its character, a name
+    its string, a number its int or Fraction, and None ends the list. Every
+    product A*B, powers included, is charged |A|*|B| + |B|*sum|a| + |A|*sum|b|
+    (term products plus letters written) before it is formed, and the parse is
+    refused once the charges pass MAX_PARSE_WORK.
     """
 
     def __init__(self, tokens, generators):
         self.tokens = tokens
         self.pos = 0
-        self.generators = tuple(generators)
+        self.generators = frozenset(generators)
         self.work = 0
 
     def product(self, left: NCPoly, right: NCPoly) -> NCPoly:
@@ -312,80 +309,72 @@ class _Parser:
             )
         return left * right
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
     def parse(self) -> NCPoly:
-        if not self.tokens:
+        if self.tokens[0] is None:
             raise InputError("empty expression")
         poly = self.expr()
-        if self.pos != len(self.tokens):
-            raise InputError(f"unexpected token {self.peek()[1]!r}")
+        token = self.tokens[self.pos]
+        if token is not None:
+            raise InputError(f"unexpected token {token!r}")
         return poly
 
     def expr(self) -> NCPoly:
-        # Summands are merged into one dict, so a long sum costs linear time.
-        data = dict(self.term()._terms)
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            sign = -1 if self.take()[1] == "-" else 1
+        # Summands are merged into one dict, so a long sum costs linear time;
+        # term() returns a new polynomial, so its dict is ours to extend.
+        tokens = self.tokens
+        data = self.term()._terms
+        while tokens[self.pos] in ("+", "-"):
+            sign = -1 if tokens[self.pos] == "-" else 1
+            self.pos += 1
             for word, coeff in self.term()._terms.items():
                 _accumulate(data, word, sign * coeff)
-        out = NCPoly.zero()
-        out._terms = data
-        return out
+        return _poly(data)
 
     def term(self) -> NCPoly:
+        tokens = self.tokens
         sign = 1
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            if self.take()[1] == "-":
-                sign = -sign
+        while tokens[self.pos] in ("+", "-"):
+            sign = -sign if tokens[self.pos] == "-" else sign
+            self.pos += 1
         poly = self.factor()
         while True:
-            kind, value = self.peek()
-            if (kind, value) == ("op", "*"):
-                self.take()
-                poly = self.product(poly, self.factor())
-            elif kind in ("name", "number") or (kind, value) == ("op", "("):
-                poly = self.product(poly, self.factor())
-            else:
-                break
-        return poly if sign > 0 else -poly
+            token = tokens[self.pos]
+            if token == "*":
+                self.pos += 1
+            elif token is None or token in (")", "+", "-", "^"):
+                return poly if sign > 0 else -poly
+            poly = self.product(poly, self.factor())
 
     def factor(self) -> NCPoly:
         base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, value = self.take()
-            if kind != "number" or value.denominator != 1 or value < 0:
+        if self.tokens[self.pos] == "^":
+            exponent = self.tokens[self.pos + 1]
+            if type(exponent) is not int:
                 raise InputError("exponent must be a nonnegative integer")
-            base = _power(base, int(value), self.product)
+            self.pos += 2
+            base = _power(base, exponent, self.product)
         return base
 
     def atom(self) -> NCPoly:
-        kind, value = self.take()
-        if kind == "number":
-            return NCPoly.constant(value)
-        if kind == "name":
-            return self.name_poly(value)
-        if (kind, value) == ("op", "("):
+        token = self.tokens[self.pos]
+        self.pos += 1
+        if type(token) is not str:
+            if token is None:
+                raise InputError("unexpected end of expression")
+            return _poly({(): token} if token else {})
+        if token == "(":
             inner = self.expr()
-            if self.take() != ("op", ")"):
+            if self.tokens[self.pos] != ")":
                 raise InputError("unbalanced parenthesis")
+            self.pos += 1
             return inner
-        raise InputError(f"unexpected token {value!r}")
-
-    def name_poly(self, name: str) -> NCPoly:
-        if name in self.generators:
-            return NCPoly.generator(name)
-        if all(letter in self.generators for letter in name):
-            # juxtaposed single-letter generators, e.g. "ab" for a*b
-            return NCPoly.monomial(tuple(name))
-        raise InputError(f"unknown generator {name!r}")
+        if token in ")*^":  # term() has taken the signs; names are not operators
+            raise InputError(f"unexpected token {token!r}")
+        # a generator, or juxtaposed single-letter generators such as "ab" for a*b
+        word = (token,) if token in self.generators else tuple(token)
+        if self.generators.issuperset(word):
+            return _poly({word: 1})
+        raise InputError(f"unknown generator {token!r}")
 
 
 def parse_poly(text: str, generators) -> NCPoly:
@@ -394,20 +383,7 @@ def parse_poly(text: str, generators) -> NCPoly:
     ResourceLimit when parentheses nest deeper than MAX_NESTING_DEPTH or the
     products of the expansion cost more than MAX_PARSE_WORK.
     """
-    tokens = _tokenize(text)
-    depth = deepest = 0
-    for token in tokens:
-        if token == ("op", "("):
-            depth += 1
-            deepest = max(deepest, depth)
-        elif token == ("op", ")"):
-            depth -= 1
-    if deepest > MAX_NESTING_DEPTH:
-        raise ResourceLimit(
-            f"parentheses nest {deepest} deep, above the nesting depth limit "
-            f"MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}"
-        )
-    return _Parser(tokens, generators).parse()
+    return _Parser(_tokenize(text), generators).parse()
 
 
 @dataclass(frozen=True)
@@ -441,7 +417,11 @@ class RewriteSystem:
         code = {g: chr(len(gens) - 1 - i) for i, g in enumerate(gens)}
         object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_name", {c: g for g, c in code.items()})
-        object.__setattr__(self, "_char_weight", {code[g]: w for g, w in zip(gens, weights)})
+        # A coded word weighs base * len + delta * count(char) per generator of
+        # weight base + delta; base, the commonest weight, needs no count.
+        base = max(sorted(set(weights)), key=weights.count)
+        extra = tuple((code[g], w - base) for g, w in zip(gens, weights) if w != base)
+        object.__setattr__(self, "_weighing", (base, extra))
         rules, coded = [], []
         for lhs, rhs in self.rules:
             lhs = tuple(lhs)
@@ -459,7 +439,10 @@ class RewriteSystem:
                     raise ValueError(
                         f"rule {_word_str(lhs)} -> {rhs} breaks the termination order"
                     )
-                reducts.append((key[2], factor, key[0] - top[0]))
+                # (weight drop, length growth), or None when the reduct stays in
+                # its parent's class of equal weight and length
+                shift = (key[0] - top[0], key[1] - top[1])
+                reducts.append((key[2], factor, None if shift == (0, 0) else shift))
             rules.append((lhs, rhs))
             coded.append((top[2], len(lhs), tuple(reducts)))
         object.__setattr__(self, "rules", tuple(rules))
@@ -479,14 +462,15 @@ class RewriteSystem:
         is when its coded string is smaller. KeyError on an unknown generator.
         """
         text = "".join(map(self._code.__getitem__, word))
-        return (-sum(map(self._char_weight.__getitem__, text)), len(text), text)
+        base, extra = self._weighing
+        weight = base * len(text) + sum(delta * text.count(char) for char, delta in extra)
+        return (-weight, len(text), text)
 
     def find_redex(self, word):
         """(rule index, position) of the leftmost match of the first matching rule.
 
-        The word is coded one character per generator, so a rule matches where
-        ``str.find`` finds its coded left-hand side; normal_form runs the same
-        loop on the words it holds coded.
+        A rule matches where ``str.find`` finds its coded left-hand side in the
+        coded word; normal_form runs the same loop on the words it holds coded.
         """
         text = "".join(map(self._code.__getitem__, word))
         for index, (lhs, _, _) in enumerate(self._coded_rules):
@@ -533,53 +517,68 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
     back: each distinct word is rewritten once, with its merged coefficient,
     and a word whose terms cancel is dropped unrewritten. The step limit
     counts these distinct rewrites. Words are coded on entry (see find_redex)
-    and decoded on exit. The heap holds _descending_key triples, and a reduct's
-    weight is its parent's less the rule's weight drop w(lhs) - w(body).
+    and decoded on exit. They wait in buckets by class (-weight, length); a
+    heap of class keys yields the classes in order, and a bucket is heapified
+    when its class comes up, so it pops its coded strings in order. A reduct
+    of equal weight and length joins the current heap, any other a later bucket.
     """
     limit = MAX_REWRITE_STEPS
-    key, rules, name = system._descending_key, system._coded_rules, system._name
+    code, rules, name = system._code.__getitem__, system._coded_rules, system._name
+    base, extra = system._weighing
     pending: dict = {}
-    heap = []
+    buckets = defaultdict(list)
     try:
         for word, coeff in poly._terms.items():
-            entry = key(word)
-            pending[entry[2]] = coeff
-            heap.append(entry)
+            text = "".join(map(code, word))
+            pending[text] = coeff
+            weight = base * len(text)
+            for char, delta in extra:
+                weight += delta * text.count(char)
+            buckets[-weight, len(text)].append(text)
     except KeyError:
         unknown = poly.letters() - frozenset(system.generators)
         raise InputError(f"polynomial uses unknown generators {sorted(unknown)}") from None
-    heapq.heapify(heap)
+    classes = list(buckets)
+    heapify(classes)
     result: dict = {}
     steps = 0
-    while heap:
-        negated_weight, _, text = heapq.heappop(heap)
-        coeff = pending.pop(text)
-        if not coeff:
-            continue
-        for lhs, span, reducts in rules:
-            pos = text.find(lhs)
-            if pos >= 0:
-                break
-        else:
-            result[tuple(map(name.__getitem__, text))] = coeff
-            continue
-        steps += 1
-        if steps > limit:
-            raise ResourceLimit(
-                f"reducing the polynomial takes at least {steps} distinct rewrites, "
-                f"above the rewrite step limit MAX_REWRITE_STEPS = {limit}"
-            )
-        prefix, suffix = text[:pos], text[pos + span :]
-        for body, factor, drop in reducts:
-            reduct = prefix + body + suffix
-            if reduct in pending:
-                pending[reduct] += coeff * factor
+    while classes:
+        negated_weight, length = key = heappop(classes)
+        heap = buckets.pop(key)
+        heapify(heap)
+        while heap:
+            text = heappop(heap)
+            coeff = pending.pop(text)
+            if not coeff:
+                continue
+            for lhs, span, reducts in rules:
+                pos = text.find(lhs)
+                if pos >= 0:
+                    break
             else:
+                result[tuple(map(name.__getitem__, text))] = coeff
+                continue
+            steps += 1
+            if steps > limit:
+                raise ResourceLimit(
+                    f"reducing the polynomial takes at least {steps} distinct rewrites, "
+                    f"above the rewrite step limit MAX_REWRITE_STEPS = {limit}"
+                )
+            prefix, suffix = text[:pos], text[pos + span :]
+            for body, factor, shift in reducts:
+                reduct = prefix + body + suffix
+                if reduct in pending:
+                    pending[reduct] += coeff * factor
+                    continue
                 pending[reduct] = coeff * factor
-                heapq.heappush(heap, (negated_weight + drop, len(reduct), reduct))
-    out = NCPoly.zero()
-    out._terms = result
-    return out
+                if shift is None:
+                    heappush(heap, reduct)
+                    continue
+                target = (negated_weight + shift[0], length + shift[1])
+                if target not in buckets:
+                    heappush(classes, target)
+                buckets[target].append(reduct)
+    return _poly(result)
 
 
 def is_central(poly: NCPoly, system: RewriteSystem) -> bool:

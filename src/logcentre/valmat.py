@@ -9,8 +9,7 @@ matrices are matrix products over the min-plus (tropical) semiring.
 
 The hereditary-order constructions live at this level: the standard order with
 a given ramification index e, arbitrary integer powers of its radical (the
-dualizing bimodule is the (1-e)-th), block inflation, and the scalar
-centralizer of a bimodule. Closed forms are used for the powers; the test
+dualizing bimodule is the (1-e)-th), and the scalar centralizer of a bimodule. Closed forms are used for the powers; the test
 suite replays them against brute-force tropical products and against an
 element-level model of exact monomial matrices, which lives with the tests.
 """
@@ -169,23 +168,3 @@ def centralizer(m: ValMatrix) -> Valuation:
     if tropical_mul(tropical_mul(order, m), order) != m:
         raise ValueError("matrix is not closed under multiplication by the standard order")
     return max(m.diagonal())
-
-
-def inflate(a: ValMatrix, blocks) -> ValMatrix:
-    """Blow each scalar entry up to a constant block of the given sizes.
-
-    blocks lists one positive size per row/column of a; the result is square of
-    size sum(blocks) and Morita-corresponds to the same bimodule.
-    """
-    blocks = tuple(blocks)
-    if len(blocks) != a.size:
-        raise ValueError(f"expected {a.size} block sizes, got {len(blocks)}")
-    if not all(isinstance(n, int) and n >= 1 for n in blocks):
-        raise ValueError("block sizes must be positive integers")
-    rows = []
-    for j, nj in enumerate(blocks):
-        row = []
-        for k, nk in enumerate(blocks):
-            row.extend([a.entries[j][k]] * nk)
-        rows.extend([tuple(row)] * nj)
-    return ValMatrix(tuple(rows))

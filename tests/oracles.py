@@ -22,9 +22,16 @@ rewrites the rightmost redex of each term on its own, where
 ``logcentre.ncpoly.normal_form`` merges terms by word and rewrites the largest
 word first, at the leftmost match of the first rule. On a confluent system the
 two agree. ``rule_order_redex`` scans every rule and position in turn, the
-reference for ``RewriteSystem.find_redex``.
+reference for ``RewriteSystem.find_redex``. ``heap_normal_form`` keeps the
+schedule of ``normal_form`` on one heap of whole order keys, where the library
+buckets words by weight and length; it also counts the distinct rewrites, so
+the ``MAX_REWRITE_STEPS`` boundary can be checked against it.
+
+``inflate`` blows a valuation matrix up into constant blocks, the Morita
+equivalence under which the centre valuation must not move.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -123,6 +130,26 @@ def tropical_identity(size: int) -> ValMatrix:
 def shift(m: ValMatrix, v: int) -> ValMatrix:
     """Scale every entry by t^v."""
     return ValMatrix(tuple(tuple(x + v for x in row) for row in m.entries))
+
+
+def inflate(a: ValMatrix, blocks) -> ValMatrix:
+    """Blow each scalar entry up to a constant block of the given sizes.
+
+    blocks lists one positive size per row/column of a; the result is square of
+    size sum(blocks) and Morita-corresponds to the same bimodule.
+    """
+    blocks = tuple(blocks)
+    if len(blocks) != a.size:
+        raise ValueError(f"expected {a.size} block sizes, got {len(blocks)}")
+    if not all(isinstance(n, int) and n >= 1 for n in blocks):
+        raise ValueError("block sizes must be positive integers")
+    rows = []
+    for j, nj in enumerate(blocks):
+        row = []
+        for k, nk in enumerate(blocks):
+            row.extend([a.entries[j][k]] * nk)
+        rows.extend([tuple(row)] * nj)
+    return ValMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +333,38 @@ def rule_order_redex(word, system):
             if word[pos : pos + span] == lhs:
                 return index, pos
     return None
+
+
+def heap_normal_form(poly: NCPoly, system):
+    """(normal form, distinct rewrites) on one heap of (-weight, length, coded word).
+
+    The schedule ``logcentre.ncpoly.normal_form`` keeps: merged terms, the
+    largest pending word first, each distinct word rewritten once at the
+    redex of ``rule_order_redex``. Every key comes from
+    ``RewriteSystem._descending_key`` and every reduct from the rule itself.
+    """
+    key = system._descending_key
+    pending = dict(poly.terms())
+    heap = [(key(word), word) for word in pending]
+    heapq.heapify(heap)
+    result, steps = {}, 0
+    while heap:
+        _, word = heapq.heappop(heap)
+        coeff = pending.pop(word)
+        if not coeff:
+            continue
+        redex = rule_order_redex(word, system)
+        if redex is None:
+            result[word] = coeff
+            continue
+        steps += 1
+        index, pos = redex
+        lhs, rhs = system.rules[index]
+        for body, factor in rhs.terms():
+            reduct = word[:pos] + body + word[pos + len(lhs) :]
+            if reduct in pending:
+                pending[reduct] += coeff * factor
+            else:
+                pending[reduct] = coeff * factor
+                heapq.heappush(heap, (key(reduct), reduct))
+    return NCPoly(result), steps

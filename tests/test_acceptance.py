@@ -41,7 +41,6 @@ from logcentre.toric import (
 )
 from logcentre.valmat import (
     centralizer,
-    inflate,
     omega_power,
     radical_power,
     standard_order,
@@ -50,6 +49,7 @@ from logcentre.valmat import (
 from oracles import (
     dualizing_module,
     ideal_of,
+    inflate,
     monomial_pow,
     pairing,
     t_scalar,

@@ -253,6 +253,12 @@ def test_zero_denominator_exit_code(capsys, tmp_path):
     assert err == "error: division by zero in '1/0'\n"
 
 
+def test_trailing_operator_exit_code(capsys):
+    code, out, err = _run(capsys, "ncpoly", "nf", "a +")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected end of expression\n"
+
+
 def test_unresolved_system_exit_code(capsys, tmp_path):
     # z*w = x*v holds in the algebra but both sides are irreducible: an
     # answer would be a wrong "no", so the system is refused as input.

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import rightmost_normal_form, rule_order_redex
+from oracles import heap_normal_form, rightmost_normal_form, rule_order_redex
 
 from logcentre import ncpoly
 from logcentre.errors import InputError, ResourceLimit
@@ -77,19 +77,26 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    with pytest.raises(InputError):
-        parse_poly("a +", GENS)
-    with pytest.raises(InputError):
-        parse_poly("a & b", GENS)
-    with pytest.raises(InputError):
-        parse_poly("", GENS)
-    with pytest.raises(InputError):
-        parse_poly("1.5 * a", GENS)
-    with pytest.raises(InputError):
-        parse_poly("a*d", GENS)
-    for zero in ("1/0", "2*a + 1/00*b"):
-        with pytest.raises(InputError, match="division by zero"):
-            parse_poly(zero, GENS)
+    # One input per error path of the tokenizer and the parser, with its message.
+    cases = [
+        ("", "empty expression"),
+        ("  ", "empty expression"),
+        ("a +", "unexpected end of expression"),
+        ("(a", "unbalanced parenthesis"),
+        ("a)", "unexpected token ')'"),
+        ("a^b", "exponent must be a nonnegative integer"),
+        ("a^", "exponent must be a nonnegative integer"),
+        ("a^1/2", "exponent must be a nonnegative integer"),
+        ("a & b", "cannot tokenize '& b'"),
+        ("1.5 * a", "cannot tokenize '.5 * a'"),
+        ("a*d", "unknown generator 'd'"),
+        ("1/0", "division by zero in '1/0'"),
+        ("2*a + 1/00*b", "division by zero in '1/00'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(InputError) as caught:
+            parse_poly(text, GENS)
+        assert str(caught.value) == message, text
 
 
 def test_parse_nesting_depth_limit():
@@ -111,11 +118,20 @@ def test_parse_work_budget():
 
 def test_parse_work_counts_products_and_letters(monkeypatch):
     # (a+b)*(a+b)*c: 2*2 + 2*2 + 2*2 term products and letters, then 4*1 + 1*8 + 4*1.
-    monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", 27)
-    with pytest.raises(ResourceLimit, match="at least 28 "):
-        parse_poly("(a+b)*(a+b)*c", GENS)
-    monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", 28)
-    assert parse_poly("(a+b)*(a+b)*c", GENS) == (A + B) ** 2 * C
+    # The charges of the two powers are pinned too, so that a change to the
+    # parser cannot change what the budget counts.
+    x, y = NCPoly.generator("x"), NCPoly.generator("y")
+    cases = [
+        ("(a+b)*(a+b)*c", GENS, 28, (A + B) ** 2 * C),
+        ("(a+b+c)^10", GENS, 709020, (A + B + C) ** 10),
+        ("((-1)*x + (1)*y)^13", ("x", "y"), 117280, (y - x) ** 13),
+    ]
+    for text, gens, work, expected in cases:
+        monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", work - 1)
+        with pytest.raises(ResourceLimit, match=f"at least {work} "):
+            parse_poly(text, gens)
+        monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", work)
+        assert parse_poly(text, gens) == expected, text
 
 
 def _coefficient_types(poly):
@@ -178,6 +194,65 @@ def test_parse_matches_fraction_reference():
         text, terms = _random_expression(rng, 3)
         expected = {w: c for w, c in terms.items() if c}
         assert dict(parse_poly(text, ("a", "b")).terms()) == expected, text
+
+
+def _parse_case(rng, depth):
+    """(text, level, the same polynomial built by NCPoly arithmetic) over GENS.
+
+    The level says where the text may stand unbracketed: 0 an atom, 1 a power,
+    2 a term (a product, or signed), 3 a sum.
+    """
+    roll = rng.random() if depth else 0
+    if roll < 0.3:
+        kind = rng.randrange(4)
+        if kind == 0:
+            letter = rng.choice(GENS)
+            return letter, 0, NCPoly.generator(letter)
+        if kind == 1:  # juxtaposed letters in one name
+            word = tuple(rng.choice(GENS) for _ in range(rng.randint(2, 3)))
+            return "".join(word), 0, NCPoly.monomial(word)
+        if kind == 2:
+            value = rng.randint(0, 12)
+            return str(value), 0, NCPoly.constant(value)
+        numerator, denominator = rng.randint(0, 7), rng.randint(1, 6)
+        return f"{numerator}/{denominator}", 0, NCPoly.constant(Fraction(numerator, denominator))
+    if roll < 0.4:
+        text, _, poly = _parse_case(rng, depth - 1)
+        return f"({text})", 0, poly
+    if roll < 0.55:
+        text, poly = _parse_operand(rng, depth, 0)
+        exponent = rng.randint(0, 3)
+        return f"{text}^{exponent}", 1, poly**exponent
+    if roll < 0.75:
+        (left, p), (right, q) = _parse_operand(rng, depth, 2), _parse_operand(rng, depth, 1)
+        separator = rng.choice(("*", " * ", " ", "" if right[0] == "(" else " "))
+        return f"{left}{separator}{right}", 2, p * q
+    if roll < 0.85:
+        text, poly = _parse_operand(rng, depth, 2)
+        signs = rng.choice(("-", "+", "--", "-+", "- - -"))
+        return f"{signs}{text}", 2, -poly if signs.count("-") % 2 else poly
+    (left, p), (right, q) = _parse_operand(rng, depth, 3), _parse_operand(rng, depth, 2)
+    if rng.random() < 0.5:
+        return f"{left} + {right}", 3, p + q
+    return f"{left} - {right}", 3, p - q
+
+
+def _parse_operand(rng, depth, level):
+    """A random subexpression, bracketed when its level is above `level`."""
+    text, own, poly = _parse_case(rng, depth - 1)
+    return (text if own <= level else f"({text})"), poly
+
+
+def test_parse_matches_ncpoly_arithmetic():
+    rng = random.Random(29)
+    texts = []
+    for _ in range(400):
+        text, _, poly = _parse_case(rng, 4)
+        assert parse_poly(text, GENS) == poly, text
+        texts.append(text)
+    joined = "".join(texts)
+    for feature in (" - -", "--", "*", ") (", "^", "/", "(("):
+        assert feature in joined, feature
 
 
 @given(
@@ -394,16 +469,26 @@ def test_shipped_systems_are_confluent():
     assert words == [("c", "b", "a")]
 
 
-def _random_system(rng):
-    """A terminating system: 2-3 generators, 1-3 rules, left sides of length 1-3."""
+def _random_system(rng, weights=None):
+    """(generators, rules, weights) of a terminating system: 2-3 generators,
+    1-3 rules, left sides of length 1-3.
+
+    Given weights, each generator's weight is drawn from them, and a right side
+    may be up to two letters longer than its left side, so that rewrites leave
+    their class of equal weight and length both ways. Without, the weights are
+    None and the draws are those the seeded tests have always made.
+    """
     gens = ("a", "b", "c")[: rng.randint(2, 3)]
-    probe = RewriteSystem(gens, ())
+    if weights is not None:
+        weights = tuple(rng.choice(weights) for _ in gens)
+    probe = RewriteSystem(gens, (), weights)
+    longer = 0 if weights is None else 2
     rules = []
     for _ in range(rng.randint(1, 3)):
         lhs = tuple(rng.choice(gens) for _ in range(rng.randint(1, 3)))
         smaller = [
             word
-            for size in range(len(lhs) + 1)
+            for size in range(len(lhs) + 1 + longer)
             for word in product(gens, repeat=size)
             if probe._descending_key(word) > probe._descending_key(lhs)
         ]
@@ -411,17 +496,17 @@ def _random_system(rng):
         for word in rng.sample(smaller, min(len(smaller), rng.randint(0, 2))):
             rhs = rhs + NCPoly.monomial(word, rng.choice((1, -1, 2)))
         rules.append((lhs, rhs))
-    return gens, tuple(rules)
+    return gens, tuple(rules), weights
 
 
-def _random_systems(seed=7, count=60):
+def _random_systems(seed=7, count=60, weights=None):
     """The seeded random systems that construction accepts, and how many it refused."""
     rng = random.Random(seed)
     accepted, rejected = [], 0
     for _ in range(count):
-        gens, rules = _random_system(rng)
+        gens, rules, drawn = _random_system(rng, weights)
         try:
-            accepted.append(RewriteSystem(gens, rules))
+            accepted.append(RewriteSystem(gens, rules, drawn))
         except ValueError as exc:
             assert "do not resolve" in str(exc)
             rejected += 1
@@ -465,6 +550,42 @@ def test_merged_and_cancelling_terms_agree_with_rightmost_reduction():
     assert normal_form(A * C + C * A, clifford).is_zero
     for system, poly in cases:
         assert normal_form(poly, system) == rightmost_normal_form(poly, system)
+
+
+def _rule_shifts(system):
+    """How each rule's reducts leave their parent's class of equal weight and length."""
+    weight = dict(zip(system.generators, system.weights))
+    shifts = set()
+    for lhs, rhs in system.rules:
+        for word, _ in rhs.terms():
+            drop = sum(map(weight.get, lhs)) - sum(map(weight.get, word))
+            shifts.add("drop" if drop else "longer" if len(word) > len(lhs) else "stay")
+    return shifts
+
+
+def test_bucketed_schedule_matches_triple_heap(monkeypatch):
+    # Each system passes at the oracle's count of distinct rewrites and is
+    # refused one below it, so the buckets rewrite the same words in the same order.
+    accepted, rejected = _random_systems(seed=19, weights=(1, 2, 3))
+    assert accepted and rejected
+    assert set().union(*map(_rule_shifts, accepted)) == {"drop", "longer", "stay"}
+    rng = random.Random(31)
+    counted = 0
+    for system in accepted + [clifford_system(), _quantum_plane(), _quadric_system()]:
+        for _ in range(8):
+            poly = NCPoly.zero()
+            for _ in range(rng.randint(1, 6)):
+                word = tuple(rng.choice(system.generators) for _ in range(rng.randint(0, 6)))
+                poly = poly + NCPoly.monomial(word, rng.choice((1, -1, 2, Fraction(1, 2))))
+            expected, steps = heap_normal_form(poly, system)
+            monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", steps)
+            assert normal_form(poly, system) == expected
+            if steps:
+                counted += 1
+                monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", steps - 1)
+                with pytest.raises(ResourceLimit, match=f"at least {steps} distinct rewrites"):
+                    normal_form(poly, system)
+    assert counted > len(accepted)
 
 
 def test_find_redex_matches_rule_order_scan():

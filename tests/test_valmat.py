@@ -10,7 +10,6 @@ from logcentre.valmat import (
     MAX_RAMIFICATION_INDEX,
     ValMatrix,
     centralizer,
-    inflate,
     omega_power,
     radical_power,
     standard_order,
@@ -21,6 +20,7 @@ from oracles import (
     RepresentationOverflow,
     dualizing_module,
     ideal_of,
+    inflate,
     jacobson_radical,
     monomial_identity,
     monomial_mul,
