@@ -233,7 +233,8 @@ _NAME = ("name", {})
 _EXPR = ("expr", {})
 _DIVISOR = ("--divisor", {"default": "K+D",
                           "help": "K, K+D (default), or comma separated coefficients"})
-_SYSTEM = ("--system", {"default": "clifford"})
+_SYSTEM = ("--system", {"default": "clifford",
+                        "help": "builtin name or FILE[#name] (default clifford)"})
 _COMMON_FLAGS = (
     ("--format", {"choices": ("text", "json"), "default": "text",
                   "help": "stdout rendering (default text)"}),
@@ -264,11 +265,7 @@ COMMANDS = {
         "dual-gens": ("generators of the dual cone semigroup", _cmd_dual_gens, (_TARGET,)),
     }),
     "ncpoly": ("noncommutative polynomial rewriting", {
-        "nf": ("normal form of an expression", _cmd_nf, (
-            _EXPR,
-            ("--system", {"default": "clifford",
-                          "help": "builtin name or FILE[#name] (default clifford)"}),
-        )),
+        "nf": ("normal form of an expression", _cmd_nf, (_EXPR, _SYSTEM)),
         "central": ("does the element commute with all generators", _cmd_central,
                     (_EXPR, _SYSTEM)),
         "identity": ("are two expressions equal in the algebra", _cmd_identity,

@@ -16,10 +16,10 @@ resolves every critical pair, so the system is confluent and a normal form is
 the same whichever redex is rewritten first. A normal form merges terms by
 word and rewrites the largest pending word first, so each distinct word is
 rewritten once. It holds words as strings, one character per generator, in
-buckets of equal weight and length: a redex is found by str.find, and within
-a bucket the word order is str order. The only guard is a work limit: past
-MAX_REWRITE_STEPS distinct rewrites in one call, normal_form raises
-ResourceLimit.
+buckets of equal weight and length: the redex, the leftmost match of the first
+rule that matches, is found by str.find, and within a bucket the word order is
+str order. The only guard is a work limit: past MAX_REWRITE_STEPS distinct
+rewrites in one call, normal_form raises ResourceLimit.
 
 Normal forms decide identities and centrality in algebras presented by such
 systems. The rank two quiver algebra over the quadric cone k[a,b,c,d]/(ad - bc)
@@ -368,7 +368,7 @@ class _Parser:
                 raise InputError("unbalanced parenthesis")
             self.pos += 1
             return inner
-        if token in ")*^":  # term() has taken the signs; names are not operators
+        if token in ")*^+-":  # signs open a term, never a factor; names are not operators
             raise InputError(f"unexpected token {token!r}")
         # a generator, or juxtaposed single-letter generators such as "ab" for a*b
         word = (token,) if token in self.generators else tuple(token)
@@ -466,19 +466,6 @@ class RewriteSystem:
         weight = base * len(text) + sum(delta * text.count(char) for char, delta in extra)
         return (-weight, len(text), text)
 
-    def find_redex(self, word):
-        """(rule index, position) of the leftmost match of the first matching rule.
-
-        A rule matches where ``str.find`` finds its coded left-hand side in the
-        coded word; normal_form runs the same loop on the words it holds coded.
-        """
-        text = "".join(map(self._code.__getitem__, word))
-        for index, (lhs, _, _) in enumerate(self._coded_rules):
-            pos = text.find(lhs)
-            if pos >= 0:
-                return index, pos
-        return None
-
 
 def _rule_str(rule) -> str:
     lhs, rhs = rule
@@ -516,11 +503,13 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
     reduct of a word is strictly smaller than it, so a popped word never comes
     back: each distinct word is rewritten once, with its merged coefficient,
     and a word whose terms cancel is dropped unrewritten. The step limit
-    counts these distinct rewrites. Words are coded on entry (see find_redex)
-    and decoded on exit. They wait in buckets by class (-weight, length); a
-    heap of class keys yields the classes in order, and a bucket is heapified
-    when its class comes up, so it pops its coded strings in order. A reduct
-    of equal weight and length joins the current heap, any other a later bucket.
+    counts these distinct rewrites. Words are coded on entry, one character
+    per generator, and decoded on exit; a word is rewritten at the leftmost
+    str.find match of the first rule whose coded left-hand side it holds.
+    Coded words wait in buckets by class (-weight, length); a heap of class
+    keys yields the classes in order, and a bucket is heapified when its class
+    comes up, so it pops its coded strings in order. A reduct of equal weight
+    and length joins the current heap, any other a later bucket.
     """
     limit = MAX_REWRITE_STEPS
     code, rules, name = system._code.__getitem__, system._coded_rules, system._name

@@ -59,12 +59,12 @@ class Lattice:
     """Finite-rank lattice given by its basis vectors in ambient coordinates.
 
     basis[i] is the i-th basis vector; lattice coordinates are taken with
-    respect to this basis, so the standard lattice has the identity basis. A
-    basis is nonsingular when its determinant, cleared to integers, is
-    nonzero. The basis is cleared once, to integer vectors over one common
-    denominator, and that determinant and the ambient vectors of lattice points
-    are taken in integers; the coordinates and the dual basis come from the one
-    fraction-free integer elimination in linalg (solve_exact).
+    respect to this basis, so the standard lattice has the identity basis. The
+    basis is cleared once, to integer vectors over one common denominator, and
+    that one integer form serves the determinant (the basis is nonsingular when
+    it is nonzero), to_ambient, and same_lattice, which compares Hermite forms
+    over the common denominator of both lattices. The dual basis comes from
+    the fraction-free integer elimination in linalg (solve_exact).
     """
 
     basis: tuple
@@ -101,22 +101,6 @@ class Lattice:
             for i in range(self.dim)
         )
 
-    def to_coords(self, ambient) -> tuple:
-        """Exact rational coordinates of an ambient vector in this basis."""
-        if len(ambient) != self.dim:
-            raise ValueError("dimension mismatch")
-        columns = list(zip(*self.basis))
-        solution = linalg.solve_exact(columns, [Fraction(x) for x in ambient])
-        _require(solution is not None, "lattice basis failed to span")
-        return solution
-
-    def coords_of(self, ambient) -> tuple:
-        """Integer coordinates of a lattice member; ValueError if not in the lattice."""
-        coords = self.to_coords(ambient)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError(f"{tuple(ambient)!r} is not a lattice point")
-        return tuple(int(c) for c in coords)
-
     def dual(self) -> "Lattice":
         """Dual lattice; its coordinates pair with this lattice's coordinates:
         dual basis vector i solves <u_i, b_j> = [i == j] over the basis b."""
@@ -124,17 +108,18 @@ class Lattice:
         return Lattice(tuple(linalg.solve_exact(self.basis, e) for e in unit))
 
     def same_lattice(self, other: "Lattice") -> bool:
-        """True when both bases generate the same subgroup of the ambient space."""
+        """True when both bases generate the same subgroup of the ambient space:
+        over their common denominator, both integer bases have one Hermite form."""
         if self.dim != other.dim:
             return False
-        try:
-            for vec in other.basis:
-                self.coords_of(vec)
-            for vec in self.basis:
-                other.coords_of(vec)
-        except ValueError:
-            return False
-        return True
+        common = lcm(self._denominator, other._denominator)
+        first, second = (
+            linalg.hermite_column_form(
+                [[x * (common // lattice._denominator) for x in vec] for vec in lattice._scaled]
+            )
+            for lattice in (self, other)
+        )
+        return first == second
 
 
 def _minors(vectors, dim: int) -> list:
@@ -233,9 +218,6 @@ class Cone:
     @property
     def dim(self) -> int:
         return self.lattice.dim
-
-    def contains(self, v) -> bool:
-        return all(sum(a * b for a, b in zip(n, v)) >= 0 for n in self.facets)
 
 
 @dataclass(frozen=True)

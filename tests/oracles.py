@@ -6,7 +6,9 @@ facet normals from signed minors) are checked. ``pairing`` is the Fraction dot
 product of a functional and a lattice vector, and ``integer_kernel_of_row``
 builds the index-one cover lattice the older way, from the kernel of the row
 (m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
-checked.
+checked. ``same_lattice_by_coords`` decides lattice equality from rational
+coordinates solved by ``rref``, where ``Lattice.same_lattice`` compares
+Hermite forms, and ``contains`` is cone membership read off the facets.
 
 The valuation-matrix closed forms of ``logcentre.valmat`` are checked against
 second closed forms of the radical and the dualizing module, and against an
@@ -21,8 +23,9 @@ Rewriting is checked against a second strategy: ``rightmost_normal_form``
 rewrites the rightmost redex of each term on its own, where
 ``logcentre.ncpoly.normal_form`` merges terms by word and rewrites the largest
 word first, at the leftmost match of the first rule. On a confluent system the
-two agree. ``rule_order_redex`` scans every rule and position in turn, the
-reference for ``RewriteSystem.find_redex``. ``heap_normal_form`` keeps the
+two agree. ``rule_order_redex`` scans every rule and position in turn for
+the redex ``normal_form`` rewrites, the leftmost match of the first matching
+rule, and finds none in a normal form. ``heap_normal_form`` keeps the
 schedule of ``normal_form`` on one heap of whole order keys, where the library
 buckets words by weight and length; it also counts the distinct rewrites, so
 the ``MAX_REWRITE_STEPS`` boundary can be checked against it.
@@ -96,6 +99,25 @@ def integer_kernel_of_row(row):
         cols[j] = [(-b // g) * p + (a // g) * q for p, q in zip(c0, cj)]
         cur[0], cur[j] = g, 0
     return [tuple(c) for c in cols[1:]]
+
+
+def same_lattice_by_coords(first, second) -> bool:
+    """Lattice equality the coordinate way: each basis, solved in the other's
+    basis by ``rref``, has integer coordinates."""
+    if first.dim != second.dim:
+        return False
+    for lattice, vectors in ((first, second.basis), (second, first.basis)):
+        columns = list(zip(*lattice.basis))
+        for vec in vectors:
+            solved, _ = rref([[*row, x] for row, x in zip(columns, vec)])
+            if any(row[-1].denominator != 1 for row in solved):
+                return False
+    return True
+
+
+def contains(cone, v) -> bool:
+    """Membership in the cone: v is on the nonnegative side of every facet."""
+    return all(sum(a * b for a, b in zip(n, v)) >= 0 for n in cone.facets)
 
 
 # ---------------------------------------------------------------------------

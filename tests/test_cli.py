@@ -259,6 +259,15 @@ def test_trailing_operator_exit_code(capsys):
     assert err == "error: unexpected end of expression\n"
 
 
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_sign_after_operator_exit_code(capsys, sign):
+    # A sign may open a term but not a factor: a*-b is refused as an
+    # operator, not looked up as a generator.
+    code, out, err = _run(capsys, "ncpoly", "nf", f"a*{sign}b")
+    assert (code, out) == (2, "")
+    assert err == f"error: unexpected token '{sign}'\n"
+
+
 def test_unresolved_system_exit_code(capsys, tmp_path):
     # z*w = x*v holds in the algebra but both sides are irreducible: an
     # answer would be a wrong "no", so the system is refused as input.

@@ -8,6 +8,9 @@ leading underscore) that a module of ``src/logcentre`` defines at top level
 must be read somewhere in ``src/logcentre`` outside its own definition: tests
 do not keep a helper of the program alive. A third rule keeps every limit a
 module constant: no module of ``src/logcentre`` reads an environment variable.
+A fourth rule does for public names what the second does for private ones: a
+public function, class or method of ``src/logcentre`` must be read by the
+program, its scripts or its benchmark, not only by tests.
 """
 
 import ast
@@ -118,3 +121,52 @@ def test_src_reads_no_environment_variable():
     assert {path: lines for path, lines in reads.items() if lines} == {}
     assert _environment_reads(ast.parse("import os\nos.environ.get('X')\n")) == [2]
     assert _environment_reads(ast.parse("from os import getenv\n")) == [1]
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node) for each public top-level function and
+    class of the module, and each public method of its top-level classes;
+    dunders and names with a leading underscore are skipped."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _loads(tree) -> Counter:
+    """Names read in the tree as a loaded Name or a loaded Attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_name_in_src_is_used_outside_tests():
+    """A public name that only tests read is an oracle: it belongs in tests/oracles.py.
+
+    Each public name of src/logcentre must be read, outside its own
+    definition, in src/logcentre, scripts/ or perfbench/; perfbench/ is parsed
+    from its text, never imported. A read is matched on the bare name, so the
+    check is coarse: a method with a common name, such as ``dim``, passes when
+    some other object's attribute of that name is read.
+    """
+    src = sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    others = sorted(
+        path for folder in ("scripts", "perfbench") for path in (ROOT / folder).rglob("*.py")
+    )
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src + others}
+    reads = sum((_loads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{path.relative_to(ROOT)} line {node.lineno}: {qualified}"
+        for path in src
+        for qualified, name, node in _public_definitions(trees[path])
+        if reads[name] == _loads(node)[name]
+    ]
+    assert unread == []

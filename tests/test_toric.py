@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -7,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import integer_kernel_of_row, pairing, rank, rref
+from oracles import contains, integer_kernel_of_row, pairing, rank, rref, same_lattice_by_coords
 
 from logcentre import linalg, toric
 from logcentre.errors import NotApplicable, ResourceLimit
@@ -55,19 +56,14 @@ def _orthant(dim):
 def test_lattice_roundtrip_and_membership():
     lattice = Lattice(((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))))
     assert lattice.to_ambient((0, 0, 2)) == (0, 0, 1)
-    assert lattice.coords_of((0, 0, 1)) == (0, 0, 2)
-    with pytest.raises(ValueError):
-        lattice.coords_of((0, 0, Fraction(1, 4)))
-    assert lattice.to_coords((0, 0, Fraction(1, 4))) == (0, 0, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("ambient", [(1, 0, 0, 5), (1, 0)], ids=["long", "short"])
 def test_lattice_coordinates_need_matching_dimension(ambient):
     # An extra entry is not dropped: (1, 0, 0, 5) is no point of Z^3.
     lattice = Lattice.standard(3)
-    for convert in (lattice.to_coords, lattice.coords_of, lattice.to_ambient):
-        with pytest.raises(ValueError, match="^dimension mismatch$"):
-            convert(ambient)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        lattice.to_ambient(ambient)
 
 
 def test_lattice_requires_invertible_basis():
@@ -120,14 +116,67 @@ def test_same_lattice():
     assert not doubled.same_lattice(standard)
 
 
+def _unimodular(rng, dim):
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3 * dim):
+        i, j = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i] = [-a for a in rows[i]]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_same_lattice_matches_coordinate_route():
+    # Second bases: a unimodular change of basis (same lattice), an integer
+    # change of |det| > 1 (a proper sublattice), or k times a unimodular change
+    # with k dividing the denominator, a sublattice whose integer form can
+    # match the first basis's when the two denominators are ignored. Then a
+    # lattice of one more dimension.
+    rng = random.Random(1702)
+    verdicts = Counter()
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        denominator = rng.choice((1, 2, 3, 4, 6))
+        basis = [[Fraction(rng.randint(-4, 4), denominator) for _ in range(dim)]
+                 for _ in range(dim)]
+        if rank(basis) < dim:
+            continue
+        kind = rng.choice(("unimodular", "sublattice", "scaled"))
+        if kind == "unimodular":
+            change = _unimodular(rng, dim)
+        elif kind == "sublattice":
+            change = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            if abs(linalg.det_int(change)) < 2:
+                continue
+        else:
+            k = rng.choice([k for k in (2, 3) if denominator % k == 0] or [1])
+            change = [[k * a for a in row] for row in _unimodular(rng, dim)]
+        other = [[sum(c * row[i] for c, row in zip(line, basis)) for i in range(dim)]
+                 for line in change]
+        first, second = Lattice(basis), Lattice(other)
+        expected = same_lattice_by_coords(first, second)
+        assert expected == (abs(linalg.det_int(change)) == 1), (basis, change)
+        assert first.same_lattice(second) == expected, (basis, change)
+        assert second.same_lattice(first) == expected, (basis, change)
+        verdicts[expected] += 1
+        if dim < 4:
+            wider = Lattice.standard(dim + 1)
+            assert not first.same_lattice(wider) and not wider.same_lattice(first)
+            assert not same_lattice_by_coords(first, wider)
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
 # Cones.
 
 
 def test_orthant_facets_and_membership():
     cone = _orthant(3)
     assert cone.facets == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert cone.contains((2, 5, 0))
-    assert not cone.contains((-1, 0, 0))
+    assert contains(cone, (2, 5, 0))
+    assert not contains(cone, (-1, 0, 0))
 
 
 def test_from_rays_primitivises():
@@ -377,7 +426,7 @@ def _assert_is_hilbert_basis(cone, basis):
     points = [
         p
         for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if any(p) and cone.contains(p)
+        if any(p) and contains(cone, p)
     ]
 
     @lru_cache(maxsize=None)
@@ -388,7 +437,7 @@ def _assert_is_hilbert_basis(cone, basis):
             if g == skip:
                 continue
             rest = tuple(a - b for a, b in zip(point, g))
-            if cone.contains(rest) and representable(rest, skip):
+            if contains(cone, rest) and representable(rest, skip):
                 return True
         return False
 
@@ -519,14 +568,14 @@ def _all_pairs_hilbert_basis(cone):
     candidates = [
         p
         for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if any(p) and cone.contains(p)
+        if any(p) and contains(cone, p)
     ]
     return tuple(
         sorted(
             x
             for x in candidates
             if not any(
-                y != x and cone.contains(tuple(a - b for a, b in zip(x, y)))
+                y != x and contains(cone, tuple(a - b for a, b in zip(x, y)))
                 for y in candidates
             )
         )
@@ -704,13 +753,12 @@ def test_cover_scales_rays_by_boundary_index():
     assert cover.degree == 6
     u = pair_functional(pair)
     assert cover.functional == u
-    for ray, e in zip(pair.cone.rays, (2, 3)):
+    assert cover.cover_lattice.same_lattice(cover.cover_lattice)
+    for cover_ray, ray, e in zip(cover.cover_cone.rays, pair.cone.rays, (2, 3)):
         scaled = tuple(e * x for x in ray)
         assert pairing(u, scaled) == 1
-        assert cover.cover_lattice.same_lattice(cover.cover_lattice)
-        # the rescaled ray lies in the cover lattice
-        ambient = pair.cone.lattice.to_ambient(scaled)
-        assert cover.cover_lattice.coords_of(ambient)
+        # the rescaled ray lies in the cover lattice: it is the cover ray there
+        assert cover.cover_lattice.to_ambient(cover_ray) == pair.cone.lattice.to_ambient(scaled)
 
 
 def test_trivial_cover_is_identity():
