@@ -15,7 +15,8 @@ exit code, the JSON result and the text rendering.
 File arguments take the form ``PATH`` or ``PATH#name`` where ``name`` picks
 one object out of a document; without a name the unique object of the
 expected type is used. Every leaf command accepts ``--format text|json`` for
-stdout and ``--out PATH`` to additionally write the JSON result.
+stdout and ``--out PATH`` to additionally write the JSON result; a PATH that
+cannot be written is bad usage.
 
 Exit codes: 0 success, 2 bad usage or bad input, 3 negative verdict (the test
 ran and answered no, or did not apply), 4 resource limit hit, 5 internal
@@ -39,6 +40,7 @@ from .ncpoly import (
     is_central,
     normal_form,
     parse_poly,
+    read_rational,
     verify_identity,
 )
 from .orders import cover_graded_valuations, discriminant
@@ -84,8 +86,8 @@ def _functional_for(pair: ConePair, spec: str):
     if spec == "K":
         return q_cartier_functional(pair.cone, canonical_divisor(pair.cone))
     try:
-        coeffs = tuple(Fraction(part.strip()) for part in spec.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        coeffs = tuple(read_rational(part) for part in spec.split(","))
+    except InputError as exc:
         raise InputError(f"bad divisor spec {iodoc.excerpt(spec)}") from exc
     if len(coeffs) != len(pair.cone.rays):
         raise InputError(
@@ -326,8 +328,12 @@ def main(argv=None) -> int:
     else:
         print(text)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(result, indent=2) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(result, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

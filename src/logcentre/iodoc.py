@@ -2,8 +2,11 @@
 
 A document is ``{"version": "1", "objects": {name: object, ...}}`` where each
 object carries a ``type`` tag. Rational numbers are encoded as JSON integers
-or as strings like ``"1/2"``; floating point literals are rejected outright
-because every computation in this package is exact.
+or as strings like ``"1/2"``, ``"-3"`` or ``" 1/2 "``: an optional sign,
+digits and an optional ``/digits``, read by ``ncpoly.read_rational``.
+Floating point literals are rejected outright because every computation in
+this package is exact, and so are decimal and exponent strings such as
+``"0.5"`` or ``"1e-3"``.
 
 Object schemas:
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .ncpoly import RewriteSystem, parse_poly, read_int
+from .ncpoly import RewriteSystem, parse_poly, read_int, read_rational
 from .orders import OrderSpec, RamificationDatum
 from .toric import Cone, ConePair, Lattice, ToricDivisor
 
@@ -57,8 +60,8 @@ def _rat_from_json(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            return read_rational(value)
+        except InputError as exc:
             raise InputError(f"{where}: bad rational {excerpt(value)}") from exc
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")
 

@@ -22,8 +22,9 @@ the Reid-Tai criterion, "Young person's guide to canonical singularities",
 1987), and so is every Hilbert basis element other than a ray. Hilbert bases
 are reduced in order of degree (the sum of the facet values) against the basis
 elements already found. The index-one cover lattice is one integer Hermite
-form, its rays are exact solves on that basis, and its K functional is the
-pair's -(K+D) functional read on that basis.
+form, lower triangular; its rays are solved on that basis by forward
+substitution in integers, its facets are the pair's facets pulled back to
+that basis, and its K functional is the pair's -(K+D) functional read on it.
 """
 
 from __future__ import annotations
@@ -150,17 +151,27 @@ def _facet_normals(dim: int, rays) -> tuple:
     return tuple(sorted(found)), spanning
 
 
+def _check_ray_coords(ray) -> None:
+    """ResourceLimit when a coordinate of the ray is above MAX_RAY_COORD."""
+    if any(abs(x) > MAX_RAY_COORD for x in ray):
+        raise ResourceLimit(
+            f"ray {ray} has a coordinate above the desk-scale bound "
+            f"MAX_RAY_COORD = {MAX_RAY_COORD}"
+        )
+
+
 @dataclass(frozen=True)
 class Cone:
     """Pointed, full-dimensional rational cone listed by primitive extreme rays.
 
     Facet inequalities are derived at construction and cached; membership is
-    <facet, x> >= 0 for all facets. The shape is read off the incidence of
-    rays and facets, since a face is spanned by the rays it contains (Fulton,
-    Introduction to Toric Varieties, 1.2): the cone is full-dimensional when a
-    ray leaves some hyperplane spanned by other rays, pointed when no ray lies
-    on every facet, and a ray is extreme when no other ray lies on every facet
-    it lies on.
+    <facet, x> >= 0 for all facets. An index-one cover is the one cone built
+    otherwise: it takes its facets from its base cone (log_canonical_cover).
+    The shape is read off the incidence of rays and facets, since a face is
+    spanned by the rays it contains (Fulton, Introduction to Toric Varieties,
+    1.2): the cone is full-dimensional when a ray leaves some hyperplane
+    spanned by other rays, pointed when no ray lies on every facet, and a ray
+    is extreme when no other ray lies on every facet it lies on.
     """
 
     lattice: Lattice
@@ -177,11 +188,7 @@ class Cone:
         for ray in rays:
             if len(ray) != dim:
                 raise ValueError("ray dimension mismatch")
-            if any(abs(x) > MAX_RAY_COORD for x in ray):
-                raise ResourceLimit(
-                    f"ray {ray} has a coordinate above the desk-scale bound "
-                    f"MAX_RAY_COORD = {MAX_RAY_COORD}"
-                )
+            _check_ray_coords(ray)
             if linalg.primitive_vector(ray) != ray:
                 raise ValueError(f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
@@ -432,7 +439,11 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     The cover lattice is the sublattice where the -(K+D) functional u is
     integral: the x with w.x = 0 mod m, where m is the Cartier index of K+D
     and w = m*u, given by its Hermite basis. Its index is m, and the rays are
-    rescaled by the local indices e_i of the boundary. Read in cover
+    rescaled by the local indices e_i of the boundary. The Hermite basis is
+    lower triangular with a positive diagonal, so each rescaled ray is solved
+    on it row by row in integers (forward substitution), and the cover cone is
+    the pair's cone read on that basis: its facets are the pair's facets
+    pulled back to cover coordinates, not enumerated again. Read in cover
     coordinates, u is the K functional of the cover: w.col/m on each basis
     column, integral (Cartier canonical class), and exactly 1 on every cover
     ray. All of these are checked in integers on every invocation.
@@ -462,22 +473,58 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     values = [sum(a * b for a, b in zip(w, col)) for col in columns]
     _require(all(v % m == 0 for v in values), "functional is not integral on the sublattice")
     cover_u = tuple(v // m for v in values)
-    rows = list(zip(*columns))
     cover_rays = []
     for ray, e in zip(pair.cone.rays, indices):
         value = sum(a * b for a, b in zip(w, ray))
         _require(m // gcd(value, m) == e, "ray rescaling differs from the boundary index")
-        coords = linalg.solve_exact(rows, [e * x for x in ray])
-        _require(all(c.denominator == 1 for c in coords), "vector lies outside the sublattice")
-        coords = tuple(int(c) for c in coords)
+        # Row i of sum_k x_k col_k = e*ray involves x_0..x_i only.
+        coords = []
+        for i, target in enumerate(ray):
+            rest = sum(x * col[i] for x, col in zip(coords, columns))
+            x, remainder = divmod(e * target - rest, columns[i][i])
+            _require(remainder == 0, "vector lies outside the sublattice")
+            coords.append(x)
+        coords = tuple(coords)
         _require(gcd(*coords) == 1, "cover ray is not primitive")
         _require(sum(a * b for a, b in zip(cover_u, coords)) == 1,
                  "cover ray does not pair to one")
         cover_rays.append(coords)
     ambient_basis = tuple(pair.cone.lattice.to_ambient(col) for col in columns)
     cover_lattice = Lattice(ambient_basis)
-    cover_cone = Cone(cover_lattice, tuple(cover_rays))
+    cover_cone = _pulled_back_cone(pair.cone, cover_lattice, columns, tuple(cover_rays))
     return CoverResult(cover_lattice, cover_cone, m, u, cover_u)
+
+
+def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
+    """The base cone as a cone over its sublattice `lattice`, whose basis is
+    `columns` in base coordinates; `rays` are the base rays, each rescaled to
+    a primitive vector of the sublattice, in cover coordinates.
+
+    A base facet n reads n.col_k on the cover basis; made primitive, these
+    are the facets that Cone.__post_init__ would enumerate, so the cone is
+    built without it. The two cones have the same rays up to scaling, the
+    same dimension and the same incidences, so distinct, extreme rays, a
+    pointed, full-dimensional cone, MAX_DIM and MAX_FACET_PAIRINGS carry over
+    from the base; the ray coordinates are new, so MAX_RAY_COORD is checked
+    again. Postcondition: each pulled-back facet is >= 0 on every cover ray
+    and 0 exactly on the rays where its base facet is 0.
+    """
+    for ray in rays:
+        _check_ray_coords(ray)
+    facets = []
+    for n in base.facets:
+        pulled = linalg.primitive_vector([sum(a * b for a, b in zip(n, col)) for col in columns])
+        for ray, cover_ray in zip(base.rays, rays):
+            value = sum(a * b for a, b in zip(pulled, cover_ray))
+            on_base = sum(a * b for a, b in zip(n, ray)) == 0
+            _require(value >= 0 and (value == 0) == on_base,
+                     "pulled-back facet disagrees with its base facet")
+        facets.append(pulled)
+    cone = object.__new__(Cone)
+    object.__setattr__(cone, "lattice", lattice)
+    object.__setattr__(cone, "rays", rays)
+    object.__setattr__(cone, "facets", tuple(sorted(facets)))
+    return cone
 
 
 def dual_cone(cone: Cone) -> Cone:

@@ -144,6 +144,16 @@ def test_out_file(capsys, tmp_path, francia_doc):
     assert target.read_text().endswith("\n")
 
 
+def test_out_to_unwritable_path_exit_code(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(
+        capsys, "order", "omega-center", "--e", "2", "--i", "1", "--out", str(target)
+    )
+    assert (code, out) == (2, "0\n")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not target.exists()
+
+
 # ncpoly group
 
 
@@ -339,6 +349,28 @@ def test_long_divisor_spec_is_not_echoed(capsys, francia_doc):
     assert err == "error: bad divisor spec '1/777777777777777777'... (5008 characters)\n"
     code, _, err = _run(capsys, "toric", "qcartier", francia_doc + "#base", "--divisor", "1/x")
     assert (code, err) == (2, "error: bad divisor spec '1/x'\n")
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1e-20000", "1e-3000000"])
+def test_decimal_and_exponent_rationals_are_refused(capsys, tmp_path, francia_doc, text):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"pair": {
+        "type": "cone_pair", "rays": [[1, 0], [0, 1]], "boundary": [text, 0]}}}))
+    code, out, err = _run(capsys, "toric", "klt", str(path))
+    assert (code, out, err) == (2, "", f"error: pair.boundary: bad rational {text!r}\n")
+    spec = f"{text},0,0,0"
+    code, out, err = _run(capsys, "toric", "index", francia_doc + "#base", "--divisor", spec)
+    assert (code, out, err) == (2, "", f"error: bad divisor spec {spec!r}\n")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_divisor_spec_accepts_signs_and_spaces(capsys, francia_doc):
+    code, out, _ = _run(capsys, "toric", "index", francia_doc + "#base",
+                        "--divisor", " -1/2 ,-1, -1,-1 ")
+    assert (code, out) == (0, "2\n")
+    code, out, _ = _run(capsys, "toric", "qcartier", francia_doc + "#base",
+                        "--divisor", "1/2,+0,0,-3")
+    assert (code, out) == (3, "none\n")
 
 
 def test_no_arguments(capsys):

@@ -69,13 +69,22 @@ def test_rational_to_json():
 
 
 def test_bad_rational_forms():
-    for bad in ('"1/0"', '"x"', "true", '[1, 2]'):
+    for bad in ('"1/0"', '"x"', "true", '[1, 2]', '"0.5"', '"1e-3"', '"1e-3000000"',
+                '"1 / 2"', '"0_1"', '"1/-2"', '""'):
         doc = (
             '{"version": "1", "objects": {"x": {"type": "cone_pair",'
             f' "rays": [[1, 0], [0, 1]], "boundary": [{bad}, 0]}}}}'
         )
         with pytest.raises(InputError):
             loads(doc)
+
+
+def test_rational_strings_are_sign_digits_and_denominator():
+    for text, value in (("1/2", Fraction(1, 2)), ("-3", -3), (" 1/2 ", Fraction(1, 2)),
+                        ("+4/6", Fraction(2, 3))):
+        doc = loads(json.dumps({"version": "1", "objects": {"x": {
+            "type": "cone_pair", "lattice": [[text, 0], [0, 1]], "rays": [[1, 0], [0, 1]]}}}))
+        assert doc.objects["x"].cone.lattice.basis[0][0] == value
 
 
 def test_unknown_type_and_keys():

@@ -807,6 +807,43 @@ def test_cover_lattice_matches_kernel_route():
     assert 1 in degrees and max(degrees) >= 12
 
 
+def test_pulled_back_cover_facets_match_rebuilt_cone():
+    # The cover cone is built from the pair's facets pulled back to the cover
+    # basis; enumerating facets from its rays must give the same cone.
+    from logcentre.casestudies import francia_input_document
+    from logcentre.corpus import random_standard_pairs
+
+    quotients = [
+        ConePair(_cyclic_quotient_cone(r, a, b), ToricDivisor((0, 0, 0)))
+        for r in range(2, 12)
+        for a in range(1, r)
+        for b in range(a, r)
+        if gcd(a, r) == 1 and gcd(b, r) == 1
+    ]
+    base = francia_input_document().objects["base"]
+    corpus = [pair for seed in range(3) for pair in random_standard_pairs(seed, 300)]
+    degrees = Counter()
+    for pair in (base, *quotients, *corpus):
+        cover = log_canonical_cover(pair)
+        rebuilt = Cone(cover.cover_lattice, cover.cover_cone.rays)
+        assert cover.cover_cone.facets == rebuilt.facets, pair
+        assert cover.cover_cone == rebuilt, pair
+        degrees[cover.degree > 1] += 1
+    assert degrees[True] > 500 and degrees[False] > 0, degrees
+
+
+def test_cover_ray_coordinate_limit_keeps_its_message(monkeypatch):
+    # Cover rays (2, -1) and (0, 1) at degree 2: the first is above a bound of 1.
+    pair = ConePair(_orthant(2), ToricDivisor((Fraction(1, 2), Fraction(1, 2))))
+    assert log_canonical_cover(pair).cover_cone.rays == ((2, -1), (0, 1))
+    monkeypatch.setattr(toric, "MAX_RAY_COORD", 1)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^ray \(2, -1\) has a coordinate above the desk-scale bound MAX_RAY_COORD = 1$",
+    ):
+        log_canonical_cover(pair)
+
+
 def test_cover_requires_standard_coefficients():
     with pytest.raises(NotApplicable, match=r"^boundary coefficient 1/3 is not of the form"):
         log_canonical_cover(ConePair(_orthant(2), ToricDivisor((Fraction(1, 3), 0))))
