@@ -16,7 +16,7 @@ File arguments take the form ``PATH`` or ``PATH#name`` where ``name`` picks
 one object out of a document; without a name the unique object of the
 expected type is used. Every leaf command accepts ``--format text|json`` for
 stdout and ``--out PATH`` to additionally write the JSON result; a PATH that
-cannot be written is bad usage.
+cannot be written is bad usage, and nothing goes to stdout then.
 
 Exit codes: 0 success, 2 bad usage or bad input, 3 negative verdict (the test
 ran and answered no, or did not apply), 4 resource limit hit, 5 internal
@@ -323,10 +323,7 @@ def main(argv=None) -> int:
     except (LogCentreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(result, indent=2))
-    else:
-        print(text)
+    # --out first, so that exit 2 for an unwritable path comes with no output.
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -334,6 +331,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
+    if args.format == "json":
+        print(json.dumps(result, indent=2))
+    else:
+        print(text)
     return code
 
 

@@ -3,9 +3,12 @@
 Everything here is dense, small, and exact, and there is no Fraction
 elimination. Determinants and solves share one fraction-free (Bareiss)
 elimination in integers (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968): a rational
-system is first scaled to integers. Lattice work uses extended gcd column
-operations. Inputs are sequences of rows unless a function says columns.
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968). There is one
+integer solve, solve_scaled: integer equations in, integer numerators over one
+least common denominator out. solve_exact is its Fraction view: a rational
+system is scaled to integers row by row, solved, and read back as Fractions.
+Lattice work uses extended gcd column operations. Inputs are sequences of rows
+unless a function says columns.
 """
 
 from __future__ import annotations
@@ -49,22 +52,20 @@ def _eliminate(rows, n: int) -> int:
     return sign * previous
 
 
-def solve_exact(rows, rhs):
-    """Solve row_i . x = rhs_i exactly for d unknowns.
+def solve_scaled(eqs):
+    """Solve the integer augmented rows [a_1 ... a_d, b] (a . x = b) exactly.
 
-    Each equation is scaled to integers and the augmented system is
-    eliminated without fractions. The system is consistent exactly when the
-    equations left over below the d pivot rows have become 0 = 0; back
-    substitution in integers then gives det * x, the Cramer numerators.
-    Returns the solution as a tuple of Fractions, or None when the system is
-    inconsistent. Raises ValueError when rhs has not one entry per equation,
-    or when no d equations are independent (column rank below d), consistent
-    or not.
+    The rows are eliminated without fractions. The system is consistent
+    exactly when the equations left over below the d pivot rows have become
+    0 = 0; back substitution in integers then gives det * x, the Cramer
+    numerators, which are reduced with det by their common gcd. Returns
+    (w, m) with m >= 1 and gcd(m, *w) = 1, so that the solution is w/m and m
+    is the lcm of its denominators, or None when the system is inconsistent.
+    Raises ValueError when no d equations are independent (column rank below
+    d), consistent or not.
     """
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
-    n = len(rows[0])
-    eqs = [clear_denominators([*row, r]) for row, r in zip(rows, rhs)]
+    n = len(eqs[0]) - 1
+    eqs = list(eqs)
     det = _eliminate(eqs, n)
     if not det:
         raise ValueError("system does not determine a unique solution")
@@ -74,7 +75,26 @@ def solve_exact(rows, rhs):
     for k in reversed(range(n)):
         rest = sum(a * x for a, x in zip(eqs[k][k + 1 : n], nums[k + 1 :]))
         nums[k] = (det * eqs[k][n] - rest) // eqs[k][k]
-    return tuple(Fraction(x, det) for x in nums)
+    s = gcd(det, *nums)
+    if det < 0:
+        s = -s
+    return tuple(x // s for x in nums), det // s
+
+
+def solve_exact(rows, rhs):
+    """Solve row_i . x = rhs_i exactly for d unknowns: each equation scaled
+    to integers, then solve_scaled. Returns the solution as a tuple of
+    Fractions, or None when the system is inconsistent. Raises ValueError when
+    rhs has not one entry per equation, or when no d equations are
+    independent (column rank below d), consistent or not.
+    """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
+    solved = solve_scaled([clear_denominators([*row, r]) for row, r in zip(rows, rhs)])
+    if solved is None:
+        return None
+    w, m = solved
+    return tuple(Fraction(x, m) for x in w)
 
 
 def primitive_vector(v):

@@ -21,10 +21,13 @@ on every ray, a point with u < 1 is such a parallelepiped point (Reid's form of
 the Reid-Tai criterion, "Young person's guide to canonical singularities",
 1987), and so is every Hilbert basis element other than a ray. Hilbert bases
 are reduced in order of degree (the sum of the facet values) against the basis
-elements already found. The index-one cover lattice is one integer Hermite
-form, lower triangular; its rays are solved on that basis by forward
-substitution in integers, its facets are the pair's facets pulled back to
-that basis, and its K functional is the pair's -(K+D) functional read on it.
+elements already found. The index-one cover is computed in integers from end
+to end: the pair's -(K+D) functional is solved once as integer numerators over
+one denominator, the cover lattice is one integer Hermite form, lower
+triangular, applied to the base lattice's integer form; its rays are solved on
+that basis by forward substitution, its facets are the pair's facets pulled
+back to that basis, and its K functional is the pair's -(K+D) functional read
+on it. Fractions are made only for the fields that hold them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional
 
 from . import linalg
@@ -63,9 +66,11 @@ class Lattice:
     respect to this basis, so the standard lattice has the identity basis. The
     basis is cleared once, to integer vectors over one common denominator, and
     that one integer form serves the determinant (the basis is nonsingular when
-    it is nonzero), to_ambient, and same_lattice, which compares Hermite forms
-    over the common denominator of both lattices. The dual basis comes from
-    the fraction-free integer elimination in linalg (solve_exact).
+    it is nonzero) and same_lattice, which compares Hermite forms over the
+    common denominator of both lattices. An index-one cover lattice is built
+    from its base's integer form without this constructor (_sublattice). The
+    dual basis comes from the fraction-free integer elimination in linalg
+    (solve_exact).
     """
 
     basis: tuple
@@ -93,14 +98,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def to_ambient(self, coords) -> tuple:
-        if len(coords) != self.dim:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            Fraction(sum(c * vec[i] for c, vec in zip(coords, self._scaled)), self._denominator)
-            for i in range(self.dim)
-        )
 
     def dual(self) -> "Lattice":
         """Dual lattice; its coordinates pair with this lattice's coordinates:
@@ -142,7 +139,7 @@ def _facet_normals(dim: int, rays) -> tuple:
         if not any(n):
             continue
         n = linalg.primitive_vector(n)
-        pairings = [sum(a * b for a, b in zip(n, v)) for v in rays]
+        pairings = [sum(map(mul, n, v)) for v in rays]
         spanning = spanning or any(pairings)
         if all(p >= 0 for p in pairings):
             found.add(n)
@@ -203,9 +200,7 @@ class Cone:
         if not spanning:
             raise ValueError("cone is not full-dimensional")
         object.__setattr__(self, "rays", rays)
-        zeros = [
-            {n for n in facets if sum(a * b for a, b in zip(n, ray)) == 0} for ray in rays
-        ]
+        zeros = [{n for n in facets if sum(map(mul, n, ray)) == 0} for ray in rays]
         if set(facets) in zeros:
             raise ValueError("cone is not pointed")
         for ray, on in zip(rays, zeros):
@@ -270,14 +265,27 @@ def q_cartier_functional(cone: Cone, divisor: ToricDivisor):
 
 def cartier_index(u) -> int:
     """Least m >= 1 with m*u integral against every lattice basis vector."""
-    fracs = [Fraction(x) for x in u]
-    return lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return lcm(*(x.denominator for x in u))
+
+
+def _pair_solution(pair: ConePair):
+    """The -(K+D) functional as (w, m), u = w/m in lowest terms, or None when
+    K+D is not Q-Cartier. With d_i = p_i/q_i, the equation <u, v_i> = 1 - d_i
+    cleared of its denominator is the integer row [q_i*v_i, q_i - p_i]."""
+    eqs = []
+    for ray, d in zip(pair.cone.rays, pair.boundary.coeffs):
+        q = d.denominator
+        eqs.append([*(q * x for x in ray), q - d.numerator])
+    return linalg.solve_scaled(eqs)
 
 
 def pair_functional(pair: ConePair):
     """Functional representing -(K+D): <u, v_i> = 1 - d_i on every ray."""
-    shifted = ToricDivisor(tuple(d - 1 for d in pair.boundary.coeffs))
-    return q_cartier_functional(pair.cone, shifted)
+    solved = _pair_solution(pair)
+    if solved is None:
+        return None
+    w, m = solved
+    return tuple(Fraction(x, m) for x in w)
 
 
 @dataclass(frozen=True)
@@ -297,7 +305,7 @@ def _klt_verdict(pair: ConePair, u) -> KltResult:
     if u is None:
         return KltResult(False, None)
     w = linalg.clear_denominators(u)
-    return KltResult(all(sum(a * b for a, b in zip(w, v)) > 0 for v in pair.cone.rays), u)
+    return KltResult(all(sum(map(mul, w, v)) > 0 for v in pair.cone.rays), u)
 
 
 def _parallelepiped_points(cone: Cone):
@@ -321,16 +329,16 @@ def _parallelepiped_points(cone: Cone):
     dim, first = cone.dim, cone.rays[0]
     pieces = []
     for facet in cone.facets:
-        if sum(a * b for a, b in zip(facet, first)) == 0:
+        if sum(map(mul, facet, first)) == 0:
             continue
-        on = [ray for ray in cone.rays if sum(a * b for a, b in zip(facet, ray)) == 0]
+        on = [ray for ray in cone.rays if sum(map(mul, facet, ray)) == 0]
         for subset in combinations(on, dim - 1):
             piece = (first, *subset)
             normals = [_minors(piece[:i] + piece[i + 1 :], dim) for i in range(dim)]
-            size = abs(sum(a * b for a, b in zip(normals[0], first)))
+            size = abs(sum(map(mul, normals[0], first)))
             if size:  # otherwise the subset spans less than the facet
                 normals = [
-                    n if sum(a * b for a, b in zip(n, v)) > 0 else [-x for x in n]
+                    n if sum(map(mul, n, v)) > 0 else [-x for x in n]
                     for n, v in zip(normals, piece)
                 ]
                 pieces.append((piece, normals, size))
@@ -345,7 +353,7 @@ def _parallelepiped_points(cone: Cone):
         for x in product(*(range(col[i]) for i, col in enumerate(hermite))):
             p = list(x)
             for n, v in zip(normals, piece):
-                q = sum(a * b for a, b in zip(n, x)) // size
+                q = sum(map(mul, n, x)) // size
                 if q:
                     p = [a - q * b for a, b in zip(p, v)]
             yield tuple(p)
@@ -370,7 +378,7 @@ def hilbert_basis(cone: Cone) -> tuple:
     facets = cone.facets
 
     def facet_values(p):
-        return tuple(sum(a * b for a, b in zip(n, p)) for n in facets)
+        return tuple(sum(map(mul, n, p)) for n in facets)
 
     candidates = set(_parallelepiped_points(cone))
     candidates.discard((0,) * cone.dim)
@@ -421,7 +429,7 @@ def canonical_verdict(cone: Cone, u) -> bool:
     # only at the origin.
     w = linalg.clear_denominators(u)
     points = _parallelepiped_points(cone)
-    return not any(0 < sum(a * b for a, b in zip(w, p)) < m for p in points)
+    return not any(0 < sum(map(mul, w, p)) < m for p in points)
 
 
 @dataclass(frozen=True)
@@ -436,20 +444,24 @@ class CoverResult:
 def log_canonical_cover(pair: ConePair) -> CoverResult:
     """Index-one cover of a pair with standard coefficients.
 
-    The cover lattice is the sublattice where the -(K+D) functional u is
-    integral: the x with w.x = 0 mod m, where m is the Cartier index of K+D
-    and w = m*u, given by its Hermite basis. Its index is m, and the rays are
-    rescaled by the local indices e_i of the boundary. The Hermite basis is
-    lower triangular with a positive diagonal, so each rescaled ray is solved
-    on it row by row in integers (forward substitution), and the cover cone is
-    the pair's cone read on that basis: its facets are the pair's facets
-    pulled back to cover coordinates, not enumerated again. Read in cover
-    coordinates, u is the K functional of the cover: w.col/m on each basis
-    column, integral (Cartier canonical class), and exactly 1 on every cover
-    ray. All of these are checked in integers on every invocation.
+    The -(K+D) functional is solved once, in integers, as u = w/m: w is an
+    integer vector and m, the Cartier index of K+D, its one reduced
+    denominator. The cover lattice is the sublattice where u is integral: the
+    x with w.x = 0 mod m, given by its Hermite basis in base coordinates and
+    carried to ambient coordinates through the base lattice's integer form
+    (_sublattice). Its index is m, and the rays are rescaled by the local
+    indices e_i of the boundary. The Hermite basis is lower triangular with a
+    positive diagonal, so each rescaled ray is solved on it row by row in
+    integers (forward substitution), and the cover cone is the pair's cone
+    read on that basis: its facets are the pair's facets pulled back to cover
+    coordinates, not enumerated again. Read in cover coordinates, u is the K
+    functional of the cover: w.col/m on each basis column, integral (Cartier
+    canonical class), and exactly 1 on every cover ray. All of these are
+    checked in integers on every invocation. Fractions are made only at the
+    end, for the lattice basis and CoverResult.functional.
     """
-    u = pair_functional(pair)
-    if u is None:
+    solved = _pair_solution(pair)
+    if solved is None:
         raise NotApplicable("K+D is not Q-Cartier")
     indices = []
     for d in pair.boundary.coeffs:
@@ -458,8 +470,7 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
             raise NotApplicable(f"boundary coefficient {d} is not of the form (e-1)/e")
         indices.append(e)
     dim = pair.cone.dim
-    m = cartier_index(u)
-    w = linalg.clear_denominators(u)
+    w, m = solved
     # The columns (w_j, e_j) and (m, 0, ..., 0) span Z^(d+1), as gcd(w, m) = 1,
     # and the columns that are 0 in the first coordinate span {x : w.x = 0 mod m}.
     # So the Hermite form has pivot 1 in the first row, and dropping that column
@@ -470,29 +481,50 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     columns = [col[1:] for col in hermite[1:]]
     _require(len(columns) == dim, "sublattice basis has wrong rank")
     _require(abs(linalg.det_int(columns)) == m, "sublattice index differs from the Cartier index")
-    values = [sum(a * b for a, b in zip(w, col)) for col in columns]
+    values = [sum(map(mul, w, col)) for col in columns]
     _require(all(v % m == 0 for v in values), "functional is not integral on the sublattice")
     cover_u = tuple(v // m for v in values)
+    rows = list(zip(*columns))
     cover_rays = []
     for ray, e in zip(pair.cone.rays, indices):
-        value = sum(a * b for a, b in zip(w, ray))
+        value = sum(map(mul, w, ray))
         _require(m // gcd(value, m) == e, "ray rescaling differs from the boundary index")
         # Row i of sum_k x_k col_k = e*ray involves x_0..x_i only.
         coords = []
         for i, target in enumerate(ray):
-            rest = sum(x * col[i] for x, col in zip(coords, columns))
+            rest = sum(map(mul, coords, rows[i]))
             x, remainder = divmod(e * target - rest, columns[i][i])
             _require(remainder == 0, "vector lies outside the sublattice")
             coords.append(x)
         coords = tuple(coords)
         _require(gcd(*coords) == 1, "cover ray is not primitive")
-        _require(sum(a * b for a, b in zip(cover_u, coords)) == 1,
-                 "cover ray does not pair to one")
+        _require(sum(map(mul, cover_u, coords)) == 1, "cover ray does not pair to one")
         cover_rays.append(coords)
-    ambient_basis = tuple(pair.cone.lattice.to_ambient(col) for col in columns)
-    cover_lattice = Lattice(ambient_basis)
+    cover_lattice = _sublattice(pair.cone.lattice, columns)
     cover_cone = _pulled_back_cone(pair.cone, cover_lattice, columns, tuple(cover_rays))
+    u = tuple(Fraction(x, m) for x in w)
     return CoverResult(cover_lattice, cover_cone, m, u, cover_u)
+
+
+def _sublattice(base: Lattice, columns) -> Lattice:
+    """The sublattice of `base` whose basis is `columns` in base coordinates,
+    built from the base's integer form: column k is sum_j col_k[j]*_scaled[j]
+    over the base's denominator, divided with that denominator by the gcd of
+    both, which is the reduced form Lattice.__post_init__ would compute. It is
+    nonsingular because the base is and the columns are independent (the
+    cover requires |det| = m), so no determinant is taken again.
+    """
+    axes = tuple(zip(*base._scaled))
+    scaled = [[sum(map(mul, col, axis)) for axis in axes] for col in columns]
+    g = gcd(base._denominator, *chain.from_iterable(scaled))
+    denominator = base._denominator // g
+    scaled = tuple(tuple(x // g for x in vec) for vec in scaled)
+    lattice = object.__new__(Lattice)
+    object.__setattr__(lattice, "basis",
+                       tuple(tuple(Fraction(x, denominator) for x in vec) for vec in scaled))
+    object.__setattr__(lattice, "_scaled", scaled)
+    object.__setattr__(lattice, "_denominator", denominator)
+    return lattice
 
 
 def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
@@ -513,10 +545,10 @@ def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
         _check_ray_coords(ray)
     facets = []
     for n in base.facets:
-        pulled = linalg.primitive_vector([sum(a * b for a, b in zip(n, col)) for col in columns])
+        pulled = linalg.primitive_vector([sum(map(mul, n, col)) for col in columns])
         for ray, cover_ray in zip(base.rays, rays):
-            value = sum(a * b for a, b in zip(pulled, cover_ray))
-            on_base = sum(a * b for a, b in zip(n, ray)) == 0
+            value = sum(map(mul, pulled, cover_ray))
+            on_base = sum(map(mul, n, ray)) == 0
             _require(value >= 0 and (value == 0) == on_base,
                      "pulled-back facet disagrees with its base facet")
         facets.append(pulled)

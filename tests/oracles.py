@@ -9,6 +9,11 @@ builds the index-one cover lattice the older way, from the kernel of the row
 checked. ``same_lattice_by_coords`` decides lattice equality from rational
 coordinates solved by ``rref``, where ``Lattice.same_lattice`` compares
 Hermite forms, and ``contains`` is cone membership read off the facets.
+``to_ambient`` reads lattice coordinates as a Fraction ambient vector, the
+route by which the cover lattice's basis was once built and against which the
+integer construction of ``logcentre.toric`` is checked; ``q_cartier_route``
+solves the -(K+D) functional the older way, as the Q-Cartier functional of the
+Fraction divisor K + D.
 
 The valuation-matrix closed forms of ``logcentre.valmat`` are checked against
 second closed forms of the radical and the dualizing module, and against an
@@ -42,6 +47,7 @@ from typing import Optional
 from logcentre.errors import LogCentreError
 from logcentre.linalg import xgcd
 from logcentre.ncpoly import NCPoly
+from logcentre.toric import ToricDivisor, q_cartier_functional
 from logcentre.valmat import INF, ValMatrix
 
 
@@ -113,6 +119,23 @@ def same_lattice_by_coords(first, second) -> bool:
             if any(row[-1].denominator != 1 for row in solved):
                 return False
     return True
+
+
+def to_ambient(lattice, coords) -> tuple:
+    """The lattice point with the given coordinates, in ambient coordinates."""
+    if len(coords) != lattice.dim:
+        raise ValueError("dimension mismatch")
+    return tuple(
+        sum((c * Fraction(vec[i]) for c, vec in zip(coords, lattice.basis)), Fraction(0))
+        for i in range(lattice.dim)
+    )
+
+
+def q_cartier_route(pair):
+    """The pair's -(K+D) functional as the Q-Cartier functional of the divisor
+    K + D, with coefficients d_i - 1, solved by ``solve_exact``."""
+    shifted = ToricDivisor(tuple(d - 1 for d in pair.boundary.coeffs))
+    return q_cartier_functional(pair.cone, shifted)
 
 
 def contains(cone, v) -> bool:

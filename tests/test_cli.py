@@ -149,7 +149,7 @@ def test_out_to_unwritable_path_exit_code(capsys, tmp_path):
     code, out, err = _run(
         capsys, "order", "omega-center", "--e", "2", "--i", "1", "--out", str(target)
     )
-    assert (code, out) == (2, "0\n")
+    assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert "Traceback" not in err and not target.exists()
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -74,13 +74,13 @@ def _oracle_solve(rows, rhs):
     return tuple(row[-1] for row in red[:n])
 
 
-def test_solve_exact_matches_rref_oracle():
+def _seeded_systems():
+    """1500 seeded rational systems as augmented rows, with their unknown count."""
     rng = random.Random(20000)
 
     def rational():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
-    outcomes = set()
     for _ in range(1500):
         n = rng.randint(1, 4)
         count = rng.randint(n, n + 3)
@@ -94,6 +94,12 @@ def test_solve_exact_matches_rref_oracle():
             ]
         else:
             eqs = [[rational() for _ in range(n + 1)] for _ in range(count)]
+        yield eqs, n
+
+
+def test_solve_exact_matches_rref_oracle():
+    outcomes = set()
+    for eqs, n in _seeded_systems():
         rows, rhs = [eq[:n] for eq in eqs], [eq[n] for eq in eqs]
         expected = _oracle_solve(rows, rhs)
         try:
@@ -104,6 +110,29 @@ def test_solve_exact_matches_rref_oracle():
         assert actual == expected, (rows, rhs)
         outcomes.add("solved" if isinstance(expected, tuple) else expected)
     assert outcomes == {"solved", None, "deficient"}
+
+
+def test_solve_scaled_matches_rref_oracle():
+    # Each row cleared to integers: w/m is the solution in lowest terms.
+    outcomes = set()
+    for eqs, n in _seeded_systems():
+        expected = _oracle_solve([eq[:n] for eq in eqs], [eq[n] for eq in eqs])
+        scaled = [linalg.clear_denominators(eq) for eq in eqs]
+        try:
+            actual = linalg.solve_scaled(scaled)
+        except ValueError as exc:
+            assert str(exc) == "system does not determine a unique solution"
+            actual = "deficient"
+        if isinstance(expected, tuple):
+            w, m = actual
+            assert m >= 1 and gcd(m, *w) == 1, (scaled, actual)
+            assert tuple(Fraction(x, m) for x in w) == expected, (scaled, actual)
+            assert m == lcm(*(x.denominator for x in expected)), (scaled, actual)
+            outcomes.add("solved" if m == 1 else "fractional")
+        else:
+            assert actual == expected, (scaled, actual)
+            outcomes.add(expected)
+    assert outcomes == {"solved", "fractional", None, "deficient"}
 
 
 def _det_oracle(rows):

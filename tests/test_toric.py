@@ -8,7 +8,16 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import contains, integer_kernel_of_row, pairing, rank, rref, same_lattice_by_coords
+from oracles import (
+    contains,
+    integer_kernel_of_row,
+    pairing,
+    q_cartier_route,
+    rank,
+    rref,
+    same_lattice_by_coords,
+    to_ambient,
+)
 
 from logcentre import linalg, toric
 from logcentre.errors import NotApplicable, ResourceLimit
@@ -55,7 +64,7 @@ def _orthant(dim):
 
 def test_lattice_roundtrip_and_membership():
     lattice = Lattice(((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))))
-    assert lattice.to_ambient((0, 0, 2)) == (0, 0, 1)
+    assert to_ambient(lattice, (0, 0, 2)) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("ambient", [(1, 0, 0, 5), (1, 0)], ids=["long", "short"])
@@ -63,7 +72,7 @@ def test_lattice_coordinates_need_matching_dimension(ambient):
     # An extra entry is not dropped: (1, 0, 0, 5) is no point of Z^3.
     lattice = Lattice.standard(3)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        lattice.to_ambient(ambient)
+        to_ambient(lattice, ambient)
 
 
 def test_lattice_requires_invertible_basis():
@@ -369,6 +378,70 @@ def test_simplicial_divisors_are_always_q_cartier():
     assert cartier_index(u) == 1
 
 
+def test_cartier_index_of_integers_and_of_nothing():
+    # Integers have denominator 1, like integral Fractions; no entries, index 1.
+    assert cartier_index((0, -2, 5)) == 1
+    assert cartier_index(()) == 1
+    assert cartier_index((Fraction(1, 4), 3, Fraction(-5, 6))) == 12
+
+
+def test_pair_functional_matches_q_cartier_route():
+    # The integer rows [q*v, q - p] against the Fraction divisor D - 1 route.
+    from logcentre.corpus import random_standard_pairs
+
+    boundaries = [(0, 0, 0), (Fraction(1, 2),) * 3, (Fraction(1, 3),) * 3,
+                  (0, Fraction(1, 2), Fraction(1, 3))]
+    quotients = [
+        ConePair(_cyclic_quotient_cone(r, a, b), ToricDivisor(boundary))
+        for r, a, b in _quotient_weights(8)
+        for boundary in boundaries
+    ]
+    corpus = [pair for seed in range(3) for pair in random_standard_pairs(seed, 300)]
+    square = ConePair(_square_pair().cone, ToricDivisor((0, 0, 0, 0)))
+    denominators = Counter()
+    for pair in (*quotients, *corpus, _square_pair(), _third_pair(), square):
+        u = pair_functional(pair)
+        assert u == q_cartier_route(pair), pair
+        denominators[None if u is None else cartier_index(u)] += 1
+    assert pair_functional(square) is None and denominators[None] >= 1
+    assert denominators[1] > 0 and len(denominators) > 5, denominators
+
+
+def test_cover_lattice_matches_fraction_construction(monkeypatch):
+    # The cover lattice built from the base's integer form equals the one that
+    # Lattice.__post_init__ makes from the Fraction basis vectors, down to the
+    # reduced integer form; on quotient covers the common denominator drops.
+    from logcentre.corpus import random_standard_pairs
+
+    built = []
+    sublattice = toric._sublattice
+
+    def recorded(base, columns):
+        lattice = sublattice(base, columns)
+        built.append((base, columns, lattice))
+        return lattice
+
+    monkeypatch.setattr(toric, "_sublattice", recorded)
+    quotients = [
+        ConePair(_cyclic_quotient_cone(r, a, b), ToricDivisor((0, 0, 0)))
+        for r, a, b in _quotient_weights(12)
+    ]
+    assert len(quotients) == 137
+    corpus = [pair for seed in range(2) for pair in random_standard_pairs(seed, 300)]
+    reduced = 0
+    for pair in (*quotients, *corpus):
+        built.clear()
+        cover = log_canonical_cover(pair)
+        ((base, columns, lattice),) = built
+        assert lattice is cover.cover_lattice and base == pair.cone.lattice
+        expected = Lattice(tuple(to_ambient(base, col) for col in columns))
+        assert lattice.basis == expected.basis, pair
+        assert lattice._scaled == expected._scaled, pair
+        assert lattice._denominator == expected._denominator, pair
+        reduced += lattice._denominator < base._denominator
+    assert reduced > 100, reduced
+
+
 def test_q_cartier_functional_does_not_depend_on_ray_order():
     # The four rays with first coordinate 1 span a facet of the cone over the
     # cube, so when they are listed first the first four equations are singular.
@@ -589,6 +662,17 @@ def _oracle_canonical(cone):
     return all(pairing(u, h) >= 1 for h in _all_pairs_hilbert_basis(cone))
 
 
+def _quotient_weights(below):
+    """(r, a, b) of the isolated quotients 1/r(1,a,b), a <= b, for r < below."""
+    return [
+        (r, a, b)
+        for r in range(2, below)
+        for a in range(1, r)
+        for b in range(a, r)
+        if gcd(a, r) == 1 and gcd(b, r) == 1
+    ]
+
+
 def _cyclic_quotient_cone(r, a, b):
     # 1/r(1,a,b): the positive orthant over the lattice Z^3 + Z(1,a,b)/r.
     lattice = Lattice(((Fraction(1, r), Fraction(a, r), Fraction(b, r)), (0, 1, 0), (0, 0, 1)))
@@ -758,7 +842,7 @@ def test_cover_scales_rays_by_boundary_index():
         scaled = tuple(e * x for x in ray)
         assert pairing(u, scaled) == 1
         # the rescaled ray lies in the cover lattice: it is the cover ray there
-        assert cover.cover_lattice.to_ambient(cover_ray) == pair.cone.lattice.to_ambient(scaled)
+        assert to_ambient(cover.cover_lattice, cover_ray) == to_ambient(pair.cone.lattice, scaled)
 
 
 def test_trivial_cover_is_identity():
@@ -799,9 +883,10 @@ def test_cover_lattice_matches_kernel_route():
         pair = ConePair(Cone.from_rays(rays, Lattice(basis)), boundary)
         cover = log_canonical_cover(pair)
         projected, hermite = _kernel_route(pair)
-        to_ambient = pair.cone.lattice.to_ambient
-        assert cover.cover_lattice.same_lattice(Lattice(tuple(map(to_ambient, projected)))), pair
-        assert cover.cover_lattice.basis == tuple(map(to_ambient, hermite)), pair
+        base = pair.cone.lattice
+        projected_lattice = Lattice(tuple(to_ambient(base, vec) for vec in projected))
+        assert cover.cover_lattice.same_lattice(projected_lattice), pair
+        assert cover.cover_lattice.basis == tuple(to_ambient(base, col) for col in hermite), pair
         degrees.add(cover.degree)
         rational += pair.cone.lattice != Lattice.standard(dim)
     assert 1 in degrees and max(degrees) >= 12
@@ -815,10 +900,7 @@ def test_pulled_back_cover_facets_match_rebuilt_cone():
 
     quotients = [
         ConePair(_cyclic_quotient_cone(r, a, b), ToricDivisor((0, 0, 0)))
-        for r in range(2, 12)
-        for a in range(1, r)
-        for b in range(a, r)
-        if gcd(a, r) == 1 and gcd(b, r) == 1
+        for r, a, b in _quotient_weights(12)
     ]
     base = francia_input_document().objects["base"]
     corpus = [pair for seed in range(3) for pair in random_standard_pairs(seed, 300)]
@@ -917,25 +999,31 @@ def test_correspondence_refuses_in_order():
 
 
 def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
-    from logcentre import cli, toric
+    from logcentre import cli
     from logcentre.casestudies import francia_input_document
     from logcentre.corpus import random_standard_pairs
     from logcentre.iodoc import serialize_document
 
     solved = []
+    solve_scaled = linalg.solve_scaled
 
-    def counted(cone, divisor):
-        solved.append(divisor.coeffs)
-        return q_cartier_functional(cone, divisor)
+    def counted(eqs):
+        solved.append([list(eq) for eq in eqs])
+        return solve_scaled(eqs)
 
-    monkeypatch.setattr(toric, "q_cartier_functional", counted)
-    monkeypatch.setattr(cli, "q_cartier_functional", counted)
+    # Every exact solve, on the Fraction route (solve_exact) and the integer one.
+    monkeypatch.setattr(linalg, "solve_scaled", counted)
     base = francia_input_document().objects["base"]
     for pair in (base, *random_standard_pairs(1, 3)):
         solved.clear()
         assert cover_correspondence_check(pair) is True
-        # -(K+D) on the base only: the cover brings its own K functional.
-        assert solved == [tuple(d - 1 for d in pair.boundary.coeffs)]
+        # -(K+D) on the base only, as the rows [q_i*v_i, q_i - p_i] for
+        # d_i = p_i/q_i: the cover brings its own K functional.
+        rows = [
+            [d.denominator * x for x in ray] + [d.denominator - d.numerator]
+            for ray, d in zip(pair.cone.rays, pair.boundary.coeffs)
+        ]
+        assert solved == [rows], pair
 
     path = tmp_path / "francia.json"
     path.write_text(serialize_document(francia_input_document()))
