@@ -15,9 +15,12 @@ The package has four pillars:
 
 Everything computes over integers and fractions; there is no floating point
 anywhere, so results are reproducible bit for bit.
-"""
 
-from . import casestudies, corpus, errors, iodoc, linalg, ncpoly, orders, toric, valmat
+Importing the package loads none of its modules: each loads on demand, so a
+``logcentre`` process compiles only what its command runs. Import a module by
+name, as ``from logcentre import toric``; ``from logcentre import *`` loads
+all of them.
+"""
 
 __version__ = "0.1.0"
 

@@ -21,6 +21,9 @@ cannot be written is bad usage, and nothing goes to stdout then.
 Exit codes: 0 success, 2 bad usage or bad input, 3 negative verdict (the test
 ran and answered no, or did not apply), 4 resource limit hit, 5 internal
 invariant violated (a bug in logcentre, not in the input).
+
+Each handler imports the library module it runs when it runs, so a process
+loads, and compiles, only what its command needs; ``--help`` loads none.
 """
 
 from __future__ import annotations
@@ -30,33 +33,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import iodoc
-from .casestudies import input_document, run_case_study
 from .errors import InputError, InternalError, LogCentreError, NotApplicable, ResourceLimit
-from .iodoc import rational_to_json
-from .ncpoly import (
-    BUILTIN_SYSTEMS,
-    commutative_quotient_check,
-    is_central,
-    normal_form,
-    parse_poly,
-    read_rational,
-    verify_identity,
-)
-from .orders import cover_graded_valuations, discriminant
-from .toric import (
-    ConePair,
-    ToricDivisor,
-    canonical_divisor,
-    canonical_verdict,
-    cartier_index,
-    dual_cone_generators,
-    klt_check,
-    log_canonical_cover,
-    pair_functional,
-    q_cartier_functional,
-)
-from .valmat import centralizer, omega_power
 
 
 def _fmt_functional(u) -> str:
@@ -64,23 +41,40 @@ def _fmt_functional(u) -> str:
 
 
 def _functional_json(u):
+    from .iodoc import rational_to_json
+
     return None if u is None else [rational_to_json(x) for x in u]
 
 
 def _load_target(spec: str, want: str):
+    from .iodoc import load_path, select_object
+
     path, _, name = spec.partition("#")
-    doc = iodoc.load_path(path)
-    return iodoc.select_object(doc, want, name or None)
+    doc = load_path(path)
+    return select_object(doc, want, name or None)
 
 
 def _load_system(spec: str):
+    from .ncpoly import BUILTIN_SYSTEMS
+
     if spec in BUILTIN_SYSTEMS:
         return BUILTIN_SYSTEMS[spec]()
-    return _load_target(spec, "presentation")
+    try:
+        return _load_target(spec, "presentation")
+    except InputError as exc:
+        # Only a file that cannot be opened may be a misspelled builtin name.
+        if not isinstance(exc.__cause__, OSError):
+            raise
+        names = ", ".join(sorted(BUILTIN_SYSTEMS))
+        raise InputError(f"{exc} (builtin systems: {names})") from exc
 
 
-def _functional_for(pair: ConePair, spec: str):
+def _functional_for(pair, spec: str):
     """Supporting functional of the divisor named by --divisor, or None."""
+    from .iodoc import excerpt
+    from .ncpoly import read_rational
+    from .toric import ToricDivisor, canonical_divisor, pair_functional, q_cartier_functional
+
     if spec == "K+D":
         return pair_functional(pair)
     if spec == "K":
@@ -88,7 +82,7 @@ def _functional_for(pair: ConePair, spec: str):
     try:
         coeffs = tuple(read_rational(part) for part in spec.split(","))
     except InputError as exc:
-        raise InputError(f"bad divisor spec {iodoc.excerpt(spec)}") from exc
+        raise InputError(f"bad divisor spec {excerpt(spec)}") from exc
     if len(coeffs) != len(pair.cone.rays):
         raise InputError(
             f"divisor spec has {len(coeffs)} coefficients, cone has {len(pair.cone.rays)} rays"
@@ -97,18 +91,24 @@ def _functional_for(pair: ConePair, spec: str):
 
 
 def _cmd_omega_center(args):
+    from .valmat import centralizer, omega_power
+
     value = centralizer(omega_power(args.e, args.i))
     result = {"e": args.e, "i": args.i, "valuation": int(value)}
     return 0, result, str(value)
 
 
 def _cmd_cover_center(args):
+    from .orders import cover_graded_valuations
+
     values = cover_graded_valuations(args.e, args.m)
     result = {"e": args.e, "m": args.m, "valuations": list(values)}
     return 0, result, " ".join(str(v) for v in values)
 
 
 def _cmd_discriminant(args):
+    from .orders import discriminant
+
     spec = _load_target(args.target, "order")
     div = discriminant(spec)
     result = {"order": spec.name, "divisor": str(div)}
@@ -124,6 +124,8 @@ def _cmd_qcartier(args):
 
 
 def _cmd_index(args):
+    from .toric import cartier_index
+
     u = _functional_for(_load_target(args.target, "cone_pair"), args.divisor)
     index = None if u is None else cartier_index(u)
     result = {"divisor": args.divisor, "index": index}
@@ -133,6 +135,8 @@ def _cmd_index(args):
 
 
 def _cmd_klt(args):
+    from .toric import cartier_index, klt_check
+
     pair = _load_target(args.target, "cone_pair")
     verdict = klt_check(pair)
     flag = "true" if verdict.is_klt else "false"
@@ -151,6 +155,8 @@ def _cmd_klt(args):
 
 
 def _cmd_canonical(args):
+    from .toric import canonical_verdict, cartier_index
+
     pair = _load_target(args.target, "cone_pair")
     u = _functional_for(pair, "K")
     verdict = canonical_verdict(pair.cone, u)
@@ -162,6 +168,9 @@ def _cmd_canonical(args):
 
 
 def _cmd_cover(args):
+    from .iodoc import rational_to_json
+    from .toric import log_canonical_cover
+
     pair = _load_target(args.target, "cone_pair")
     cover = log_canonical_cover(pair)
     result = {
@@ -178,6 +187,8 @@ def _cmd_cover(args):
 
 
 def _cmd_dual_gens(args):
+    from .toric import dual_cone_generators
+
     pair = _load_target(args.target, "cone_pair")
     gens = dual_cone_generators(pair.cone)
     result = {"count": len(gens), "generators": [list(g) for g in gens]}
@@ -187,6 +198,8 @@ def _cmd_dual_gens(args):
 
 
 def _cmd_nf(args):
+    from .ncpoly import normal_form, parse_poly
+
     system = _load_system(args.system)
     poly = parse_poly(args.expr, system.generators)
     reduced = normal_form(poly, system)
@@ -195,6 +208,8 @@ def _cmd_nf(args):
 
 
 def _cmd_central(args):
+    from .ncpoly import is_central, parse_poly
+
     system = _load_system(args.system)
     poly = parse_poly(args.expr, system.generators)
     verdict = is_central(poly, system)
@@ -203,6 +218,8 @@ def _cmd_central(args):
 
 
 def _cmd_identity(args):
+    from .ncpoly import parse_poly, verify_identity
+
     system = _load_system(args.system)
     lhs = parse_poly(args.lhs, system.generators)
     rhs = parse_poly(args.rhs, system.generators)
@@ -212,19 +229,26 @@ def _cmd_identity(args):
 
 
 def _cmd_quotient_check(args):
+    from .ncpoly import commutative_quotient_check
+
     verdict = commutative_quotient_check(args.name)
     result = {"name": args.name, "consistent": verdict}
     return (0 if verdict else 3), result, f"consistent={'true' if verdict else 'false'}"
 
 
 def _cmd_examples_run(args):
+    from .casestudies import run_case_study
+
     report = run_case_study(args.name)
     return (0 if report.overall else 3), report.to_dict(), report.to_text()
 
 
 def _cmd_examples_input(args):
+    from .casestudies import input_document
+    from .iodoc import serialize_document
+
     doc = input_document(args.name)
-    rendered = iodoc.serialize_document(doc)
+    rendered = serialize_document(doc)
     result = json.loads(rendered)
     return 0, result, rendered.rstrip("\n")
 

@@ -223,6 +223,10 @@ def load_path(path: str) -> InputDocument:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     return loads(text)
 
 

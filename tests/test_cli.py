@@ -1,7 +1,10 @@
 import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -233,6 +236,21 @@ def test_missing_file(capsys):
     code, _, err = _run(capsys, "toric", "klt", "/no/such/file.json")
     assert code == 2
     assert "error" in err
+
+
+def test_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, "toric", "klt", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text ")
+
+
+def test_misspelled_builtin_system_names_the_builtins(capsys):
+    code, out, err = _run(capsys, "ncpoly", "nf", "a", "--system", "quantum")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read quantum: ")
+    assert err.endswith(" (builtin systems: clifford)\n")
 
 
 def test_wrong_object_type(capsys, francia_doc):
@@ -485,3 +503,61 @@ def test_readme_names_every_limit_constant():
 
 def test_module_entry_point():
     import logcentre.__main__  # noqa: F401  (import must not execute main)
+
+
+# import footprint: each process loads only the modules its command runs
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from logcentre import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("logcentre"))))
+"""
+
+
+def _fresh(code, *argv):
+    """The JSON that `code` prints last, run in a new interpreter on src alone."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, check=True, env=env, cwd=ROOT,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded(*argv):
+    return _fresh(_FOOTPRINT, *argv)
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("order", "omega-center", "--e", "3", "--i", "2"), ["valmat"]),
+    (("order", "cover-center", "--e", "3", "--m", "6"), ["orders"]),
+    (("ncpoly", "nf", "b*a"), ["ncpoly"]),
+    (("--help",), []),
+    (("toric", "--help"), []),
+], ids=["omega-center", "cover-center", "nf-builtin", "help", "group-help"])
+def test_command_loads_only_what_it_runs(argv, modules):
+    expected = ["logcentre", "logcentre.cli", "logcentre.errors"]
+    assert _loaded(*argv) == sorted(expected + [f"logcentre.{m}" for m in modules])
+
+
+def test_toric_command_skips_the_other_layers(francia_doc):
+    loaded = _loaded("toric", "klt", francia_doc + "#base")
+    assert "logcentre.toric" in loaded and "logcentre.iodoc" in loaded
+    assert not {"logcentre.casestudies", "logcentre.corpus", "logcentre.valmat"} & set(loaded)
+
+
+def test_package_import_loads_no_module_and_star_binds_all():
+    bare = _fresh(
+        "import json, sys; import logcentre; "
+        "print(json.dumps(sorted(n for n in sys.modules if n.startswith('logcentre'))))"
+    )
+    assert bare == ["logcentre"]
+    star = _fresh(
+        "import json; from logcentre import *; "
+        "print(json.dumps(sorted(n for n, v in globals().items() "
+        "if getattr(v, '__name__', '').startswith('logcentre.'))))"
+    )
+    assert star == ["casestudies", "corpus", "errors", "iodoc", "linalg", "ncpoly",
+                    "orders", "toric", "valmat"]

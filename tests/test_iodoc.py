@@ -7,6 +7,7 @@ from logcentre.casestudies import clifford_input_document, francia_input_documen
 from logcentre.errors import InputError
 from logcentre.iodoc import (
     InputDocument,
+    load_path,
     loads,
     parse_document,
     rational_to_json,
@@ -167,6 +168,14 @@ def test_presentation_rule_with_zero_denominator():
     )
     with pytest.raises(InputError, match="division by zero"):
         loads(doc)
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(InputError) as info:
+        load_path(str(path))
+    assert str(info.value).startswith(f"cannot read {path}: not UTF-8 text ")
 
 
 def test_select_object():
