@@ -31,6 +31,7 @@ __all__ = [
     "iodoc",
     "linalg",
     "ncpoly",
+    "numerals",
     "orders",
     "toric",
     "valmat",

@@ -217,7 +217,7 @@ def _francia_report() -> CaseStudyReport:
         "cover-canonical",
         "the cover has canonical singularities",
         True,
-        canonical_verdict(cover.cover_cone, cover.cover_functional),
+        canonical_verdict(cover.cover_cone, (cover.cover_functional, 1)),
     )
     _check(
         checks,

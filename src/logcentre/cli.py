@@ -72,7 +72,7 @@ def _load_system(spec: str):
 def _functional_for(pair, spec: str):
     """Supporting functional of the divisor named by --divisor, or None."""
     from .iodoc import excerpt
-    from .ncpoly import read_rational
+    from .numerals import read_rational
     from .toric import ToricDivisor, canonical_divisor, pair_functional, q_cartier_functional
 
     if spec == "K+D":
@@ -155,12 +155,14 @@ def _cmd_klt(args):
 
 
 def _cmd_canonical(args):
+    from .linalg import clear_denominators
     from .toric import canonical_verdict, cartier_index
 
     pair = _load_target(args.target, "cone_pair")
     u = _functional_for(pair, "K")
-    verdict = canonical_verdict(pair.cone, u)
-    index = cartier_index(u)
+    solved = None if u is None else (clear_denominators(u), cartier_index(u))
+    verdict = canonical_verdict(pair.cone, solved)
+    index = solved[1]
     flag = "true" if verdict else "false"
     result = {"canonical": verdict, "functional": _functional_json(u), "index": index}
     text = f"canonical={flag} u={_fmt_functional(u)} index={index}"

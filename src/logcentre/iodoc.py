@@ -3,7 +3,7 @@
 A document is ``{"version": "1", "objects": {name: object, ...}}`` where each
 object carries a ``type`` tag. Rational numbers are encoded as JSON integers
 or as strings like ``"1/2"``, ``"-3"`` or ``" 1/2 "``: an optional sign,
-digits and an optional ``/digits``, read by ``ncpoly.read_rational``.
+digits and an optional ``/digits``, read by ``numerals.read_rational``.
 Floating point literals are rejected outright because every computation in
 this package is exact, and so are decimal and exponent strings such as
 ``"0.5"`` or ``"1e-3"``.
@@ -19,7 +19,9 @@ Object schemas:
   as ``{"lhs": "b*a", "rhs": "a*b - 2*c^3"}`` with expression syntax.
 
 Each type tag maps to its class, parser and serializer in one table, which
-drives parsing, serialization and ``select_object``.
+drives parsing, serialization and ``select_object``. The rewrite engine,
+``ncpoly``, is imported only when a presentation is parsed or its class is
+looked up, so a document of orders and cone pairs never loads it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .ncpoly import RewriteSystem, parse_poly, read_int, read_rational
+from .numerals import read_int, read_rational
 from .orders import OrderSpec, RamificationDatum
 from .toric import Cone, ConePair, Lattice, ToricDivisor
 
@@ -148,7 +150,9 @@ def _parse_cone_pair(name: str, spec: dict) -> ConePair:
         raise InputError(f"{name}: {exc}") from exc
 
 
-def _parse_presentation(name: str, spec: dict) -> RewriteSystem:
+def _parse_presentation(name: str, spec: dict):
+    from .ncpoly import RewriteSystem, parse_poly
+
     _check_keys(spec, ("type", "generators", "weights", "rules"), name)
     generators = spec.get("generators")
     if (
@@ -247,7 +251,7 @@ def _serialize_cone_pair(pair: ConePair) -> dict:
     }
 
 
-def _serialize_presentation(system: RewriteSystem) -> dict:
+def _serialize_presentation(system) -> dict:
     return {
         "generators": list(system.generators),
         "weights": list(system.weights),
@@ -255,11 +259,19 @@ def _serialize_presentation(system: RewriteSystem) -> dict:
     }
 
 
-# type tag -> (class, parser, serializer); the serializer leaves out the tag.
+def _rewrite_system():
+    from .ncpoly import RewriteSystem
+
+    return RewriteSystem
+
+
+# type tag -> (class, parser, serializer); the serializer leaves out the tag. The
+# class is given by a function that returns it, so that a presentation's is
+# imported only when it is looked up.
 _KINDS = {
-    "order": (OrderSpec, _parse_order, _serialize_order),
-    "cone_pair": (ConePair, _parse_cone_pair, _serialize_cone_pair),
-    "presentation": (RewriteSystem, _parse_presentation, _serialize_presentation),
+    "order": (lambda: OrderSpec, _parse_order, _serialize_order),
+    "cone_pair": (lambda: ConePair, _parse_cone_pair, _serialize_cone_pair),
+    "presentation": (_rewrite_system, _parse_presentation, _serialize_presentation),
 }
 
 
@@ -268,7 +280,7 @@ def serialize_document(doc: InputDocument) -> str:
     objects = {}
     for name, obj in doc.objects.items():
         for kind, (cls, _, serialize) in _KINDS.items():
-            if isinstance(obj, cls):
+            if isinstance(obj, cls()):
                 objects[name] = {"type": kind, **serialize(obj)}
                 break
         else:
@@ -280,7 +292,7 @@ def select_object(doc: InputDocument, want: str, name=None):
     """Fetch the named object, or the unique object of the wanted type."""
     if want not in _KINDS:
         raise ValueError(f"unknown object type {want!r}")
-    cls = _KINDS[want][0]
+    cls = _KINDS[want][0]()
     if name is not None:
         if name not in doc.objects:
             raise InputError(f"document has no object named {name!r}")

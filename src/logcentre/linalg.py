@@ -7,6 +7,8 @@ integer-preserving Gaussian elimination", Math. Comp. 22, 1968). There is one
 integer solve, solve_scaled: integer equations in, integer numerators over one
 least common denominator out. solve_exact is its Fraction view: a rational
 system is scaled to integers row by row, solved, and read back as Fractions.
+adjugate solves for every unit vector at once: one elimination of [P | I]
+gives the integer normals dual to the rows of P, scaled by |det P|.
 Lattice work uses extended gcd column operations. Inputs are sequences of rows
 unless a function says columns.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def clear_denominators(row) -> list:
@@ -73,12 +76,40 @@ def solve_scaled(eqs):
         return None
     nums = [0] * n
     for k in reversed(range(n)):
-        rest = sum(a * x for a, x in zip(eqs[k][k + 1 : n], nums[k + 1 :]))
+        rest = sum(map(mul, eqs[k][k + 1 : n], nums[k + 1 :]))
         nums[k] = (det * eqs[k][n] - rest) // eqs[k][k]
     s = gcd(det, *nums)
     if det < 0:
         s = -s
     return tuple(x // s for x in nums), det // s
+
+
+def adjugate(rows):
+    """Integer normals n_i of the nonsingular square integer matrix P with rows
+    v_j, such that n_i . v_j = |det P| * [i == j], as (normals, |det P|); None
+    when P is singular.
+
+    One fraction-free elimination of [P | I], then back substitution in
+    integers for all the columns e_i of I at once, as in solve_scaled: det * x
+    with P x = e_i is column i of the adjugate of P, and n_i is that column
+    times the sign of det.
+    """
+    d = len(rows)
+    work = [[*row, *(0,) * i, 1, *(0,) * (d - 1 - i)] for i, row in enumerate(rows)]
+    det = _eliminate(work, d)
+    if not det:
+        return None
+    solved = [None] * d  # solved[k][i]: det * x_k for the right-hand side e_i
+    for k in reversed(range(d)):
+        row = work[k]
+        acc = [det * b for b in row[d:]]
+        for j in range(k + 1, d):
+            if row[j]:
+                acc = [a - row[j] * x for a, x in zip(acc, solved[j])]
+        solved[k] = [a // row[k] for a in acc]
+    if det < 0:
+        return [[-x for x in col] for col in zip(*solved)], -det
+    return [list(col) for col in zip(*solved)], det
 
 
 def solve_exact(rows, rhs):

@@ -38,6 +38,7 @@ from itertools import groupby
 from typing import Optional
 
 from .errors import InputError, ResourceLimit
+from .numerals import read_int
 
 # Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
 MAX_REWRITE_STEPS = 10**6
@@ -234,39 +235,6 @@ def _as_poly(value) -> Optional[NCPoly]:
     if isinstance(value, (int, Fraction)):
         return NCPoly.constant(value)
     return None
-
-
-def read_int(text: str) -> int:
-    """The integer an optionally signed digit string spells, InputError if too long.
-
-    Python refuses to convert very long digit strings; the refusal is bad input.
-    """
-    try:
-        return int(text)
-    except ValueError:
-        digits = len(text.lstrip("+-"))
-        raise InputError(f"integer literal of {digits} digits is too long") from None
-
-
-_RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?")
-
-
-def read_rational(text: str) -> Fraction:
-    """The rational an optionally signed "p" or "p/q" digit string spells, once
-    surrounding whitespace is stripped; InputError for any other text, for a
-    zero denominator, and where read_int refuses p or q. Decimal points and
-    exponents are refused, so no text reaches Fraction's own string parser.
-    """
-    match = _RATIONAL.fullmatch(text.strip())
-    if match is None:
-        raise InputError("expected an optionally signed integer p or fraction p/q")
-    numerator = read_int(match[1])
-    if match[2] is None:
-        return Fraction(numerator)
-    denominator = read_int(match[2])
-    if not denominator:
-        raise InputError("zero denominator")
-    return Fraction(numerator, denominator)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S))")

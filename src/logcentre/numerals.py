@@ -1,0 +1,44 @@
+"""Readers of the integers and rationals that documents, expressions and the
+command line spell. They live apart from the rewrite engine and the document
+layer, so that reading a number loads neither.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+from .errors import InputError
+
+
+def read_int(text: str) -> int:
+    """The integer an optionally signed digit string spells, InputError if too long.
+
+    Python refuses to convert very long digit strings; the refusal is bad input.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise InputError(f"integer literal of {digits} digits is too long") from None
+
+
+_RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?")
+
+
+def read_rational(text: str) -> Fraction:
+    """The rational an optionally signed "p" or "p/q" digit string spells, once
+    surrounding whitespace is stripped; InputError for any other text, for a
+    zero denominator, and where read_int refuses p or q. Decimal points and
+    exponents are refused, so no text reaches Fraction's own string parser.
+    """
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise InputError("expected an optionally signed integer p or fraction p/q")
+    numerator = read_int(match[1])
+    if match[2] is None:
+        return Fraction(numerator)
+    denominator = read_int(match[2])
+    if not denominator:
+        raise InputError("zero denominator")
+    return Fraction(numerator, denominator)

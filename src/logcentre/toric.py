@@ -19,11 +19,16 @@ point of a piece is a nonnegative integer combination of its rays plus a point
 of its half-open fundamental parallelepiped, which holds |det| points. As u = 1
 on every ray, a point with u < 1 is such a parallelepiped point (Reid's form of
 the Reid-Tai criterion, "Young person's guide to canonical singularities",
-1987), and so is every Hilbert basis element other than a ray. Hilbert bases
-are reduced in order of degree (the sum of the facet values) against the basis
-elements already found. The index-one cover is computed in integers from end
-to end: the pair's -(K+D) functional is solved once as integer numerators over
-one denominator, the cover lattice is one integer Hermite form, lower
+1987), and so is every Hilbert basis element other than a ray. Each piece
+takes one adjugate of its rays, in integers: normals n_i with n_i.v_j = |det|
+[i == j]. A coset representative x of the piece's lattice then gives the
+residues r_i = n_i.x mod |det|, and r_i / |det| are the Reid-Tai ages of its
+parallelepiped point p = sum r_i v_i / |det|. The canonical test reads u(p)
+from the residues and builds no point; the Hilbert basis builds p. Hilbert
+bases are reduced in order of degree (the sum of the facet values) against the
+basis elements already found. The index-one cover is computed in integers from
+end to end: the pair's -(K+D) functional is solved once as integer numerators
+over one denominator, the cover lattice is one integer Hermite form, lower
 triangular, applied to the base lattice's integer form; its rays are solved on
 that basis by forward substitution, its facets are the pair's facets pulled
 back to that basis, and its K functional is the pair's -(K+D) functional read
@@ -50,6 +55,9 @@ MAX_PARALLELEPIPED_POINTS = 10**6
 # Facet enumeration pairs each (d-1)-subset of the n rays with each ray, C(n, d-1) * n
 # times: about 0.3 s at this cap (Python 3.11, 2-core VM), or 28 rays in dimension 4.
 MAX_FACET_PAIRINGS = 10**5
+# Residues listed at once (_residues): a piece of large determinant is listed in
+# bounded memory, and the canonical test stops within one row of its witness.
+_ROW_LENGTH = 1024
 
 
 def _require(condition: bool, message: str) -> None:
@@ -68,9 +76,9 @@ class Lattice:
     that one integer form serves the determinant (the basis is nonsingular when
     it is nonzero) and same_lattice, which compares Hermite forms over the
     common denominator of both lattices. An index-one cover lattice is built
-    from its base's integer form without this constructor (_sublattice). The
-    dual basis comes from the fraction-free integer elimination in linalg
-    (solve_exact).
+    from its base's integer form without this constructor (_sublattice), and
+    so is the dual lattice, from one adjugate of the integer form
+    (linalg.adjugate).
     """
 
     basis: tuple
@@ -101,9 +109,13 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """Dual lattice; its coordinates pair with this lattice's coordinates:
-        dual basis vector i solves <u_i, b_j> = [i == j] over the basis b."""
-        unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        return Lattice(tuple(linalg.solve_exact(self.basis, e) for e in unit))
+        dual basis vector i solves <u_i, b_j> = [i == j] over the basis b.
+
+        With b_j = S_j / D for the integer form S over the denominator D, one
+        adjugate of S gives n_i.S_j = |det S| [i == j], so u_i = n_i D / |det S|.
+        """
+        normals, size = linalg.adjugate(self._scaled)
+        return _from_integer_form([[x * self._denominator for x in n] for n in normals], size)
 
     def same_lattice(self, other: "Lattice") -> bool:
         """True when both bases generate the same subgroup of the ambient space:
@@ -308,23 +320,18 @@ def _klt_verdict(pair: ConePair, u) -> KltResult:
     return KltResult(all(sum(map(mul, w, v)) > 0 for v in pair.cone.rays), u)
 
 
-def _parallelepiped_points(cone: Cone):
-    """Lattice points of the half-open fundamental parallelepipeds of simplicial
-    pieces that cover the cone; the origin is one of them, and pieces overlap,
-    so points can repeat.
+def _pieces(cone: Cone) -> list:
+    """The simplicial pieces that cover the cone, as (rays, normals, |det|).
 
     Each piece is the first ray v_1 joined to d - 1 independent rays on a facet
     that v_1 is off. Sliding a point x of the cone back along v_1 until it
     leaves, it leaves through such a facet, so x lies in v_1 plus the facet,
     and the facet is covered by its independent (d-1)-sets of rays
-    (Caratheodory). Row i of a piece's adjugate is the minors vector n_i of the
-    other d - 1 rays, oriented so that n_i.v_i = |det|; then x has
-    coefficient n_i.x / |det| on v_i, and subtracting the integer parts of
-    those coefficients folds x into the parallelepiped. The |det| cosets of the
-    piece's lattice are represented by the points 0 <= x_i < pivot_i of its
-    Hermite form. Before any point is listed, the sum of |det| over the
-    pieces, which is the number of points listed, is checked against
-    MAX_PARALLELEPIPED_POINTS (ResourceLimit).
+    (Caratheodory). The normals are one adjugate of the piece's rays
+    (linalg.adjugate): n_i.v_j = |det| * [i == j], so x has coefficient
+    n_i.x / |det| on v_i. The sum of |det| over the pieces, which is the number
+    of parallelepiped points, is checked against MAX_PARALLELEPIPED_POINTS
+    (ResourceLimit) before any point is listed.
     """
     dim, first = cone.dim, cone.rays[0]
     pieces = []
@@ -334,29 +341,51 @@ def _parallelepiped_points(cone: Cone):
         on = [ray for ray in cone.rays if sum(map(mul, facet, ray)) == 0]
         for subset in combinations(on, dim - 1):
             piece = (first, *subset)
-            normals = [_minors(piece[:i] + piece[i + 1 :], dim) for i in range(dim)]
-            size = abs(sum(map(mul, normals[0], first)))
-            if size:  # otherwise the subset spans less than the facet
-                normals = [
-                    n if sum(map(mul, n, v)) > 0 else [-x for x in n]
-                    for n, v in zip(normals, piece)
-                ]
-                pieces.append((piece, normals, size))
+            solved = linalg.adjugate(piece)
+            if solved is not None:  # otherwise the subset spans less than the facet
+                pieces.append((piece, *solved))
     count = sum(size for _, _, size in pieces)
     if count > MAX_PARALLELEPIPED_POINTS:
         raise ResourceLimit(
             f"fundamental parallelepipeds hold {count} lattice points, above the cap "
             f"MAX_PARALLELEPIPED_POINTS = {MAX_PARALLELEPIPED_POINTS}"
         )
-    for piece, normals, size in pieces:
-        hermite = linalg.hermite_column_form(piece)
-        for x in product(*(range(col[i]) for i, col in enumerate(hermite))):
-            p = list(x)
-            for n, v in zip(normals, piece):
-                q = sum(map(mul, n, x)) // size
-                if q:
-                    p = [a - q * b for a, b in zip(p, v)]
-            yield tuple(p)
+    return pieces
+
+
+def _residues(piece, normals, size):
+    """The residues (n_i.x mod |det|)_i of the |det| lattice points of the
+    piece's half-open fundamental parallelepiped, in rows: lists of tuples.
+
+    The point p = sum_i r_i v_i / |det| is the one the coset x + (the piece's
+    lattice) meets the parallelepiped in, and r_i / |det| is its coefficient
+    on v_i: the Reid-Tai ages of the piece. The cosets are represented by the
+    points 0 <= x_j < pivot_j of the Hermite form of the piece's rays, in
+    product order. Past the last pivot k above 1 every x_j is 0, and the
+    residues are linear in x_k mod |det|, so each value of x_0..x_{k-1}
+    gives a row, listed column by column, of at most _ROW_LENGTH values of x_k.
+    """
+    hermite = linalg.hermite_column_form(piece)
+    pivots = [col[j] for j, col in enumerate(hermite)]
+    k = max((j for j, pivot in enumerate(pivots) if pivot > 1), default=0)
+    column = [n[k] for n in normals]
+    for head in product(*map(range, pivots[:k])):
+        starts = [sum(map(mul, n, head)) for n in normals]
+        for low in range(0, pivots[k], _ROW_LENGTH):
+            steps = range(low, min(low + _ROW_LENGTH, pivots[k]))
+            yield list(zip(*[[(s + t * c) % size for t in steps] for s, c in zip(starts, column)]))
+
+
+def _parallelepiped_points(cone: Cone):
+    """Lattice points of the half-open fundamental parallelepipeds of simplicial
+    pieces that cover the cone (_pieces); the origin is one of them, and pieces
+    overlap, so points can repeat. Each point is read from its residues
+    (_residues) as p = sum_i r_i v_i / |det|, an exact integer division.
+    """
+    for piece, normals, size in _pieces(cone):
+        axes = tuple(zip(*piece))
+        for row in _residues(piece, normals, size):
+            yield from zip(*[[sum(map(mul, r, axis)) // size for r in row] for axis in axes])
 
 
 def hilbert_basis(cone: Cone) -> tuple:
@@ -407,29 +436,39 @@ def canonical_check(cone: Cone) -> bool:
     """Canonical-singularities test for the cone with empty boundary.
 
     Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable).
-    Its functional u has <u, v_i> = 1 on every ray, and the cone is canonical
-    exactly when no nonzero lattice point has u < 1. When K is Cartier, u is
-    integral and positive off the origin, so the answer is yes at once.
-    Otherwise a nonzero point with u < 1 is a point of a fundamental
-    parallelepiped of the simplicial pieces that cover the cone, so the test
-    lists those points and stops at the first such one; ResourceLimit when
-    the parallelepipeds hold more than MAX_PARALLELEPIPED_POINTS points.
+    Its functional u has <u, v_i> = 1 on every ray; it is solved in integers
+    as u = w/m (linalg.solve_scaled on the rows [v_i, 1]). The cone is
+    canonical exactly when no nonzero lattice point has u < 1. When K is
+    Cartier (m = 1), u is integral and positive off the origin, so the answer
+    is yes at once. Otherwise a nonzero point with u < 1 is a point of a
+    fundamental parallelepiped of the simplicial pieces that cover the cone,
+    and u of such a point is the sum of its Reid-Tai ages r_i / |det| in its
+    piece (Reid's form of the Reid-Tai criterion). So the test reads each
+    piece's residues, builds no point, and stops at the first point with
+    0 < sum r_i < |det|; ResourceLimit when the parallelepipeds hold more than
+    MAX_PARALLELEPIPED_POINTS points.
     """
-    return canonical_verdict(cone, q_cartier_functional(cone, canonical_divisor(cone)))
+    return canonical_verdict(cone, linalg.solve_scaled([[*ray, 1] for ray in cone.rays]))
 
 
-def canonical_verdict(cone: Cone, u) -> bool:
-    """canonical_check given the functional u of K (None if K is not Q-Cartier)."""
-    if u is None:
+def canonical_verdict(cone: Cone, solved) -> bool:
+    """canonical_check given K's functional u = w/m as the integer pair (w, m),
+    or None when K is not Q-Cartier."""
+    if solved is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
-    m = cartier_index(u)
+    w, m = solved
     if m == 1:
         return True  # u is a positive integer on every nonzero point of the cone
-    # 0 < u < 1 in integers: m*u is integral and compared with 0 and m; u = 0
-    # only at the origin.
-    w = linalg.clear_denominators(u)
-    points = _parallelepiped_points(cone)
-    return not any(0 < sum(map(mul, w, p)) < m for p in points)
+    # A parallelepiped point p = sum r_i v_i / |det| has u(p) = sum r_i c_i /
+    # (m |det|) with c_i = w.v_i, so 0 < u(p) < 1 is compared in integers; the
+    # residues are all 0 only at the origin.
+    for piece, normals, size in _pieces(cone):
+        values = [sum(map(mul, w, v)) for v in piece]
+        bound = m * size
+        for row in _residues(piece, normals, size):
+            if any(0 < sum(map(mul, r, values)) < bound for r in row):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -509,15 +548,24 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
 def _sublattice(base: Lattice, columns) -> Lattice:
     """The sublattice of `base` whose basis is `columns` in base coordinates,
     built from the base's integer form: column k is sum_j col_k[j]*_scaled[j]
-    over the base's denominator, divided with that denominator by the gcd of
-    both, which is the reduced form Lattice.__post_init__ would compute. It is
-    nonsingular because the base is and the columns are independent (the
-    cover requires |det| = m), so no determinant is taken again.
+    over the base's denominator (_from_integer_form). It is nonsingular
+    because the base is and the columns are independent (the cover requires
+    |det| = m).
     """
     axes = tuple(zip(*base._scaled))
-    scaled = [[sum(map(mul, col, axis)) for axis in axes] for col in columns]
-    g = gcd(base._denominator, *chain.from_iterable(scaled))
-    denominator = base._denominator // g
+    return _from_integer_form(
+        [[sum(map(mul, col, axis)) for axis in axes] for col in columns], base._denominator
+    )
+
+
+def _from_integer_form(scaled, denominator: int) -> Lattice:
+    """The lattice whose basis vectors are the integer rows of `scaled` over
+    `denominator`, which the caller knows to be nonsingular: both are divided
+    by the gcd of all of them, which is the reduced form
+    Lattice.__post_init__ would compute, and no determinant is taken again.
+    """
+    g = gcd(denominator, *chain.from_iterable(scaled))
+    denominator //= g
     scaled = tuple(tuple(x // g for x in vec) for vec in scaled)
     lattice = object.__new__(Lattice)
     object.__setattr__(lattice, "basis",
@@ -575,4 +623,4 @@ def cover_correspondence_check(pair: ConePair) -> bool:
     its index-one cover; a mismatch signals an implementation bug."""
     cover = log_canonical_cover(pair)
     klt = _klt_verdict(pair, cover.functional).is_klt
-    return klt == canonical_verdict(cover.cover_cone, cover.cover_functional)
+    return klt == canonical_verdict(cover.cover_cone, (cover.cover_functional, 1))

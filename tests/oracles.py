@@ -13,7 +13,11 @@ Hermite forms, and ``contains`` is cone membership read off the facets.
 route by which the cover lattice's basis was once built and against which the
 integer construction of ``logcentre.toric`` is checked; ``q_cartier_route``
 solves the -(K+D) functional the older way, as the Q-Cartier functional of the
-Fraction divisor K + D.
+Fraction divisor K + D. ``fold_parallelepiped_points`` lists the lattice points
+of the fundamental parallelepipeds the older way, with normals from signed
+minors and each coset representative folded back by the integer parts of its
+coefficients, where ``logcentre.toric`` reads each point from its residues
+under one adjugate per piece.
 
 The valuation-matrix closed forms of ``logcentre.valmat`` are checked against
 second closed forms of the radical and the dualizing module, and against an
@@ -42,10 +46,11 @@ equivalence under which the centre valuation must not move.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional
 
 from logcentre.errors import LogCentreError
-from logcentre.linalg import xgcd
+from logcentre.linalg import det_int, hermite_column_form, xgcd
 from logcentre.ncpoly import NCPoly
 from logcentre.toric import ToricDivisor, q_cartier_functional
 from logcentre.valmat import INF, ValMatrix
@@ -141,6 +146,42 @@ def q_cartier_route(pair):
 def contains(cone, v) -> bool:
     """Membership in the cone: v is on the nonnegative side of every facet."""
     return all(sum(a * b for a, b in zip(n, v)) >= 0 for n in cone.facets)
+
+
+def _signed_minors(vectors, dim: int) -> list:
+    """Signed maximal minors of dim - 1 vectors: a normal orthogonal to each."""
+    return [(-1) ** i * det_int([v[:i] + v[i + 1 :] for v in vectors]) for i in range(dim)]
+
+
+def fold_parallelepiped_points(cone):
+    """The parallelepiped points of ``toric._parallelepiped_points``, listed the
+    older way: the same pieces, in the same order, and the same Hermite coset
+    representatives x; each normal n_i is the signed minors of the other
+    d - 1 rays, d^2 determinants a piece, and x is folded into the
+    parallelepiped by subtracting floor(n_i.x / |det|) v_i for each i.
+    """
+    dim, first = cone.dim, cone.rays[0]
+    for facet in cone.facets:
+        if sum(a * b for a, b in zip(facet, first)) == 0:
+            continue
+        on = [ray for ray in cone.rays if sum(a * b for a, b in zip(facet, ray)) == 0]
+        for subset in combinations(on, dim - 1):
+            piece = (first, *subset)
+            normals = [_signed_minors(piece[:i] + piece[i + 1 :], dim) for i in range(dim)]
+            size = abs(sum(a * b for a, b in zip(normals[0], first)))
+            if not size:
+                continue
+            normals = [
+                n if sum(a * b for a, b in zip(n, v)) > 0 else [-x for x in n]
+                for n, v in zip(normals, piece)
+            ]
+            hermite = hermite_column_form(piece)
+            for x in product(*(range(col[i]) for i, col in enumerate(hermite))):
+                p = list(x)
+                for n, v in zip(normals, piece):
+                    q = sum(a * b for a, b in zip(n, x)) // size
+                    p = [a - q * b for a, b in zip(p, v)]
+                yield tuple(p)
 
 
 # ---------------------------------------------------------------------------

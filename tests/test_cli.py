@@ -533,7 +533,7 @@ def _loaded(*argv):
 @pytest.mark.parametrize("argv, modules", [
     (("order", "omega-center", "--e", "3", "--i", "2"), ["valmat"]),
     (("order", "cover-center", "--e", "3", "--m", "6"), ["orders"]),
-    (("ncpoly", "nf", "b*a"), ["ncpoly"]),
+    (("ncpoly", "nf", "b*a"), ["ncpoly", "numerals"]),
     (("--help",), []),
     (("toric", "--help"), []),
 ], ids=["omega-center", "cover-center", "nf-builtin", "help", "group-help"])
@@ -545,7 +545,8 @@ def test_command_loads_only_what_it_runs(argv, modules):
 def test_toric_command_skips_the_other_layers(francia_doc):
     loaded = _loaded("toric", "klt", francia_doc + "#base")
     assert "logcentre.toric" in loaded and "logcentre.iodoc" in loaded
-    assert not {"logcentre.casestudies", "logcentre.corpus", "logcentre.valmat"} & set(loaded)
+    assert not {"logcentre.casestudies", "logcentre.corpus", "logcentre.valmat",
+                "logcentre.ncpoly"} & set(loaded)
 
 
 def test_package_import_loads_no_module_and_star_binds_all():
@@ -560,4 +561,4 @@ def test_package_import_loads_no_module_and_star_binds_all():
         "if getattr(v, '__name__', '').startswith('logcentre.'))))"
     )
     assert star == ["casestudies", "corpus", "errors", "iodoc", "linalg", "ncpoly",
-                    "orders", "toric", "valmat"]
+                    "numerals", "orders", "toric", "valmat"]

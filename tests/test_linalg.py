@@ -169,6 +169,30 @@ def _det_by_elimination(rows):
     return det
 
 
+def test_adjugate_normals_are_dual_to_the_rows():
+    # Seeded integer matrices of size 1 to 4; in a quarter of them the last
+    # row is made -2 times the first, or zero in size 1.
+    rng = random.Random(2107)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.25:
+            rows[-1] = [-2 * a for a in rows[0]] if n > 1 else [0]
+        det = linalg.det_int(rows)
+        solved = linalg.adjugate(rows)
+        if det == 0:
+            assert solved is None, rows
+            outcomes.add("singular")
+            continue
+        normals, size = solved
+        assert size == abs(det), rows
+        products = [[sum(a * b for a, b in zip(normal, row)) for row in rows] for normal in normals]
+        assert products == [[size * (i == j) for j in range(n)] for i in range(n)], rows
+        outcomes.add("nonsingular")
+    assert outcomes == {"singular", "nonsingular"}
+
+
 def _solve_or_deficient(rows, rhs):
     try:
         return linalg.solve_exact(rows, rhs)

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import (
     contains,
+    fold_parallelepiped_points,
     integer_kernel_of_row,
     pairing,
     q_cartier_route,
@@ -114,6 +115,29 @@ def test_dual_lattice_round_trip_on_random_rational_bases():
         assert dual.dual() == lattice
         outcomes.add("dual")
     assert outcomes == {"singular", "dual"}
+
+
+def test_dual_basis_matches_the_solve_route():
+    # One adjugate of the integer form against d Fraction solves
+    # <u_i, b_j> = [i == j]; the integer form over its denominator, which the
+    # dual gets without Lattice.__post_init__, must match too.
+    rng = random.Random(3417)
+    checked = 0
+    while checked < 300:
+        dim = rng.randint(1, 4)
+        basis = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)]
+            for _ in range(dim)
+        ]
+        if rank(basis) < dim:
+            continue
+        lattice = Lattice(basis)
+        unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        expected = Lattice(tuple(linalg.solve_exact(lattice.basis, e) for e in unit))
+        dual = lattice.dual()
+        assert dual.basis == expected.basis, basis
+        assert (dual._scaled, dual._denominator) == (expected._scaled, expected._denominator)
+        checked += 1
 
 
 def test_same_lattice():
@@ -711,14 +735,21 @@ def _random_cone(rng):
     return Cone.from_rays(sorted(rays))
 
 
-def test_canonical_and_hilbert_basis_match_oracles_on_random_cones():
+def _random_cones():
+    """100 seeded random cones."""
     rng = random.Random(20230217)
-    verdicts = []
-    while len(verdicts) < 100:
+    cones = []
+    while len(cones) < 100:
         try:
-            cone = _random_cone(rng)
+            cones.append(_random_cone(rng))
         except ValueError:
             continue  # not pointed, not full-dimensional, or a ray not extreme
+    return cones
+
+
+def test_canonical_and_hilbert_basis_match_oracles_on_random_cones():
+    verdicts = []
+    for cone in _random_cones():
         expected = _oracle_canonical(cone)
         if expected is None:
             with pytest.raises(NotApplicable):
@@ -751,12 +782,12 @@ def _zonotope_box_size(rays):
     return size
 
 
-def test_canonical_and_hilbert_basis_match_oracles_on_cones_with_large_facets():
-    # A facet with 4 or more rays splits into overlapping simplicial pieces,
-    # so the parallelepipeds repeat points.
+def _large_facet_cones():
+    """Ten seeded cones with a facet of 4 or more rays: such a facet splits
+    into overlapping simplicial pieces, so the parallelepipeds repeat points."""
     rng = random.Random(6264)
-    wanted = {6: 4, 7: 4, 8: 2}  # cones still to check, by ray count
-    seen = []
+    wanted = {6: 4, 7: 4, 8: 2}  # cones still to find, by ray count
+    cones = []
     while any(wanted.values()):
         rays = _height_two_rays(rng)
         if not wanted.get(len(rays)) or _zonotope_box_size(rays) > 2100:
@@ -767,6 +798,14 @@ def test_canonical_and_hilbert_basis_match_oracles_on_cones_with_large_facets():
             continue  # a ray not extreme
         if max(sum(pairing(n, ray) == 0 for ray in cone.rays) for n in cone.facets) < 4:
             continue
+        wanted[len(rays)] -= 1
+        cones.append(cone)
+    return cones
+
+
+def test_canonical_and_hilbert_basis_match_oracles_on_cones_with_large_facets():
+    seen = []
+    for cone in _large_facet_cones():
         expected = _oracle_canonical(cone)
         if expected is None:
             with pytest.raises(NotApplicable):
@@ -775,9 +814,30 @@ def test_canonical_and_hilbert_basis_match_oracles_on_cones_with_large_facets():
             assert cartier_index(q_cartier_functional(cone, canonical_divisor(cone))) > 1
             assert canonical_check(cone) is expected, cone
         assert hilbert_basis(cone) == _all_pairs_hilbert_basis(cone), cone
-        wanted[len(rays)] -= 1
         seen.append(expected)
     assert set(seen) == {True, False, None}
+
+
+@pytest.mark.parametrize("row_length", [toric._ROW_LENGTH, 2], ids=["rows", "short-rows"])
+def test_residue_listing_matches_the_fold(monkeypatch, row_length):
+    # The same points in the same order, repeats included, as the fold of
+    # each coset representative by the integer parts of its coefficients;
+    # rows of two residues split the longer rows as a large piece would be.
+    monkeypatch.setattr(toric, "_ROW_LENGTH", row_length)
+    cones = _random_cones() + _large_facet_cones()
+    repeats = 0
+    for cone in cones:
+        points = list(toric._parallelepiped_points(cone))
+        assert points == list(fold_parallelepiped_points(cone)), cone
+        repeats += len(points) - len(set(points))
+    assert repeats
+    # Pieces with two pivots above 1 list more than one row of residues.
+    pivots = [
+        [col[j] for j, col in enumerate(linalg.hermite_column_form(piece))]
+        for cone in cones
+        for piece, _, _ in toric._pieces(cone)
+    ]
+    assert any(sum(p > 1 for p in piece) > 1 for piece in pivots)
 
 
 def test_facets_of_random_cones():
