@@ -69,16 +69,17 @@ def _load_system(spec: str):
         raise InputError(f"{exc} (builtin systems: {names})") from exc
 
 
-def _functional_for(pair, spec: str):
-    """Supporting functional of the divisor named by --divisor, or None."""
+def _solution_for(pair, spec: str):
+    """Supporting functional of the divisor named by --divisor as (w, m), u =
+    w/m with m its Cartier index, or None."""
     from .iodoc import excerpt
     from .numerals import read_rational
-    from .toric import ToricDivisor, canonical_divisor, pair_functional, q_cartier_functional
+    from .toric import canonical_solution, divisor_solution, pair_solution
 
     if spec == "K+D":
-        return pair_functional(pair)
+        return pair_solution(pair)
     if spec == "K":
-        return q_cartier_functional(pair.cone, canonical_divisor(pair.cone))
+        return canonical_solution(pair.cone)
     try:
         coeffs = tuple(read_rational(part) for part in spec.split(","))
     except InputError as exc:
@@ -87,7 +88,7 @@ def _functional_for(pair, spec: str):
         raise InputError(
             f"divisor spec has {len(coeffs)} coefficients, cone has {len(pair.cone.rays)} rays"
         )
-    return q_cartier_functional(pair.cone, ToricDivisor(coeffs))
+    return divisor_solution(pair.cone, [(c.numerator, c.denominator) for c in coeffs])
 
 
 def _cmd_omega_center(args):
@@ -116,7 +117,9 @@ def _cmd_discriminant(args):
 
 
 def _cmd_qcartier(args):
-    u = _functional_for(_load_target(args.target, "cone_pair"), args.divisor)
+    from .toric import as_fractions
+
+    u = as_fractions(_solution_for(_load_target(args.target, "cone_pair"), args.divisor))
     result = {"divisor": args.divisor, "functional": _functional_json(u)}
     if u is None:
         return 3, result, "none"
@@ -124,10 +127,8 @@ def _cmd_qcartier(args):
 
 
 def _cmd_index(args):
-    from .toric import cartier_index
-
-    u = _functional_for(_load_target(args.target, "cone_pair"), args.divisor)
-    index = None if u is None else cartier_index(u)
+    solved = _solution_for(_load_target(args.target, "cone_pair"), args.divisor)
+    index = None if solved is None else solved[1]
     result = {"divisor": args.divisor, "index": index}
     if index is None:
         return 3, result, "none"
@@ -155,14 +156,12 @@ def _cmd_klt(args):
 
 
 def _cmd_canonical(args):
-    from .linalg import clear_denominators
-    from .toric import canonical_verdict, cartier_index
+    from .toric import as_fractions, canonical_verdict
 
     pair = _load_target(args.target, "cone_pair")
-    u = _functional_for(pair, "K")
-    solved = None if u is None else (clear_denominators(u), cartier_index(u))
+    solved = _solution_for(pair, "K")
     verdict = canonical_verdict(pair.cone, solved)
-    index = solved[1]
+    u, index = as_fractions(solved), solved[1]
     flag = "true" if verdict else "false"
     result = {"canonical": verdict, "functional": _functional_json(u), "index": index}
     text = f"canonical={flag} u={_fmt_functional(u)} index={index}"

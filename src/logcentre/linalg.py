@@ -5,8 +5,8 @@ elimination. Determinants and solves share one fraction-free (Bareiss)
 elimination in integers (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968). There is one
 integer solve, solve_scaled: integer equations in, integer numerators over one
-least common denominator out. solve_exact is its Fraction view: a rational
-system is scaled to integers row by row, solved, and read back as Fractions.
+least common denominator out; callers write rational equations as integer
+rows, and nothing here makes a Fraction.
 adjugate solves for every unit vector at once: one elimination of [P | I]
 gives the integer normals dual to the rows of P, scaled by |det P|.
 Lattice work uses extended gcd column operations. Inputs are sequences of rows
@@ -15,15 +15,8 @@ unless a function says columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
-
-
-def clear_denominators(row) -> list:
-    """The rational row times the lcm of its denominators, as integers."""
-    m = lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
 
 
 def _eliminate(rows, n: int) -> int:
@@ -110,22 +103,6 @@ def adjugate(rows):
     if det < 0:
         return [[-x for x in col] for col in zip(*solved)], -det
     return [list(col) for col in zip(*solved)], det
-
-
-def solve_exact(rows, rhs):
-    """Solve row_i . x = rhs_i exactly for d unknowns: each equation scaled
-    to integers, then solve_scaled. Returns the solution as a tuple of
-    Fractions, or None when the system is inconsistent. Raises ValueError when
-    rhs has not one entry per equation, or when no d equations are
-    independent (column rank below d), consistent or not.
-    """
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
-    solved = solve_scaled([clear_denominators([*row, r]) for row, r in zip(rows, rhs)])
-    if solved is None:
-        return None
-    w, m = solved
-    return tuple(Fraction(x, m) for x in w)
 
 
 def primitive_vector(v):

@@ -12,7 +12,8 @@ is Q-Cartier exactly when some functional u has <u, v_i> = -n_i on every ray
 v_i; the pair (X, D) is Kawamata log terminal when the functional representing
 -(K+D) exists and is positive on the rays; and a cone whose canonical class is
 Q-Cartier is canonical when that functional u is >= 1 on every nonzero lattice
-point of the cone. Both lattice-point questions are answered from one
+point of the cone. Each functional is solved once (divisor_solution) and held
+as (w, m) until printed. Both lattice-point questions are answered from one
 enumeration (Bruns and Koch, "Computing the integral closure of an affine
 semigroup", 2001): the cone is covered by simplicial pieces, and every lattice
 point of a piece is a nonnegative integer combination of its rays plus a point
@@ -27,12 +28,10 @@ parallelepiped point p = sum r_i v_i / |det|. The canonical test reads u(p)
 from the residues and builds no point; the Hilbert basis builds p. Hilbert
 bases are reduced in order of degree (the sum of the facet values) against the
 basis elements already found. The index-one cover is computed in integers from
-end to end: the pair's -(K+D) functional is solved once as integer numerators
-over one denominator, the cover lattice is one integer Hermite form, lower
-triangular, applied to the base lattice's integer form; its rays are solved on
-that basis by forward substitution, its facets are the pair's facets pulled
-back to that basis, and its K functional is the pair's -(K+D) functional read
-on it. Fractions are made only for the fields that hold them.
+end to end: the cover lattice is one integer Hermite form, lower triangular,
+applied to the base lattice's integer form; its rays are solved on that basis
+by forward substitution, its facets are the pair's facets pulled back to that
+basis, and its K functional is the pair's -(K+D) functional read on it.
 """
 
 from __future__ import annotations
@@ -66,6 +65,13 @@ def _require(condition: bool, message: str) -> None:
         raise InternalError(f"internal invariant violated: {message}")
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; TypeError for a float, which is not exact."""
+    if isinstance(x, float):
+        raise TypeError("floating point entries are not exact; use Fraction")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Finite-rank lattice given by its basis vectors in ambient coordinates.
@@ -86,7 +92,7 @@ class Lattice:
     _denominator: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in vec) for vec in self.basis)
+        rows = tuple(tuple(_exact(x) for x in vec) for vec in self.basis)
         if not rows or any(len(vec) != len(rows) for vec in rows):
             raise ValueError("basis must be a nonempty square list of vectors")
         denominator = lcm(*(x.denominator for vec in rows for x in vec))
@@ -160,6 +166,14 @@ def _facet_normals(dim: int, rays) -> tuple:
     return tuple(sorted(found)), spanning
 
 
+def _integer_ray(ray) -> tuple:
+    """The ray as ints; ValueError naming it for a coordinate that is not an int
+    or an integral Fraction, which truncating would turn into another cone."""
+    if not all(isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1 for x in ray):
+        raise ValueError(f"ray ({', '.join(map(str, ray))}) has a non-integer coordinate")
+    return tuple(map(int, ray))
+
+
 def _check_ray_coords(ray) -> None:
     """ResourceLimit when a coordinate of the ray is above MAX_RAY_COORD."""
     if any(abs(x) > MAX_RAY_COORD for x in ray):
@@ -169,13 +183,24 @@ def _check_ray_coords(ray) -> None:
         )
 
 
+def _check_pairings(count: int, dim: int) -> None:
+    """ResourceLimit when finding the facets of `count` rays in dimension `dim`
+    would take more than MAX_FACET_PAIRINGS pairings."""
+    pairings = comb(count, dim - 1) * count
+    if pairings > MAX_FACET_PAIRINGS:
+        raise ResourceLimit(
+            f"{count} rays in dimension {dim} need {pairings} facet pairings, "
+            f"above the cap MAX_FACET_PAIRINGS = {MAX_FACET_PAIRINGS}"
+        )
+
+
 @dataclass(frozen=True)
 class Cone:
     """Pointed, full-dimensional rational cone listed by primitive extreme rays.
 
     Facet inequalities are derived at construction and cached; membership is
-    <facet, x> >= 0 for all facets. An index-one cover is the one cone built
-    otherwise: it takes its facets from its base cone (log_canonical_cover).
+    <facet, x> >= 0 for all facets. An index-one cover and a dual cone are
+    built otherwise: their facets are known (_cone_with_facets).
     The shape is read off the incidence of rays and facets, since a face is
     spanned by the rays it contains (Fulton, Introduction to Toric Varieties,
     1.2): the cone is full-dimensional when a ray leaves some hyperplane
@@ -188,7 +213,7 @@ class Cone:
     facets: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in ray) for ray in self.rays)
+        rays = tuple(_integer_ray(ray) for ray in self.rays)
         if not rays:
             raise ValueError("cone needs at least one ray")
         dim = self.lattice.dim
@@ -202,12 +227,7 @@ class Cone:
                 raise ValueError(f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
-        pairings = comb(len(rays), dim - 1) * len(rays)
-        if pairings > MAX_FACET_PAIRINGS:
-            raise ResourceLimit(
-                f"{len(rays)} rays in dimension {dim} need {pairings} facet pairings, "
-                f"above the cap MAX_FACET_PAIRINGS = {MAX_FACET_PAIRINGS}"
-            )
+        _check_pairings(len(rays), dim)
         facets, spanning = _facet_normals(dim, rays)
         if not spanning:
             raise ValueError("cone is not full-dimensional")
@@ -222,7 +242,7 @@ class Cone:
 
     @classmethod
     def from_rays(cls, rays, lattice: Optional[Lattice] = None) -> "Cone":
-        rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        rays = tuple(_integer_ray(ray) for ray in rays)
         if not rays:
             raise ValueError("cone needs at least one ray")
         if lattice is None:
@@ -241,7 +261,7 @@ class ToricDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
 
 def canonical_divisor(cone: Cone) -> ToricDivisor:
@@ -268,11 +288,42 @@ class ConePair:
                 raise ValueError(f"boundary coefficient {c} outside [0, 1]")
 
 
+def divisor_solution(cone: Cone, coeffs):
+    """The functional u with <u, v_i> = -n_i on every ray as (w, m), u = w/m
+    in lowest terms with m the Cartier index, or None when the divisor is not
+    Q-Cartier. Each n_i is an integer pair (p_i, q_i), n_i = p_i/q_i, q_i >= 1;
+    its equation is the integer row [q_i*v_i, -p_i], solved by solve_scaled."""
+    if len(coeffs) != len(cone.rays):
+        raise ValueError("divisor needs one coefficient per ray")
+    return linalg.solve_scaled([
+        [*ray, -p] if q == 1 else [*(q * x for x in ray), -p]
+        for ray, (p, q) in zip(cone.rays, coeffs)
+    ])
+
+
+def canonical_solution(cone: Cone):
+    """K's functional as (w, m), or None: n_i = -1, so the rows are [v_i, 1]."""
+    return divisor_solution(cone, ((-1, 1),) * len(cone.rays))
+
+
+def pair_solution(pair: ConePair):
+    """The -(K+D) functional as (w, m), or None: n_i = d_i - 1 = (p_i - q_i)/q_i
+    for d_i = p_i/q_i, so the rows are [q_i*v_i, q_i - p_i]."""
+    return divisor_solution(
+        pair.cone, [(d.numerator - d.denominator, d.denominator) for d in pair.boundary.coeffs]
+    )
+
+
+def as_fractions(solved):
+    """The Fraction view w/m of a functional held as (w, m); None for None."""
+    return None if solved is None else tuple(Fraction(x, solved[1]) for x in solved[0])
+
+
 def q_cartier_functional(cone: Cone, divisor: ToricDivisor):
     """Functional u with <u, v_i> = -n_i on every ray, or None if none exists."""
-    if len(divisor.coeffs) != len(cone.rays):
-        raise ValueError("divisor needs one coefficient per ray")
-    return linalg.solve_exact(cone.rays, [-c for c in divisor.coeffs])
+    return as_fractions(
+        divisor_solution(cone, [(c.numerator, c.denominator) for c in divisor.coeffs])
+    )
 
 
 def cartier_index(u) -> int:
@@ -280,24 +331,9 @@ def cartier_index(u) -> int:
     return lcm(*(x.denominator for x in u))
 
 
-def _pair_solution(pair: ConePair):
-    """The -(K+D) functional as (w, m), u = w/m in lowest terms, or None when
-    K+D is not Q-Cartier. With d_i = p_i/q_i, the equation <u, v_i> = 1 - d_i
-    cleared of its denominator is the integer row [q_i*v_i, q_i - p_i]."""
-    eqs = []
-    for ray, d in zip(pair.cone.rays, pair.boundary.coeffs):
-        q = d.denominator
-        eqs.append([*(q * x for x in ray), q - d.numerator])
-    return linalg.solve_scaled(eqs)
-
-
 def pair_functional(pair: ConePair):
     """Functional representing -(K+D): <u, v_i> = 1 - d_i on every ray."""
-    solved = _pair_solution(pair)
-    if solved is None:
-        return None
-    w, m = solved
-    return tuple(Fraction(x, m) for x in w)
+    return as_fractions(pair_solution(pair))
 
 
 @dataclass(frozen=True)
@@ -309,15 +345,14 @@ class KltResult:
 def klt_check(pair: ConePair) -> KltResult:
     """Kawamata log terminal test: the -(K+D) functional exists and is
     positive on every ray (equivalently, every boundary coefficient is < 1)."""
-    return _klt_verdict(pair, pair_functional(pair))
+    solved = pair_solution(pair)
+    return KltResult(_klt_verdict(pair, solved), as_fractions(solved))
 
 
-def _klt_verdict(pair: ConePair, u) -> KltResult:
-    """klt_check given the pair's -(K+D) functional u (None if there is none)."""
-    if u is None:
-        return KltResult(False, None)
-    w = linalg.clear_denominators(u)
-    return KltResult(all(sum(map(mul, w, v)) > 0 for v in pair.cone.rays), u)
+def _klt_verdict(pair: ConePair, solved) -> bool:
+    """klt_check's verdict given the pair's -(K+D) functional as (w, m), or
+    None: w.v_i has the sign of u.v_i, as m >= 1."""
+    return solved is not None and all(sum(map(mul, solved[0], v)) > 0 for v in pair.cone.rays)
 
 
 def _pieces(cone: Cone) -> list:
@@ -437,7 +472,7 @@ def canonical_check(cone: Cone) -> bool:
 
     Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable).
     Its functional u has <u, v_i> = 1 on every ray; it is solved in integers
-    as u = w/m (linalg.solve_scaled on the rows [v_i, 1]). The cone is
+    as u = w/m (canonical_solution, the rows [v_i, 1]). The cone is
     canonical exactly when no nonzero lattice point has u < 1. When K is
     Cartier (m = 1), u is integral and positive off the origin, so the answer
     is yes at once. Otherwise a nonzero point with u < 1 is a point of a
@@ -448,7 +483,7 @@ def canonical_check(cone: Cone) -> bool:
     0 < sum r_i < |det|; ResourceLimit when the parallelepipeds hold more than
     MAX_PARALLELEPIPED_POINTS points.
     """
-    return canonical_verdict(cone, linalg.solve_scaled([[*ray, 1] for ray in cone.rays]))
+    return canonical_verdict(cone, canonical_solution(cone))
 
 
 def canonical_verdict(cone: Cone, solved) -> bool:
@@ -475,12 +510,20 @@ def canonical_verdict(cone: Cone, solved) -> bool:
 class CoverResult:
     cover_lattice: Lattice
     cover_cone: Cone
-    degree: int
-    functional: tuple  # the -(K+D) functional of the pair that defines the cover
+    degree: int  # the Cartier index m of K+D
     cover_functional: tuple  # the cover's K functional in cover coordinates (integers)
 
 
-def log_canonical_cover(pair: ConePair) -> CoverResult:
+def _cover_solution(pair: ConePair):
+    """The pair's -(K+D) functional as (w, m); NotApplicable when K+D is not
+    Q-Cartier."""
+    solved = pair_solution(pair)
+    if solved is None:
+        raise NotApplicable("K+D is not Q-Cartier")
+    return solved
+
+
+def log_canonical_cover(pair: ConePair, solved=None) -> CoverResult:
     """Index-one cover of a pair with standard coefficients.
 
     The -(K+D) functional is solved once, in integers, as u = w/m: w is an
@@ -496,12 +539,10 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
     coordinates, not enumerated again. Read in cover coordinates, u is the K
     functional of the cover: w.col/m on each basis column, integral (Cartier
     canonical class), and exactly 1 on every cover ray. All of these are
-    checked in integers on every invocation. Fractions are made only at the
-    end, for the lattice basis and CoverResult.functional.
+    checked in integers on every invocation. A caller that has solved (w, m)
+    passes it as `solved`.
     """
-    solved = _pair_solution(pair)
-    if solved is None:
-        raise NotApplicable("K+D is not Q-Cartier")
+    w, m = solved or _cover_solution(pair)
     indices = []
     for d in pair.boundary.coeffs:
         e = standard_index(d)
@@ -509,7 +550,6 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
             raise NotApplicable(f"boundary coefficient {d} is not of the form (e-1)/e")
         indices.append(e)
     dim = pair.cone.dim
-    w, m = solved
     # The columns (w_j, e_j) and (m, 0, ..., 0) span Z^(d+1), as gcd(w, m) = 1,
     # and the columns that are 0 in the first coordinate span {x : w.x = 0 mod m}.
     # So the Hermite form has pivot 1 in the first row, and dropping that column
@@ -541,8 +581,7 @@ def log_canonical_cover(pair: ConePair) -> CoverResult:
         cover_rays.append(coords)
     cover_lattice = _sublattice(pair.cone.lattice, columns)
     cover_cone = _pulled_back_cone(pair.cone, cover_lattice, columns, tuple(cover_rays))
-    u = tuple(Fraction(x, m) for x in w)
-    return CoverResult(cover_lattice, cover_cone, m, u, cover_u)
+    return CoverResult(cover_lattice, cover_cone, m, cover_u)
 
 
 def _sublattice(base: Lattice, columns) -> Lattice:
@@ -583,14 +622,11 @@ def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
     A base facet n reads n.col_k on the cover basis; made primitive, these
     are the facets that Cone.__post_init__ would enumerate, so the cone is
     built without it. The two cones have the same rays up to scaling, the
-    same dimension and the same incidences, so distinct, extreme rays, a
-    pointed, full-dimensional cone, MAX_DIM and MAX_FACET_PAIRINGS carry over
-    from the base; the ray coordinates are new, so MAX_RAY_COORD is checked
-    again. Postcondition: each pulled-back facet is >= 0 on every cover ray
-    and 0 exactly on the rays where its base facet is 0.
+    same dimension and the same incidences, so the rays stay extreme and the
+    cone pointed and full-dimensional. Postcondition: each pulled-back facet
+    is >= 0 on every cover ray and 0 exactly on the rays where its base facet
+    is 0.
     """
-    for ray in rays:
-        _check_ray_coords(ray)
     facets = []
     for n in base.facets:
         pulled = linalg.primitive_vector([sum(map(mul, n, col)) for col in columns])
@@ -600,6 +636,17 @@ def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
             _require(value >= 0 and (value == 0) == on_base,
                      "pulled-back facet disagrees with its base facet")
         facets.append(pulled)
+    return _cone_with_facets(lattice, rays, facets)
+
+
+def _cone_with_facets(lattice: Lattice, rays, facets) -> Cone:
+    """The cone with these facets over these primitive, distinct, extreme
+    rays, which the caller knows, so no facet is enumerated. The dimension is
+    that of a cone already built; the rays are checked against MAX_RAY_COORD
+    and MAX_FACET_PAIRINGS as in Cone.__post_init__."""
+    for ray in rays:
+        _check_ray_coords(ray)
+    _check_pairings(len(rays), lattice.dim)
     cone = object.__new__(Cone)
     object.__setattr__(cone, "lattice", lattice)
     object.__setattr__(cone, "rays", rays)
@@ -608,8 +655,9 @@ def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
 
 
 def dual_cone(cone: Cone) -> Cone:
-    """Dual cone over the dual lattice; its rays are the facet normals."""
-    return Cone(cone.lattice.dual(), cone.facets)
+    """Dual cone over the dual lattice; its rays are the facet normals, and
+    its facets the rays, as the dual of the dual is the cone."""
+    return _cone_with_facets(cone.lattice.dual(), cone.facets, cone.rays)
 
 
 def dual_cone_generators(cone: Cone) -> tuple:
@@ -620,7 +668,9 @@ def dual_cone_generators(cone: Cone) -> tuple:
 
 def cover_correspondence_check(pair: ConePair) -> bool:
     """True when the klt verdict of the pair matches the canonical verdict of
-    its index-one cover; a mismatch signals an implementation bug."""
-    cover = log_canonical_cover(pair)
-    klt = _klt_verdict(pair, cover.functional).is_klt
+    its index-one cover, both read off one solve of -(K+D); a mismatch
+    signals an implementation bug."""
+    solved = _cover_solution(pair)
+    cover = log_canonical_cover(pair, solved)
+    klt = _klt_verdict(pair, solved)
     return klt == canonical_verdict(cover.cover_cone, (cover.cover_functional, 1))

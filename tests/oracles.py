@@ -2,7 +2,11 @@
 
 Fraction Gauss-Jordan elimination is the independent route against which the
 integer kernels of ``logcentre.linalg`` (Cramer's rule on integer determinants,
-facet normals from signed minors) are checked. ``pairing`` is the Fraction dot
+facet normals from signed minors) are checked. ``solve_exact`` solves a
+rational system by scaling each equation to integers (``clear_denominators``)
+and reading ``linalg.solve_scaled`` back as Fractions: the route by which
+``logcentre.toric`` once solved every divisor functional, against which its
+one integer row builder is checked. ``pairing`` is the Fraction dot
 product of a functional and a lattice vector, and ``integer_kernel_of_row``
 builds the index-one cover lattice the older way, from the kernel of the row
 (m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
@@ -11,9 +15,10 @@ coordinates solved by ``rref``, where ``Lattice.same_lattice`` compares
 Hermite forms, and ``contains`` is cone membership read off the facets.
 ``to_ambient`` reads lattice coordinates as a Fraction ambient vector, the
 route by which the cover lattice's basis was once built and against which the
-integer construction of ``logcentre.toric`` is checked; ``q_cartier_route``
-solves the -(K+D) functional the older way, as the Q-Cartier functional of the
-Fraction divisor K + D. ``fold_parallelepiped_points`` lists the lattice points
+integer construction of ``logcentre.toric`` is checked; ``divisor_route``
+solves a divisor's functional by ``solve_exact`` on the rays, and
+``q_cartier_route`` solves the -(K+D) functional that way, as the functional of
+the Fraction divisor K + D. ``fold_parallelepiped_points`` lists the lattice points
 of the fundamental parallelepipeds the older way, with normals from signed
 minors and each coset representative folded back by the integer parts of its
 coefficients, where ``logcentre.toric`` reads each point from its residues
@@ -47,12 +52,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Optional
 
 from logcentre.errors import LogCentreError
-from logcentre.linalg import det_int, hermite_column_form, xgcd
+from logcentre.linalg import det_int, hermite_column_form, solve_scaled, xgcd
 from logcentre.ncpoly import NCPoly
-from logcentre.toric import ToricDivisor, q_cartier_functional
 from logcentre.valmat import INF, ValMatrix
 
 
@@ -80,6 +85,28 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def clear_denominators(row) -> list:
+    """The rational row times the lcm of its denominators, as integers."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def solve_exact(rows, rhs):
+    """Solve row_i . x = rhs_i exactly for d unknowns: each equation scaled
+    to integers, then solve_scaled. Returns the solution as a tuple of
+    Fractions, or None when the system is inconsistent. Raises ValueError when
+    rhs has not one entry per equation, or when no d equations are
+    independent (column rank below d), consistent or not.
+    """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
+    solved = solve_scaled([clear_denominators([*row, r]) for row, r in zip(rows, rhs)])
+    if solved is None:
+        return None
+    w, m = solved
+    return tuple(Fraction(x, m) for x in w)
 
 
 def rank(rows):
@@ -136,11 +163,16 @@ def to_ambient(lattice, coords) -> tuple:
     )
 
 
+def divisor_route(cone, coeffs):
+    """The functional u with <u, v_i> = -n_i on every ray, solved by
+    ``solve_exact``; None when the divisor is not Q-Cartier."""
+    return solve_exact(cone.rays, [-Fraction(c) for c in coeffs])
+
+
 def q_cartier_route(pair):
-    """The pair's -(K+D) functional as the Q-Cartier functional of the divisor
-    K + D, with coefficients d_i - 1, solved by ``solve_exact``."""
-    shifted = ToricDivisor(tuple(d - 1 for d in pair.boundary.coeffs))
-    return q_cartier_functional(pair.cone, shifted)
+    """The pair's -(K+D) functional as the functional of the divisor K + D,
+    with coefficients d_i - 1, solved by ``solve_exact``."""
+    return divisor_route(pair.cone, [d - 1 for d in pair.boundary.coeffs])
 
 
 def contains(cone, v) -> bool:

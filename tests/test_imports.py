@@ -10,7 +10,8 @@ do not keep a helper of the program alive. A third rule keeps every limit a
 module constant: no module of ``src/logcentre`` reads an environment variable.
 A fourth rule does for public names what the second does for private ones: a
 public function, class or method of ``src/logcentre`` must be read by the
-program, its scripts or its benchmark, not only by tests.
+program, its scripts or its benchmark, not only by tests. A fifth keeps
+``logcentre.linalg`` in integers: it imports no ``fractions``.
 """
 
 import ast
@@ -170,3 +171,23 @@ def test_every_public_name_in_src_is_used_outside_tests():
         if reads[name] == _loads(node)[name]
     ]
     assert unread == []
+
+
+def _imported_modules(tree) -> set:
+    """Top-level names of the modules the tree imports, however imported."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.partition(".")[0])
+    return modules
+
+
+def test_linalg_imports_no_fractions():
+    # Every solve is an integer solve; Fractions are made in toric's public API.
+    tree = ast.parse((ROOT / "src" / "logcentre" / "linalg.py").read_text(encoding="utf-8"))
+    assert "fractions" not in _imported_modules(tree)
+    assert _imported_modules(ast.parse("import fractions.x\nfrom fractions import F\n")) == {
+        "fractions"
+    }

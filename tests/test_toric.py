@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import (
     contains,
+    divisor_route,
     fold_parallelepiped_points,
     integer_kernel_of_row,
     pairing,
@@ -17,6 +18,7 @@ from oracles import (
     rank,
     rref,
     same_lattice_by_coords,
+    solve_exact,
     to_ambient,
 )
 
@@ -133,7 +135,7 @@ def test_dual_basis_matches_the_solve_route():
             continue
         lattice = Lattice(basis)
         unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        expected = Lattice(tuple(linalg.solve_exact(lattice.basis, e) for e in unit))
+        expected = Lattice(tuple(solve_exact(lattice.basis, e) for e in unit))
         dual = lattice.dual()
         assert dual.basis == expected.basis, basis
         assert (dual._scaled, dual._denominator) == (expected._scaled, expected._denominator)
@@ -215,6 +217,29 @@ def test_orthant_facets_and_membership():
 def test_from_rays_primitivises():
     cone = Cone.from_rays(((2, 0), (0, 3)))
     assert cone.rays == ((1, 0), (0, 1))
+
+
+def test_inexact_inputs_are_refused():
+    # int() would truncate (5/2, 1) to (2, 1), whose cone is canonical; the
+    # cone over (5, 2) and (0, 1) that was meant is not.
+    assert canonical_check(Cone.from_rays(((2, 1), (0, 1)))) is True
+    assert canonical_check(Cone.from_rays(((5, 2), (0, 1)))) is False
+    for bad, shown in ((2.5, "2.5"), (Fraction(3, 2), "3/2"), (1.9, "1.9")):
+        message = rf"^ray \({shown}, 1\) has a non-integer coordinate$"
+        with pytest.raises(ValueError, match=message):
+            Cone.from_rays(((bad, 1), (0, 1)))
+        with pytest.raises(ValueError, match=message):
+            Cone(Lattice.standard(2), ((0, 1), (bad, 1)))
+    # An integral Fraction is an integer.
+    cone = Cone.from_rays(((Fraction(4, 2), 1), (0, Fraction(1))))
+    assert cone.rays == ((2, 1), (0, 1))
+    assert {type(x) for ray in cone.rays for x in ray} == {int}
+    # 0.1 would be 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="^floating point entries are not exact"):
+        ToricDivisor((0.1, 0))
+    with pytest.raises(TypeError, match="^floating point entries are not exact"):
+        Lattice(((1, 0), (0, 0.5)))
+    assert ToricDivisor((Fraction(1, 10), 0)).coeffs == (Fraction(1, 10), 0)
 
 
 def test_cone_validation():
@@ -410,7 +435,8 @@ def test_cartier_index_of_integers_and_of_nothing():
 
 
 def test_pair_functional_matches_q_cartier_route():
-    # The integer rows [q*v, q - p] against the Fraction divisor D - 1 route.
+    # The integer rows [q*v, q - p] against the Fraction divisor D - 1 route,
+    # and the rows [q*v, -p] of random rational divisors against solve_exact.
     from logcentre.corpus import random_standard_pairs
 
     boundaries = [(0, 0, 0), (Fraction(1, 2),) * 3, (Fraction(1, 3),) * 3,
@@ -429,6 +455,17 @@ def test_pair_functional_matches_q_cartier_route():
         denominators[None if u is None else cartier_index(u)] += 1
     assert pair_functional(square) is None and denominators[None] >= 1
     assert denominators[1] > 0 and len(denominators) > 5, denominators
+
+    rng = random.Random(2212)
+    outcomes = Counter()
+    cones = [pair.cone for pair in (*quotients[::4], *corpus[::31], _square_pair())]
+    for cone in cones:
+        for _ in range(3):
+            coeffs = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in cone.rays)
+            u = q_cartier_functional(cone, ToricDivisor(coeffs))
+            assert u == divisor_route(cone, coeffs), (cone, coeffs)
+            outcomes["none" if u is None else "q-cartier"] += 1
+    assert outcomes["none"] > 0 and outcomes["q-cartier"] > 0, outcomes
 
 
 def test_cover_lattice_matches_fraction_construction(monkeypatch):
@@ -872,6 +909,39 @@ def test_facets_of_random_cones():
     assert len(built) >= 150 and set(built) == {2, 3, 4}, len(built)
 
 
+def _bipyramid_cone():
+    # The cone at height 1 over the bipyramid on a lattice 16-gon: 18 rays
+    # and 32 facets, so its dual needs too many facet pairings.
+    steps = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
+    corners = [(0, 0)]
+    for a, b in steps + [(-a, -b) for a, b in steps[:-1]]:
+        corners.append((corners[-1][0] + a, corners[-1][1] + b))
+    rays = [(2 * x - 1, 2 * y - 9, 0, 2) for x, y in corners]
+    return Cone.from_rays(rays + [(0, 0, 1, 1), (0, 0, -1, 1)])
+
+
+def test_dual_cone_takes_its_facets_from_the_rays():
+    # The dual of the dual is the cone: the dual built from the cone's rays
+    # equals the one whose facets Cone.__post_init__ enumerates, and it is
+    # refused exactly when, and as, that one is.
+    skew = Cone.from_rays(((1, 2, 100), (100, 1, 3), (3, 100, 1)))
+    outcomes = Counter()
+    for cone in (*_random_cones(), *_large_facet_cones(), _bipyramid_cone(), skew):
+        try:
+            expected = Cone(cone.lattice.dual(), cone.facets)
+        except ResourceLimit as exc:
+            with pytest.raises(ResourceLimit) as refused:
+                dual_cone(cone)
+            assert str(refused.value) == str(exc)
+            outcomes[next(n for n in ("MAX_RAY_COORD", "MAX_FACET_PAIRINGS") if n in str(exc))] += 1
+            continue
+        dual = dual_cone(cone)
+        assert dual.lattice == expected.lattice and dual.rays == expected.rays == cone.facets
+        assert dual.facets == expected.facets == tuple(sorted(cone.rays)), cone
+        outcomes["built"] += 1
+    assert outcomes == {"built": 110, "MAX_FACET_PAIRINGS": 1, "MAX_RAY_COORD": 1}, outcomes
+
+
 # Index-one covers.
 
 
@@ -896,7 +966,6 @@ def test_cover_scales_rays_by_boundary_index():
     cover = log_canonical_cover(pair)
     assert cover.degree == 6
     u = pair_functional(pair)
-    assert cover.functional == u
     assert cover.cover_lattice.same_lattice(cover.cover_lattice)
     for cover_ray, ray, e in zip(cover.cover_cone.rays, pair.cone.rays, (2, 3)):
         scaled = tuple(e * x for x in ray)
@@ -1071,7 +1140,7 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
         solved.append([list(eq) for eq in eqs])
         return solve_scaled(eqs)
 
-    # Every exact solve, on the Fraction route (solve_exact) and the integer one.
+    # Every exact solve goes through the one integer solve.
     monkeypatch.setattr(linalg, "solve_scaled", counted)
     base = francia_input_document().objects["base"]
     for pair in (base, *random_standard_pairs(1, 3)):
@@ -1091,3 +1160,24 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["toric", "canonical", f"{path}#cover"]) == 0
     assert capsys.readouterr().out == "canonical=true u=(0,0,1) index=1\n"
     assert len(solved) == 1
+
+    # toric index and qcartier: one solve of the rows [q_i*v_i, -p_i] for the
+    # coefficients n_i = p_i/q_i of the divisor, K+D by default.
+    third = Fraction(-1, 3)
+    cases = [
+        ("qcartier", [], [d - 1 for d in base.boundary.coeffs], 0, "u=(0,0,1/2)"),
+        ("index", [], [d - 1 for d in base.boundary.coeffs], 0, "2"),
+        ("qcartier", ["--divisor", "K"], [-1] * 4, 3, "none"),
+        ("index", ["--divisor", "K"], [-1] * 4, 3, "none"),
+        ("qcartier", ["--divisor", "0,0,-1/3,-1/3"], [0, 0, third, third], 0, "u=(1/3,0,0)"),
+        ("index", ["--divisor", "0,0,-1/3,-1/3"], [0, 0, third, third], 0, "3"),
+    ]
+    for command, flags, coeffs, code, out in cases:
+        solved.clear()
+        assert cli.main(["toric", command, f"{path}#base", *flags]) == code
+        assert capsys.readouterr().out == out + "\n"
+        rows = [
+            [Fraction(n).denominator * x for x in ray] + [-Fraction(n).numerator]
+            for ray, n in zip(base.cone.rays, coeffs)
+        ]
+        assert solved == [rows], (command, flags)
