@@ -35,15 +35,14 @@ from .toric import (
     ConePair,
     Lattice,
     ToricDivisor,
-    canonical_divisor,
-    canonical_verdict,
-    cartier_index,
+    as_fractions,
+    canonical_check,
+    canonical_functional,
     cover_correspondence_check,
     dual_cone_generators,
     klt_check,
     log_canonical_cover,
     pair_functional,
-    q_cartier_functional,
 )
 
 @dataclass(frozen=True)
@@ -97,8 +96,9 @@ def _check(checks: list, check_id: str, description: str, expected, actual) -> N
     checks.append(CheckResult(check_id, description, expected, actual, expected == actual))
 
 
-def _fmt_functional(u) -> str:
-    return "(" + ", ".join(str(Fraction(x)) for x in u) + ")"
+def _fmt_functional(solved) -> str:
+    """A functional (w, m) as its Fractions w/m, or "none" for None."""
+    return "none" if solved is None else "(" + ", ".join(map(str, as_fractions(solved))) + ")"
 
 
 def _fmt_vectors(vectors) -> str:
@@ -135,13 +135,12 @@ def _francia_report() -> CaseStudyReport:
     cone = pair.cone
     checks: list = []
 
-    u_canonical = q_cartier_functional(cone, canonical_divisor(cone))
     _check(
         checks,
         "canonical-not-q-cartier",
         "the canonical class alone admits no supporting functional",
         "none",
-        "none" if u_canonical is None else _fmt_functional(u_canonical),
+        _fmt_functional(canonical_functional(cone)),
     )
 
     u = pair_functional(pair)
@@ -150,14 +149,14 @@ def _francia_report() -> CaseStudyReport:
         "pair-q-cartier",
         "functional representing -(K+D) on the rays",
         "(0, 0, 1/2)",
-        "none" if u is None else _fmt_functional(u),
+        _fmt_functional(u),
     )
     _check(
         checks,
         "cartier-index",
         "least multiple of K+D that is Cartier",
         2,
-        "none" if u is None else cartier_index(u),
+        "none" if u is None else u[1],
     )
 
     _check(checks, "klt", "the pair is Kawamata log terminal", True, klt_check(pair).is_klt)
@@ -217,14 +216,17 @@ def _francia_report() -> CaseStudyReport:
         "cover-canonical",
         "the cover has canonical singularities",
         True,
-        canonical_verdict(cover.cover_cone, (cover.cover_functional, 1)),
+        canonical_check(cover.cover_cone, cover.cover_functional),
     )
+    # K solved on the cover cone itself: the cover's own functional is integral
+    # by construction, so its index would check nothing.
+    cover_k = canonical_functional(cover.cover_cone)
     _check(
         checks,
         "cover-gorenstein",
         "canonical class of the cover is Cartier",
         True,
-        cartier_index(cover.cover_functional) == 1,
+        cover_k is not None and cover_k[1] == 1,
     )
     _check(
         checks,

@@ -74,12 +74,12 @@ def _solution_for(pair, spec: str):
     w/m with m its Cartier index, or None."""
     from .iodoc import excerpt
     from .numerals import read_rational
-    from .toric import canonical_solution, divisor_solution, pair_solution
+    from .toric import ToricDivisor, canonical_functional, pair_functional, q_cartier_functional
 
     if spec == "K+D":
-        return pair_solution(pair)
+        return pair_functional(pair)
     if spec == "K":
-        return canonical_solution(pair.cone)
+        return canonical_functional(pair.cone)
     try:
         coeffs = tuple(read_rational(part) for part in spec.split(","))
     except InputError as exc:
@@ -88,7 +88,7 @@ def _solution_for(pair, spec: str):
         raise InputError(
             f"divisor spec has {len(coeffs)} coefficients, cone has {len(pair.cone.rays)} rays"
         )
-    return divisor_solution(pair.cone, [(c.numerator, c.denominator) for c in coeffs])
+    return q_cartier_functional(pair.cone, ToricDivisor(coeffs))
 
 
 def _cmd_omega_center(args):
@@ -136,7 +136,7 @@ def _cmd_index(args):
 
 
 def _cmd_klt(args):
-    from .toric import cartier_index, klt_check
+    from .toric import as_fractions, klt_check
 
     pair = _load_target(args.target, "cone_pair")
     verdict = klt_check(pair)
@@ -145,22 +145,18 @@ def _cmd_klt(args):
         result = {"klt": verdict.is_klt, "functional": None, "index": None}
         text = f"klt={flag} u=none"
     else:
-        index = cartier_index(verdict.functional)
-        result = {
-            "klt": verdict.is_klt,
-            "functional": _functional_json(verdict.functional),
-            "index": index,
-        }
-        text = f"klt={flag} u={_fmt_functional(verdict.functional)} index={index}"
+        u, index = as_fractions(verdict.functional), verdict.functional[1]
+        result = {"klt": verdict.is_klt, "functional": _functional_json(u), "index": index}
+        text = f"klt={flag} u={_fmt_functional(u)} index={index}"
     return (0 if verdict.is_klt else 3), result, text
 
 
 def _cmd_canonical(args):
-    from .toric import as_fractions, canonical_verdict
+    from .toric import as_fractions, canonical_check, canonical_functional
 
     pair = _load_target(args.target, "cone_pair")
-    solved = _solution_for(pair, "K")
-    verdict = canonical_verdict(pair.cone, solved)
+    solved = canonical_functional(pair.cone)
+    verdict = canonical_check(pair.cone, solved)
     u, index = as_fractions(solved), solved[1]
     flag = "true" if verdict else "false"
     result = {"canonical": verdict, "functional": _functional_json(u), "index": index}

@@ -34,14 +34,14 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import LogCentreError
-from .toric import Cone, ConePair, Lattice, ToricDivisor, cartier_index, pair_functional
+from .toric import Cone, ConePair, Lattice, ToricDivisor, pair_functional
 
 _MAX_ATTEMPTS = 1000
 
 
 def _cover_is_tame(pair: ConePair, max_index: int) -> bool:
-    u = pair_functional(pair)
-    return u is not None and cartier_index(u) <= max_index
+    solved = pair_functional(pair)
+    return solved is not None and solved[1] <= max_index
 
 
 def _random_ray(rng: random.Random, dim: int, bound: int):

@@ -379,10 +379,11 @@ def parse_poly(text: str, generators) -> NCPoly:
 class RewriteSystem:
     """Prioritised rewrite rules, verified terminating and confluent.
 
-    generators fixes the rank used for tie-breaking; weights (default all 1,
-    i.e. plain degree-lex) give the leading component of the word order. Every
-    right-hand-side word must be strictly smaller than its rule's left-hand
-    side, and every critical pair must resolve, otherwise construction fails.
+    generators fixes the rank used for tie-breaking; weights (positive ints,
+    default all 1, i.e. plain degree-lex) give the leading component of the
+    word order. Every right-hand-side word must be strictly smaller than its
+    rule's left-hand side, and every critical pair must resolve, otherwise
+    construction fails.
     """
 
     generators: tuple
@@ -397,7 +398,10 @@ class RewriteSystem:
         if self.weights is None:
             weights = (1,) * len(gens)
         else:
-            weights = tuple(int(w) for w in self.weights)
+            weights = tuple(self.weights)
+            for w in weights:
+                if not isinstance(w, int) or isinstance(w, bool):
+                    raise ValueError(f"weight {w!r} is not an integer")
         if len(weights) != len(gens) or any(w <= 0 for w in weights):
             raise ValueError("need one positive weight per generator")
         object.__setattr__(self, "weights", weights)

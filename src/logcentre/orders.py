@@ -22,6 +22,13 @@ from .errors import ResourceLimit
 MAX_GRADING_LENGTH = 10_000
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; TypeError for a float, which is not exact."""
+    if isinstance(x, float):
+        raise TypeError("floating point entries are not exact; use Fraction")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class RamificationDatum:
     """One ramified height-one prime: its label, index e, and block sizes."""
@@ -79,7 +86,7 @@ class QDivisor:
             if prime_id in seen:
                 raise ValueError(f"duplicate prime {prime_id!r}")
             seen.add(prime_id)
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff != 0:
                 clean.append((prime_id, coeff))
         object.__setattr__(self, "terms", tuple(clean))
@@ -100,10 +107,11 @@ def standard_index(coeff) -> Optional[int]:
     """The e with coeff == (e-1)/e, or None if the coefficient is not standard.
 
     (e-1)/e is in lowest terms, so p/q in lowest terms is standard exactly
-    when q - p = 1 (which also gives 0 <= p/q < 1), and then e = q.
+    when q - p = 1 (which also gives 0 <= p/q < 1), and then e = q. TypeError
+    for a float, which is not exact.
     """
     if not isinstance(coeff, (int, Fraction)):
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
     p, q = coeff.numerator, coeff.denominator
     return q if q - p == 1 else None
 

@@ -1,10 +1,10 @@
 """Affine toric log pairs over explicit lattices, with exact divisor tests.
 
 All cone data lives in coordinates with respect to a chosen lattice basis: a
-lattice point is an integer coordinate vector, a divisor functional is a
-rational coordinate vector, and the pairing between the two is the plain dot
-product of coordinate vectors, taken in integers after clearing the
-functional's denominators. The ambient rational basis only matters when
+lattice point is an integer coordinate vector, and a divisor functional is a
+rational coordinate vector u = w/m, held as the integer pair (w, m) in lowest
+terms, so that m is its Cartier index and the pairing with a lattice point v
+is the integer w.v over m. The ambient rational basis only matters when
 identifying a sublattice (index-one covers) or converting external vectors.
 
 The classification tests are linear algebra. A toric Weil divisor sum(n_i D_i)
@@ -12,8 +12,11 @@ is Q-Cartier exactly when some functional u has <u, v_i> = -n_i on every ray
 v_i; the pair (X, D) is Kawamata log terminal when the functional representing
 -(K+D) exists and is positive on the rays; and a cone whose canonical class is
 Q-Cartier is canonical when that functional u is >= 1 on every nonzero lattice
-point of the cone. Each functional is solved once (divisor_solution) and held
-as (w, m) until printed. Both lattice-point questions are answered from one
+point of the cone. Each functional is solved once, in integers, and returned
+as (w, m), or None when the divisor is not Q-Cartier: by q_cartier_functional
+for any divisor, canonical_functional for K and pair_functional for -(K+D).
+as_fractions is the one Fraction view of a functional, for printing.
+Both lattice-point questions are answered from one
 enumeration (Bruns and Koch, "Computing the integral closure of an affine
 semigroup", 2001): the cone is covered by simplicial pieces, and every lattice
 point of a piece is a nonnegative integer combination of its rays plus a point
@@ -46,7 +49,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import InternalError, NotApplicable, ResourceLimit
-from .orders import standard_index
+from .orders import _exact, standard_index
 
 MAX_DIM = 4
 MAX_RAY_COORD = 100
@@ -63,13 +66,6 @@ def _require(condition: bool, message: str) -> None:
     # Internal mathematical postconditions: failing here means a bug, not bad input.
     if not condition:
         raise InternalError(f"internal invariant violated: {message}")
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction; TypeError for a float, which is not exact."""
-    if isinstance(x, float):
-        raise TypeError("floating point entries are not exact; use Fraction")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -264,11 +260,6 @@ class ToricDivisor:
         object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
 
-def canonical_divisor(cone: Cone) -> ToricDivisor:
-    """Coefficient -1 on every ray divisor."""
-    return ToricDivisor((Fraction(-1),) * len(cone.rays))
-
-
 @dataclass(frozen=True)
 class ConePair:
     """Affine toric log pair: a cone plus an effective boundary divisor.
@@ -288,7 +279,7 @@ class ConePair:
                 raise ValueError(f"boundary coefficient {c} outside [0, 1]")
 
 
-def divisor_solution(cone: Cone, coeffs):
+def _divisor_solution(cone: Cone, coeffs):
     """The functional u with <u, v_i> = -n_i on every ray as (w, m), u = w/m
     in lowest terms with m the Cartier index, or None when the divisor is not
     Q-Cartier. Each n_i is an integer pair (p_i, q_i), n_i = p_i/q_i, q_i >= 1;
@@ -301,15 +292,15 @@ def divisor_solution(cone: Cone, coeffs):
     ])
 
 
-def canonical_solution(cone: Cone):
+def canonical_functional(cone: Cone):
     """K's functional as (w, m), or None: n_i = -1, so the rows are [v_i, 1]."""
-    return divisor_solution(cone, ((-1, 1),) * len(cone.rays))
+    return _divisor_solution(cone, ((-1, 1),) * len(cone.rays))
 
 
-def pair_solution(pair: ConePair):
+def pair_functional(pair: ConePair):
     """The -(K+D) functional as (w, m), or None: n_i = d_i - 1 = (p_i - q_i)/q_i
     for d_i = p_i/q_i, so the rows are [q_i*v_i, q_i - p_i]."""
-    return divisor_solution(
+    return _divisor_solution(
         pair.cone, [(d.numerator - d.denominator, d.denominator) for d in pair.boundary.coeffs]
     )
 
@@ -320,33 +311,22 @@ def as_fractions(solved):
 
 
 def q_cartier_functional(cone: Cone, divisor: ToricDivisor):
-    """Functional u with <u, v_i> = -n_i on every ray, or None if none exists."""
-    return as_fractions(
-        divisor_solution(cone, [(c.numerator, c.denominator) for c in divisor.coeffs])
-    )
-
-
-def cartier_index(u) -> int:
-    """Least m >= 1 with m*u integral against every lattice basis vector."""
-    return lcm(*(x.denominator for x in u))
-
-
-def pair_functional(pair: ConePair):
-    """Functional representing -(K+D): <u, v_i> = 1 - d_i on every ray."""
-    return as_fractions(pair_solution(pair))
+    """The functional u with <u, v_i> = -n_i on every ray as (w, m), or None
+    if none exists."""
+    return _divisor_solution(cone, [(c.numerator, c.denominator) for c in divisor.coeffs])
 
 
 @dataclass(frozen=True)
 class KltResult:
     is_klt: bool
-    functional: Optional[tuple]
+    functional: Optional[tuple]  # the -(K+D) functional as (w, m), or None
 
 
 def klt_check(pair: ConePair) -> KltResult:
     """Kawamata log terminal test: the -(K+D) functional exists and is
     positive on every ray (equivalently, every boundary coefficient is < 1)."""
-    solved = pair_solution(pair)
-    return KltResult(_klt_verdict(pair, solved), as_fractions(solved))
+    functional = pair_functional(pair)
+    return KltResult(_klt_verdict(pair, functional), functional)
 
 
 def _klt_verdict(pair: ConePair, solved) -> bool:
@@ -467,12 +447,18 @@ def hilbert_basis(cone: Cone) -> tuple:
     return tuple(sorted(basis))
 
 
-def canonical_check(cone: Cone) -> bool:
+# The default of an optional functional argument: a functional of None means
+# that the divisor is not Q-Cartier.
+_NOT_GIVEN = object()
+
+
+def canonical_check(cone: Cone, functional=_NOT_GIVEN) -> bool:
     """Canonical-singularities test for the cone with empty boundary.
 
     Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable).
     Its functional u has <u, v_i> = 1 on every ray; it is solved in integers
-    as u = w/m (canonical_solution, the rows [v_i, 1]). The cone is
+    as u = w/m (canonical_functional), unless a caller that holds it passes
+    it as `functional`: (w, m), or None when K is not Q-Cartier. The cone is
     canonical exactly when no nonzero lattice point has u < 1. When K is
     Cartier (m = 1), u is integral and positive off the origin, so the answer
     is yes at once. Otherwise a nonzero point with u < 1 is a point of a
@@ -483,15 +469,11 @@ def canonical_check(cone: Cone) -> bool:
     0 < sum r_i < |det|; ResourceLimit when the parallelepipeds hold more than
     MAX_PARALLELEPIPED_POINTS points.
     """
-    return canonical_verdict(cone, canonical_solution(cone))
-
-
-def canonical_verdict(cone: Cone, solved) -> bool:
-    """canonical_check given K's functional u = w/m as the integer pair (w, m),
-    or None when K is not Q-Cartier."""
-    if solved is None:
+    if functional is _NOT_GIVEN:
+        functional = canonical_functional(cone)
+    if functional is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
-    w, m = solved
+    w, m = functional
     if m == 1:
         return True  # u is a positive integer on every nonzero point of the cone
     # A parallelepiped point p = sum r_i v_i / |det| has u(p) = sum r_i c_i /
@@ -511,24 +493,17 @@ class CoverResult:
     cover_lattice: Lattice
     cover_cone: Cone
     degree: int  # the Cartier index m of K+D
-    cover_functional: tuple  # the cover's K functional in cover coordinates (integers)
+    cover_functional: tuple  # the cover's K functional in cover coordinates, as (w, 1)
 
 
-def _cover_solution(pair: ConePair):
-    """The pair's -(K+D) functional as (w, m); NotApplicable when K+D is not
-    Q-Cartier."""
-    solved = pair_solution(pair)
-    if solved is None:
-        raise NotApplicable("K+D is not Q-Cartier")
-    return solved
-
-
-def log_canonical_cover(pair: ConePair, solved=None) -> CoverResult:
+def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
     """Index-one cover of a pair with standard coefficients.
 
-    The -(K+D) functional is solved once, in integers, as u = w/m: w is an
-    integer vector and m, the Cartier index of K+D, its one reduced
-    denominator. The cover lattice is the sublattice where u is integral: the
+    The -(K+D) functional is solved once, in integers, as u = w/m
+    (pair_functional): w is an integer vector and m, the Cartier index of
+    K+D, its one reduced denominator. A caller that holds it passes it as
+    `functional`; NotApplicable when it is None, as K+D is not Q-Cartier.
+    The cover lattice is the sublattice where u is integral: the
     x with w.x = 0 mod m, given by its Hermite basis in base coordinates and
     carried to ambient coordinates through the base lattice's integer form
     (_sublattice). Its index is m, and the rays are rescaled by the local
@@ -538,11 +513,15 @@ def log_canonical_cover(pair: ConePair, solved=None) -> CoverResult:
     read on that basis: its facets are the pair's facets pulled back to cover
     coordinates, not enumerated again. Read in cover coordinates, u is the K
     functional of the cover: w.col/m on each basis column, integral (Cartier
-    canonical class), and exactly 1 on every cover ray. All of these are
-    checked in integers on every invocation. A caller that has solved (w, m)
-    passes it as `solved`.
+    canonical class), and exactly 1 on every cover ray; it is returned as
+    cover_functional, with m = 1. All of these are checked in integers on
+    every invocation.
     """
-    w, m = solved or _cover_solution(pair)
+    if functional is _NOT_GIVEN:
+        functional = pair_functional(pair)
+    if functional is None:
+        raise NotApplicable("K+D is not Q-Cartier")
+    w, m = functional
     indices = []
     for d in pair.boundary.coeffs:
         e = standard_index(d)
@@ -581,7 +560,7 @@ def log_canonical_cover(pair: ConePair, solved=None) -> CoverResult:
         cover_rays.append(coords)
     cover_lattice = _sublattice(pair.cone.lattice, columns)
     cover_cone = _pulled_back_cone(pair.cone, cover_lattice, columns, tuple(cover_rays))
-    return CoverResult(cover_lattice, cover_cone, m, cover_u)
+    return CoverResult(cover_lattice, cover_cone, m, (cover_u, 1))
 
 
 def _sublattice(base: Lattice, columns) -> Lattice:
@@ -670,7 +649,7 @@ def cover_correspondence_check(pair: ConePair) -> bool:
     """True when the klt verdict of the pair matches the canonical verdict of
     its index-one cover, both read off one solve of -(K+D); a mismatch
     signals an implementation bug."""
-    solved = _cover_solution(pair)
-    cover = log_canonical_cover(pair, solved)
-    klt = _klt_verdict(pair, solved)
-    return klt == canonical_verdict(cover.cover_cone, (cover.cover_functional, 1))
+    functional = pair_functional(pair)
+    cover = log_canonical_cover(pair, functional)
+    klt = _klt_verdict(pair, functional)
+    return klt == canonical_check(cover.cover_cone, cover.cover_functional)

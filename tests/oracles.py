@@ -18,7 +18,9 @@ route by which the cover lattice's basis was once built and against which the
 integer construction of ``logcentre.toric`` is checked; ``divisor_route``
 solves a divisor's functional by ``solve_exact`` on the rays, and
 ``q_cartier_route`` solves the -(K+D) functional that way, as the functional of
-the Fraction divisor K + D. ``fold_parallelepiped_points`` lists the lattice points
+the Fraction divisor K + D; ``canonical_divisor`` is K as a divisor, and
+``integer_pair`` reads a Fraction functional as the pair (w, m) in which
+``logcentre.toric`` returns every functional. ``fold_parallelepiped_points`` lists the lattice points
 of the fundamental parallelepipeds the older way, with normals from signed
 minors and each coset representative folded back by the integer parts of its
 coefficients, where ``logcentre.toric`` reads each point from its residues
@@ -58,6 +60,7 @@ from typing import Optional
 from logcentre.errors import LogCentreError
 from logcentre.linalg import det_int, hermite_column_form, solve_scaled, xgcd
 from logcentre.ncpoly import NCPoly
+from logcentre.toric import ToricDivisor
 from logcentre.valmat import INF, ValMatrix
 
 
@@ -161,6 +164,20 @@ def to_ambient(lattice, coords) -> tuple:
         sum((c * Fraction(vec[i]) for c, vec in zip(coords, lattice.basis)), Fraction(0))
         for i in range(lattice.dim)
     )
+
+
+def canonical_divisor(cone):
+    """K as a divisor: coefficient -1 on every ray divisor."""
+    return ToricDivisor((Fraction(-1),) * len(cone.rays))
+
+
+def integer_pair(u):
+    """A Fraction functional u as (w, m): m the lcm of its denominators, the
+    least m >= 1 with m*u integral, and w = m*u; None for None."""
+    if u is None:
+        return None
+    m = lcm(*(x.denominator for x in u))
+    return tuple(int(x * m) for x in u), m
 
 
 def divisor_route(cone, coeffs):

@@ -8,6 +8,7 @@ from logcentre.casestudies import (
     run_case_study,
 )
 from logcentre.errors import InputError
+from logcentre.toric import CoverResult
 
 
 def test_case_studies_all_pass():
@@ -57,6 +58,23 @@ def test_report_text_marks_failures():
     assert "  [ok] good: works: 1" in text
     assert "  [FAIL] bad: breaks: 2 (expected 1)" in text
     assert text.splitlines()[-1] == "overall: fail"
+
+
+def test_cover_gorenstein_solves_k_on_the_cover_cone(monkeypatch):
+    # The check reads K off the cover cone itself: a cover whose cone is the
+    # base cone, where K is not Q-Cartier, fails it, although the functional
+    # the cover carries is integral.
+    from logcentre import casestudies
+
+    build = casestudies.log_canonical_cover
+
+    def base_cone_cover(pair):
+        cover = build(pair)
+        return CoverResult(cover.cover_lattice, pair.cone, cover.degree, cover.cover_functional)
+
+    monkeypatch.setattr(casestudies, "log_canonical_cover", base_cone_cover)
+    checks = {check.check_id: check for check in run_case_study("francia").checks}
+    assert (checks["cover-gorenstein"].actual, checks["cover-gorenstein"].passed) == ("False", False)
 
 
 def test_input_documents_have_expected_objects():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -295,6 +296,16 @@ def test_weight_validation():
         RewriteSystem(("a", "b"), (), weights=(1,))
     with pytest.raises(ValueError):
         RewriteSystem(("a", "b"), (), weights=(0, 1))
+
+
+def test_weights_are_ints_not_truncated():
+    # int() would read 1.5 as 1, "3" as 3 and True as 1: each is refused by name.
+    cases = [((1.5, 1), "1.5"), (("3", True), "'3'"), ((2, True), "True"),
+             ((Fraction(2), 1), "Fraction(2, 1)")]
+    for weights, name in cases:
+        with pytest.raises(ValueError, match=rf"^weight {re.escape(name)} is not an integer$"):
+            RewriteSystem(("a", "b"), (), weights=weights)
+    assert RewriteSystem(("a", "b"), (), weights=[2, 1]).weights == (2, 1)
 
 
 def test_clifford_requires_weights():

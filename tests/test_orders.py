@@ -66,6 +66,17 @@ def test_standard_index_table():
     assert standard_index(Fraction(-1, 2)) is None
 
 
+def test_floats_are_refused():
+    # A float is not exact: 0.5 is not read as the standard 1/2, nor 0.1 as
+    # 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="^floating point entries are not exact"):
+        standard_index(0.5)
+    with pytest.raises(TypeError, match="^floating point entries are not exact"):
+        QDivisor((("D", 0.1),))
+    assert standard_index(Fraction(1, 2)) == 2
+    assert str(QDivisor((("D", Fraction(1, 10)),))) == "1/10*D"
+
+
 @given(st.integers(1, 200))
 def test_standard_index_inverts_the_coefficient(e):
     assert standard_index(Fraction(e - 1, e)) == e

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import (
+    canonical_divisor,
     contains,
     divisor_route,
     fold_parallelepiped_points,
     integer_kernel_of_row,
+    integer_pair,
     pairing,
     q_cartier_route,
     rank,
@@ -30,8 +32,7 @@ from logcentre.toric import (
     Lattice,
     ToricDivisor,
     canonical_check,
-    canonical_divisor,
-    cartier_index,
+    canonical_functional,
     cover_correspondence_check,
     dual_cone,
     dual_cone_generators,
@@ -406,38 +407,41 @@ def test_one_dimensional_cone():
 def test_square_pair_functionals():
     pair = _square_pair()
     assert q_cartier_functional(pair.cone, canonical_divisor(pair.cone)) is None
-    u = pair_functional(pair)
-    assert u == (0, 0, Fraction(1, 2))
-    assert cartier_index(u) == 2
+    assert canonical_functional(pair.cone) is None
+    w, m = pair_functional(pair)
+    assert (w, m) == ((0, 0, 1), 2)  # u = (0, 0, 1/2), index 2
     for ray, coeff in zip(pair.cone.rays, pair.boundary.coeffs):
-        assert pairing(u, ray) == 1 - coeff
+        assert pairing(w, ray) == m * (1 - coeff)
 
 
 def test_third_pair_functional():
     pair = _third_pair()
-    u = pair_functional(pair)
-    assert u == (1, Fraction(2, 3))
-    assert cartier_index(u) == 3
+    assert pair_functional(pair) == ((3, 2), 3)  # u = (1, 2/3), index 3
 
 
 def test_simplicial_divisors_are_always_q_cartier():
     cone = _orthant(3)
-    u = q_cartier_functional(cone, ToricDivisor((1, 2, 3)))
-    assert u == (-1, -2, -3)
-    assert cartier_index(u) == 1
+    assert q_cartier_functional(cone, ToricDivisor((1, 2, 3))) == ((-1, -2, -3), 1)
 
 
-def test_cartier_index_of_integers_and_of_nothing():
-    # Integers have denominator 1, like integral Fractions; no entries, index 1.
-    assert cartier_index((0, -2, 5)) == 1
-    assert cartier_index(()) == 1
-    assert cartier_index((Fraction(1, 4), 3, Fraction(-5, 6))) == 12
+def _assert_integer_pair(solved):
+    # None, or (w, m) in lowest terms: a tuple of ints over an int m >= 1.
+    if solved is not None:
+        w, m = solved
+        assert type(w) is tuple and all(type(x) is int for x in (*w, m)), solved
+        assert m >= 1 and gcd(m, *w) == 1, solved
 
 
 def test_pair_functional_matches_q_cartier_route():
     # The integer rows [q*v, q - p] against the Fraction divisor D - 1 route,
     # and the rows [q*v, -p] of random rational divisors against solve_exact.
+    # Every public functional is (w, m) or None: q_cartier_functional,
+    # canonical_functional, pair_functional, KltResult.functional and
+    # CoverResult.cover_functional.
     from logcentre.corpus import random_standard_pairs
+
+    def k_route(cone):
+        return integer_pair(divisor_route(cone, canonical_divisor(cone).coeffs))
 
     boundaries = [(0, 0, 0), (Fraction(1, 2),) * 3, (Fraction(1, 3),) * 3,
                   (0, Fraction(1, 2), Fraction(1, 3))]
@@ -448,13 +452,30 @@ def test_pair_functional_matches_q_cartier_route():
     ]
     corpus = [pair for seed in range(3) for pair in random_standard_pairs(seed, 300)]
     square = ConePair(_square_pair().cone, ToricDivisor((0, 0, 0, 0)))
-    denominators = Counter()
+    denominators, k_denominators, covers = Counter(), Counter(), Counter()
     for pair in (*quotients, *corpus, _square_pair(), _third_pair(), square):
         u = pair_functional(pair)
-        assert u == q_cartier_route(pair), pair
-        denominators[None if u is None else cartier_index(u)] += 1
+        assert u == integer_pair(q_cartier_route(pair)), pair
+        assert klt_check(pair).functional == u, pair
+        k = canonical_functional(pair.cone)
+        assert k == k_route(pair.cone), pair
+        assert q_cartier_functional(pair.cone, canonical_divisor(pair.cone)) == k, pair
+        for solved in (u, k):
+            _assert_integer_pair(solved)
+        denominators[None if u is None else u[1]] += 1
+        k_denominators[None if k is None else k[1]] += 1
+        try:
+            cover = log_canonical_cover(pair)
+        except NotApplicable:
+            covers["refused"] += 1
+            continue
+        assert cover.cover_functional == k_route(cover.cover_cone), pair
+        _assert_integer_pair(cover.cover_functional)
+        covers["built"] += 1
     assert pair_functional(square) is None and denominators[None] >= 1
     assert denominators[1] > 0 and len(denominators) > 5, denominators
+    assert k_denominators[None] > 0 and len(k_denominators) > 3, k_denominators
+    assert covers["built"] > 900 and covers["refused"] > 0, covers
 
     rng = random.Random(2212)
     outcomes = Counter()
@@ -463,7 +484,8 @@ def test_pair_functional_matches_q_cartier_route():
         for _ in range(3):
             coeffs = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in cone.rays)
             u = q_cartier_functional(cone, ToricDivisor(coeffs))
-            assert u == divisor_route(cone, coeffs), (cone, coeffs)
+            assert u == integer_pair(divisor_route(cone, coeffs)), (cone, coeffs)
+            _assert_integer_pair(u)
             outcomes["none" if u is None else "q-cartier"] += 1
     assert outcomes["none"] > 0 and outcomes["q-cartier"] > 0, outcomes
 
@@ -510,9 +532,10 @@ def test_q_cartier_functional_does_not_depend_on_ray_order():
     first, last = Cone.from_rays(cube), Cone.from_rays(cube[4:] + cube[:4])
     u = (Fraction(1, 2), Fraction(-1, 3), 1, 2)
     for cone in (first, last):
-        assert q_cartier_functional(cone, canonical_divisor(cone)) == (0, 0, 0, 1)
+        assert q_cartier_functional(cone, canonical_divisor(cone)) == ((0, 0, 0, 1), 1)
+        assert canonical_functional(cone) == ((0, 0, 0, 1), 1)
         divisor = ToricDivisor(tuple(-pairing(u, ray) for ray in cone.rays))
-        assert q_cartier_functional(cone, divisor) == u
+        assert q_cartier_functional(cone, divisor) == ((3, -2, 6, 12), 6)
         # Moving one coefficient leaves no functional.
         bent = ToricDivisor((divisor.coeffs[0] + 1,) + divisor.coeffs[1:])
         assert q_cartier_functional(cone, bent) is None
@@ -524,7 +547,7 @@ def test_q_cartier_functional_does_not_depend_on_ray_order():
 def test_square_pair_is_klt():
     result = klt_check(_square_pair())
     assert result.is_klt is True
-    assert result.functional == (0, 0, Fraction(1, 2))
+    assert result.functional == ((0, 0, 1), 2)
 
 
 def test_klt_fails_without_functional():
@@ -538,7 +561,7 @@ def test_klt_fails_on_coefficient_one():
     pair = ConePair(_orthant(2), ToricDivisor((1, 0)))
     result = klt_check(pair)
     assert result.is_klt is False
-    assert result.functional == (0, 1)
+    assert result.functional == ((0, 1), 1)
 
 
 def test_boundary_coefficient_range():
@@ -717,7 +740,7 @@ def _all_pairs_hilbert_basis(cone):
 
 
 def _oracle_canonical(cone):
-    u = q_cartier_functional(cone, canonical_divisor(cone))
+    u = divisor_route(cone, canonical_divisor(cone).coeffs)
     if u is None:
         return None
     return all(pairing(u, h) >= 1 for h in _all_pairs_hilbert_basis(cone))
@@ -848,7 +871,7 @@ def test_canonical_and_hilbert_basis_match_oracles_on_cones_with_large_facets():
             with pytest.raises(NotApplicable):
                 canonical_check(cone)
         else:
-            assert cartier_index(q_cartier_functional(cone, canonical_divisor(cone))) > 1
+            assert canonical_functional(cone)[1] > 1
             assert canonical_check(cone) is expected, cone
         assert hilbert_basis(cone) == _all_pairs_hilbert_basis(cone), cone
         seen.append(expected)
@@ -965,11 +988,11 @@ def test_cover_scales_rays_by_boundary_index():
     pair = ConePair(_orthant(2), ToricDivisor((Fraction(1, 2), Fraction(2, 3))))
     cover = log_canonical_cover(pair)
     assert cover.degree == 6
-    u = pair_functional(pair)
+    w, m = pair_functional(pair)
     assert cover.cover_lattice.same_lattice(cover.cover_lattice)
     for cover_ray, ray, e in zip(cover.cover_cone.rays, pair.cone.rays, (2, 3)):
         scaled = tuple(e * x for x in ray)
-        assert pairing(u, scaled) == 1
+        assert pairing(w, scaled) == m
         # the rescaled ray lies in the cover lattice: it is the cover ray there
         assert to_ambient(cover.cover_lattice, cover_ray) == to_ambient(pair.cone.lattice, scaled)
 
@@ -985,9 +1008,8 @@ def test_trivial_cover_is_identity():
 def _kernel_route(pair):
     # {x : m*u . x = 0 mod m} as the projection of the integer kernel of the
     # row (m*u, -m): the projected kernel vectors and their Hermite form.
-    u = pair_functional(pair)
-    m = cartier_index(u)
-    row = [int(m * x) for x in u] + [-m]
+    w, m = pair_functional(pair)
+    row = [*w, -m]
     kernel = integer_kernel_of_row(row)
     for vec in kernel:
         assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -1140,12 +1162,23 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
         solved.append([list(eq) for eq in eqs])
         return solve_scaled(eqs)
 
-    # Every exact solve goes through the one integer solve.
+    # Every exact solve goes through the one integer solve, and every
+    # canonical test through canonical_check.
     monkeypatch.setattr(linalg, "solve_scaled", counted)
+    checked = []
+    canonical = toric.canonical_check
+
+    def counted_check(cone, *functional):
+        checked.append(cone)
+        return canonical(cone, *functional)
+
+    monkeypatch.setattr(toric, "canonical_check", counted_check)
     base = francia_input_document().objects["base"]
     for pair in (base, *random_standard_pairs(1, 3)):
         solved.clear()
+        checked.clear()
         assert cover_correspondence_check(pair) is True
+        assert len(checked) == 1, pair
         # -(K+D) on the base only, as the rows [q_i*v_i, q_i - p_i] for
         # d_i = p_i/q_i: the cover brings its own K functional.
         rows = [
@@ -1157,9 +1190,16 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "francia.json"
     path.write_text(serialize_document(francia_input_document()))
     solved.clear()
+    checked.clear()
     assert cli.main(["toric", "canonical", f"{path}#cover"]) == 0
     assert capsys.readouterr().out == "canonical=true u=(0,0,1) index=1\n"
-    assert len(solved) == 1
+    assert len(solved) == 1 and len(checked) == 1
+    # K of the base is not Q-Cartier: one solve of the rows [v_i, 1], then exit 3.
+    solved.clear()
+    checked.clear()
+    assert cli.main(["toric", "canonical", f"{path}#base"]) == 3
+    assert capsys.readouterr().out == ""
+    assert solved == [[[*ray, 1] for ray in base.cone.rays]] and len(checked) == 1
 
     # toric index and qcartier: one solve of the rows [q_i*v_i, -p_i] for the
     # coefficients n_i = p_i/q_i of the divisor, K+D by default.
