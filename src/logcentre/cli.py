@@ -170,15 +170,14 @@ def _cmd_cover(args):
 
     pair = _load_target(args.target, "cone_pair")
     cover = log_canonical_cover(pair)
+    basis = cover.cover_lattice.basis
     result = {
         "degree": cover.degree,
-        "lattice": [[rational_to_json(x) for x in row] for row in cover.cover_lattice.basis],
+        "lattice": [[rational_to_json(x) for x in row] for row in basis],
         "rays": [list(ray) for ray in cover.cover_cone.rays],
     }
     lines = [f"degree={cover.degree}"]
-    lines.append(
-        "lattice=" + ";".join(_fmt_functional(row) for row in cover.cover_lattice.basis)
-    )
+    lines.append("lattice=" + ";".join(_fmt_functional(row) for row in basis))
     lines.append("rays=" + ";".join(_fmt_functional(ray) for ray in cover.cover_cone.rays))
     return 0, result, "\n".join(lines)
 

@@ -38,7 +38,7 @@ from itertools import groupby
 from typing import Optional
 
 from .errors import InputError, ResourceLimit
-from .numerals import read_int
+from .numerals import exact, read_int
 
 # Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
 MAX_REWRITE_STEPS = 10**6
@@ -55,9 +55,7 @@ def _coerce(value):
     """An exact coefficient: an int when it is integral, else a Fraction."""
     if type(value) is int:
         return value
-    if isinstance(value, float):
-        raise TypeError("floating point coefficients are not exact; use Fraction")
-    value = Fraction(value)
+    value = exact(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -230,10 +228,8 @@ def _word_str(word) -> str:
 def _as_poly(value) -> Optional[NCPoly]:
     if isinstance(value, NCPoly):
         return value
-    if isinstance(value, float):
-        raise TypeError("floating point coefficients are not exact; use Fraction")
-    if isinstance(value, (int, Fraction)):
-        return NCPoly.constant(value)
+    if isinstance(value, (int, Fraction, float)):
+        return NCPoly.constant(value)  # _coerce refuses a float
     return None
 
 

@@ -1,6 +1,7 @@
 """Readers of the integers and rationals that documents, expressions and the
-command line spell. They live apart from the rewrite engine and the document
-layer, so that reading a number loads neither.
+command line spell, and the one refusal of floats for the exact layers. They
+live apart from the rewrite engine and the document layer, so that reading a
+number loads neither.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ def read_int(text: str) -> int:
     except ValueError:
         digits = len(text.lstrip("+-"))
         raise InputError(f"integer literal of {digits} digits is too long") from None
+
+
+def exact(x) -> Fraction:
+    """x as a Fraction; TypeError for a float, which is not exact."""
+    if isinstance(x, float):
+        raise TypeError("floating point entries are not exact; use Fraction")
+    return Fraction(x)
 
 
 _RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?")

@@ -16,17 +16,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ResourceLimit
+from .numerals import exact
 
 # The graded pieces are listed whole, so m is a desk-scale bound: at 10**6
 # the tuple and its text took 139 MB.
 MAX_GRADING_LENGTH = 10_000
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction; TypeError for a float, which is not exact."""
-    if isinstance(x, float):
-        raise TypeError("floating point entries are not exact; use Fraction")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,7 @@ class QDivisor:
             if prime_id in seen:
                 raise ValueError(f"duplicate prime {prime_id!r}")
             seen.add(prime_id)
-            coeff = _exact(coeff)
+            coeff = exact(coeff)
             if coeff != 0:
                 clean.append((prime_id, coeff))
         object.__setattr__(self, "terms", tuple(clean))
@@ -111,7 +105,7 @@ def standard_index(coeff) -> Optional[int]:
     for a float, which is not exact.
     """
     if not isinstance(coeff, (int, Fraction)):
-        coeff = _exact(coeff)
+        coeff = exact(coeff)
     p, q = coeff.numerator, coeff.denominator
     return q if q - p == 1 else None
 

@@ -5,7 +5,9 @@ lattice point is an integer coordinate vector, and a divisor functional is a
 rational coordinate vector u = w/m, held as the integer pair (w, m) in lowest
 terms, so that m is its Cartier index and the pairing with a lattice point v
 is the integer w.v over m. The ambient rational basis only matters when
-identifying a sublattice (index-one covers) or converting external vectors.
+identifying a sublattice (index-one covers) or converting external vectors. A
+lattice is held as its integer form, integer basis rows over one denominator
+in lowest terms, and Lattice.basis is its Fraction view.
 
 The classification tests are linear algebra. A toric Weil divisor sum(n_i D_i)
 is Q-Cartier exactly when some functional u has <u, v_i> = -n_i on every ray
@@ -49,7 +51,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import InternalError, NotApplicable, ResourceLimit
-from .orders import _exact, standard_index
+from .numerals import exact
+from .orders import standard_index
 
 MAX_DIM = 4
 MAX_RAY_COORD = 100
@@ -68,46 +71,53 @@ def _require(condition: bool, message: str) -> None:
         raise InternalError(f"internal invariant violated: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lattice:
-    """Finite-rank lattice given by its basis vectors in ambient coordinates.
+    """Finite-rank lattice, held as its integer form: basis vector i is the
+    integer row scaled[i] over one denominator, with gcd(denominator,
+    *scaled) = 1. The form is unique, so two lattices are equal, and hash
+    alike, exactly when their bases are equal. basis is its Fraction view.
 
-    basis[i] is the i-th basis vector; lattice coordinates are taken with
-    respect to this basis, so the standard lattice has the identity basis. The
-    basis is cleared once, to integer vectors over one common denominator, and
-    that one integer form serves the determinant (the basis is nonsingular when
-    it is nonzero) and same_lattice, which compares Hermite forms over the
-    common denominator of both lattices. An index-one cover lattice is built
-    from its base's integer form without this constructor (_sublattice), and
-    so is the dual lattice, from one adjugate of the integer form
-    (linalg.adjugate).
+    Lattice coordinates are taken with respect to this basis, so the standard
+    lattice has the identity basis. Lattice(basis) clears a rational basis
+    once, over the lcm of its denominators, which leaves the form reduced,
+    and refuses it when the determinant is 0. same_lattice compares Hermite
+    forms over the common denominator of both lattices. The standard lattice,
+    an index-one cover lattice (_sublattice) and the dual lattice, from one
+    adjugate of the integer form (linalg.adjugate), are built from integer
+    forms without this constructor (_from_integer_form).
     """
 
-    basis: tuple
-    _scaled: tuple = field(init=False, compare=False, repr=False)
-    _denominator: int = field(init=False, compare=False, repr=False)
+    scaled: tuple
+    denominator: int
 
-    def __post_init__(self):
-        rows = tuple(tuple(_exact(x) for x in vec) for vec in self.basis)
+    def __init__(self, basis):
+        rows = tuple(tuple(exact(x) for x in vec) for vec in basis)
         if not rows or any(len(vec) != len(rows) for vec in rows):
             raise ValueError("basis must be a nonempty square list of vectors")
         denominator = lcm(*(x.denominator for vec in rows for x in vec))
         scaled = tuple(
             tuple(x.numerator * (denominator // x.denominator) for x in vec) for vec in rows
         )
-        object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_denominator", denominator)
         if linalg.det_int(scaled) == 0:
             raise ValueError("matrix is singular")
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
-        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+        if dim < 1:
+            return cls(())  # refused like any empty basis
+        return _from_integer_form([[int(i == j) for j in range(dim)] for i in range(dim)], 1)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis vectors as Fractions: each row of scaled over denominator."""
+        return tuple(as_fractions((row, self.denominator)) for row in self.scaled)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.scaled)
 
     def dual(self) -> "Lattice":
         """Dual lattice; its coordinates pair with this lattice's coordinates:
@@ -116,18 +126,18 @@ class Lattice:
         With b_j = S_j / D for the integer form S over the denominator D, one
         adjugate of S gives n_i.S_j = |det S| [i == j], so u_i = n_i D / |det S|.
         """
-        normals, size = linalg.adjugate(self._scaled)
-        return _from_integer_form([[x * self._denominator for x in n] for n in normals], size)
+        normals, size = linalg.adjugate(self.scaled)
+        return _from_integer_form([[x * self.denominator for x in n] for n in normals], size)
 
     def same_lattice(self, other: "Lattice") -> bool:
         """True when both bases generate the same subgroup of the ambient space:
         over their common denominator, both integer bases have one Hermite form."""
         if self.dim != other.dim:
             return False
-        common = lcm(self._denominator, other._denominator)
+        common = lcm(self.denominator, other.denominator)
         first, second = (
             linalg.hermite_column_form(
-                [[x * (common // lattice._denominator) for x in vec] for vec in lattice._scaled]
+                [[x * (common // lattice.denominator) for x in vec] for vec in lattice.scaled]
             )
             for lattice in (self, other)
         )
@@ -257,7 +267,7 @@ class ToricDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -286,10 +296,9 @@ def _divisor_solution(cone: Cone, coeffs):
     its equation is the integer row [q_i*v_i, -p_i], solved by solve_scaled."""
     if len(coeffs) != len(cone.rays):
         raise ValueError("divisor needs one coefficient per ray")
-    return linalg.solve_scaled([
-        [*ray, -p] if q == 1 else [*(q * x for x in ray), -p]
-        for ray, (p, q) in zip(cone.rays, coeffs)
-    ])
+    return linalg.solve_scaled(
+        [[*(q * x for x in ray), -p] for ray, (p, q) in zip(cone.rays, coeffs)]
+    )
 
 
 def canonical_functional(cone: Cone):
@@ -565,31 +574,27 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
 
 def _sublattice(base: Lattice, columns) -> Lattice:
     """The sublattice of `base` whose basis is `columns` in base coordinates,
-    built from the base's integer form: column k is sum_j col_k[j]*_scaled[j]
+    built from the base's integer form: column k is sum_j col_k[j]*scaled[j]
     over the base's denominator (_from_integer_form). It is nonsingular
     because the base is and the columns are independent (the cover requires
     |det| = m).
     """
-    axes = tuple(zip(*base._scaled))
+    axes = tuple(zip(*base.scaled))
     return _from_integer_form(
-        [[sum(map(mul, col, axis)) for axis in axes] for col in columns], base._denominator
+        [[sum(map(mul, col, axis)) for axis in axes] for col in columns], base.denominator
     )
 
 
 def _from_integer_form(scaled, denominator: int) -> Lattice:
     """The lattice whose basis vectors are the integer rows of `scaled` over
     `denominator`, which the caller knows to be nonsingular: both are divided
-    by the gcd of all of them, which is the reduced form
-    Lattice.__post_init__ would compute, and no determinant is taken again.
+    by the gcd of all of them, which is the reduced form Lattice(basis) would
+    compute, and no determinant is taken again.
     """
     g = gcd(denominator, *chain.from_iterable(scaled))
-    denominator //= g
-    scaled = tuple(tuple(x // g for x in vec) for vec in scaled)
     lattice = object.__new__(Lattice)
-    object.__setattr__(lattice, "basis",
-                       tuple(tuple(Fraction(x, denominator) for x in vec) for vec in scaled))
-    object.__setattr__(lattice, "_scaled", scaled)
-    object.__setattr__(lattice, "_denominator", denominator)
+    object.__setattr__(lattice, "scaled", tuple(tuple(x // g for x in vec) for vec in scaled))
+    object.__setattr__(lattice, "denominator", denominator // g)
     return lattice
 
 

@@ -65,8 +65,6 @@ INF = _PlusInfinity()
 
 Valuation = Union[int, _PlusInfinity]
 
-BlockStructure = tuple  # tuple of positive ints, one block size per row/column
-
 
 def _check_valuation(v) -> Valuation:
     if isinstance(v, _PlusInfinity):
@@ -100,9 +98,6 @@ class ValMatrix:
 
     def diagonal(self) -> tuple:
         return tuple(self.entries[j][j] for j in range(self.size))
-
-    def __str__(self):
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
 def _check_index(e: int) -> int:

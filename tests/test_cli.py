@@ -532,7 +532,7 @@ def _loaded(*argv):
 
 @pytest.mark.parametrize("argv, modules", [
     (("order", "omega-center", "--e", "3", "--i", "2"), ["valmat"]),
-    (("order", "cover-center", "--e", "3", "--m", "6"), ["orders"]),
+    (("order", "cover-center", "--e", "3", "--m", "6"), ["numerals", "orders"]),
     (("ncpoly", "nf", "b*a"), ["ncpoly", "numerals"]),
     (("--help",), []),
     (("toric", "--help"), []),

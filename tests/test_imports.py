@@ -11,7 +11,9 @@ module constant: no module of ``src/logcentre`` reads an environment variable.
 A fourth rule does for public names what the second does for private ones: a
 public function, class or method of ``src/logcentre`` must be read by the
 program, its scripts or its benchmark, not only by tests. A fifth keeps
-``logcentre.linalg`` in integers: it imports no ``fractions``.
+``logcentre.linalg`` in integers: it imports no ``fractions``. A sixth keeps
+private names private: no module of ``src/logcentre`` imports a private name
+from another module of the package.
 """
 
 import ast
@@ -191,3 +193,28 @@ def test_linalg_imports_no_fractions():
     assert _imported_modules(ast.parse("import fractions.x\nfrom fractions import F\n")) == {
         "fractions"
     }
+
+
+def _private_imports(tree) -> list:
+    """Each private name the tree imports from a module of the package, by line."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "logcentre")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_src_imports_no_private_name_of_another_module():
+    imports = {
+        str(path.relative_to(ROOT)): _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    assert {path: names for path, names in imports.items() if names} == {}
+    assert _private_imports(ast.parse("from .orders import _exact, exact\n")) == ["line 1: _exact"]
+    assert _private_imports(ast.parse("from logcentre.toric import _pieces\n")) == [
+        "line 1: _pieces"
+    ]
+    assert _private_imports(ast.parse("from os import _exit\nfrom . import errors\n")) == []

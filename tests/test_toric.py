@@ -116,6 +116,13 @@ def test_dual_lattice_round_trip_on_random_rational_bases():
             for j, v in enumerate(lattice.basis):
                 assert sum(a * b for a, b in zip(u, v)) == int(i == j)
         assert dual.dual() == lattice
+        # The integer form is reduced, so one lattice has one form, however
+        # it was built, and the Fraction view rebuilds it.
+        for each in (lattice, dual):
+            entries = [x for row in each.scaled for x in row]
+            assert each.denominator >= 1 and gcd(each.denominator, *entries) == 1, basis
+            rebuilt = Lattice(each.basis)
+            assert rebuilt == each and hash(rebuilt) == hash(each), basis
         outcomes.add("dual")
     assert outcomes == {"singular", "dual"}
 
@@ -139,8 +146,41 @@ def test_dual_basis_matches_the_solve_route():
         expected = Lattice(tuple(solve_exact(lattice.basis, e) for e in unit))
         dual = lattice.dual()
         assert dual.basis == expected.basis, basis
-        assert (dual._scaled, dual._denominator) == (expected._scaled, expected._denominator)
+        assert (dual.scaled, dual.denominator) == (expected.scaled, expected.denominator)
         checked += 1
+
+
+def test_computed_lattices_make_no_fraction(monkeypatch):
+    # A lattice is held as its integer form: the cover, the dual and the
+    # standard lattice are built from integer forms, and only the basis view
+    # makes Fractions.
+    from logcentre.casestudies import francia_input_document
+    from logcentre.corpus import random_standard_pairs
+
+    pairs = random_standard_pairs(3, 300)
+    base = francia_input_document().objects["base"].cone
+    runs = {
+        "cover": lambda: all(cover_correspondence_check(pair) for pair in pairs),
+        "dual": lambda: dual_cone(base),
+        "standard": lambda: Lattice.standard(3),
+        "standard basis": lambda: Lattice.standard(3).basis,
+    }
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    counts, results = {}, {}
+    for name, run in runs.items():
+        made.clear()
+        results[name] = run()
+        counts[name] = len(made)
+    monkeypatch.undo()
+    assert counts == {"cover": 0, "dual": 0, "standard": 0, "standard basis": 9}
+    assert results["cover"] is True
 
 
 def test_same_lattice():
@@ -519,9 +559,9 @@ def test_cover_lattice_matches_fraction_construction(monkeypatch):
         assert lattice is cover.cover_lattice and base == pair.cone.lattice
         expected = Lattice(tuple(to_ambient(base, col) for col in columns))
         assert lattice.basis == expected.basis, pair
-        assert lattice._scaled == expected._scaled, pair
-        assert lattice._denominator == expected._denominator, pair
-        reduced += lattice._denominator < base._denominator
+        assert lattice.scaled == expected.scaled, pair
+        assert lattice.denominator == expected.denominator, pair
+        reduced += lattice.denominator < base.denominator
     assert reduced > 100, reduced
 
 
