@@ -17,7 +17,6 @@ matches a ramified matrix order with e = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import iodoc, linalg, ncpoly, valmat
@@ -30,6 +29,7 @@ from .orders import (
     cover_graded_valuations,
     discriminant,
 )
+from .records import Record
 from .toric import (
     Cone,
     ConePair,
@@ -45,19 +45,13 @@ from .toric import (
     pair_functional,
 )
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    description: str
-    expected: str
-    actual: str
-    passed: bool
+
+class CheckResult(Record):
+    __slots__ = _fields = ("check_id", "description", "expected", "actual", "passed")
 
 
-@dataclass(frozen=True)
-class CaseStudyReport:
-    name: str
-    checks: tuple
+class CaseStudyReport(Record):
+    __slots__ = _fields = ("name", "checks")
 
     @property
     def overall(self) -> bool:

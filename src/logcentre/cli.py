@@ -23,7 +23,9 @@ ran and answered no, or did not apply), 4 resource limit hit, 5 internal
 invariant violated (a bug in logcentre, not in the input).
 
 Each handler imports the library module it runs when it runs, so a process
-loads, and compiles, only what its command needs; ``--help`` loads none.
+loads, and compiles, only what its command needs; ``--help`` loads none. The
+value classes of those modules derive from ``records.Record``, so no module
+imports ``dataclasses`` (and with it ``inspect``) or ``typing``.
 """
 
 from __future__ import annotations

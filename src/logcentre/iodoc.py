@@ -27,21 +27,19 @@ looked up, so a document of orders and cone pairs never loads it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .numerals import read_int, read_rational
 from .orders import OrderSpec, RamificationDatum
+from .records import Record
 from .toric import Cone, ConePair, Lattice, ToricDivisor
 
 VERSION = "1"
 
 
-@dataclass
-class InputDocument:
-    version: str
-    objects: dict
+class InputDocument(Record):
+    __slots__ = _fields = ("version", "objects")
 
 
 def _reject_float(text):

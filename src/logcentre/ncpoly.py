@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import groupby
-from typing import Optional
 
 from .errors import InputError, ResourceLimit
 from .numerals import exact, read_int
+from .records import Record
 
 # Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
 MAX_REWRITE_STEPS = 10**6
@@ -225,7 +224,7 @@ def _word_str(word) -> str:
     return "*".join(letter if size == 1 else f"{letter}^{size}" for letter, size in runs)
 
 
-def _as_poly(value) -> Optional[NCPoly]:
+def _as_poly(value) -> NCPoly | None:
     if isinstance(value, NCPoly):
         return value
     if isinstance(value, (int, Fraction, float)):
@@ -371,8 +370,7 @@ def parse_poly(text: str, generators) -> NCPoly:
     return _Parser(_tokenize(text), generators).parse()
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(Record):
     """Prioritised rewrite rules, verified terminating and confluent.
 
     generators fixes the rank used for tie-breaking; weights (positive ints,
@@ -382,9 +380,9 @@ class RewriteSystem:
     construction fails.
     """
 
-    generators: tuple
-    rules: tuple
-    weights: Optional[tuple] = None
+    _fields = ("generators", "rules", "weights")
+    _defaults = (None,)
+    __slots__ = (*_fields, "_code", "_name", "_weighing", "_coded_rules")
 
     def __post_init__(self):
         gens = tuple(str(g) for g in self.generators)

@@ -11,25 +11,21 @@ centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ResourceLimit
 from .numerals import exact
+from .records import Record
 
 # The graded pieces are listed whole, so m is a desk-scale bound: at 10**6
 # the tuple and its text took 139 MB.
 MAX_GRADING_LENGTH = 10_000
 
 
-@dataclass(frozen=True)
-class RamificationDatum:
+class RamificationDatum(Record):
     """One ramified height-one prime: its label, index e, and block sizes."""
 
-    prime_id: str
-    e: int
-    blocks: tuple
+    __slots__ = _fields = ("prime_id", "e", "blocks")
 
     def __post_init__(self):
         if not isinstance(self.prime_id, str) or not self.prime_id:
@@ -44,12 +40,10 @@ class RamificationDatum:
         object.__setattr__(self, "blocks", blocks)
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(Record):
     """A named order given by its ramification data (inputs, never derived)."""
 
-    name: str
-    ramification: tuple
+    __slots__ = _fields = ("name", "ramification")
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -65,11 +59,10 @@ class OrderSpec:
         object.__setattr__(self, "ramification", data)
 
 
-@dataclass(frozen=True)
-class QDivisor:
+class QDivisor(Record):
     """Formal rational combination of named prime divisors, zero terms dropped."""
 
-    terms: tuple
+    __slots__ = _fields = ("terms",)
 
     def __post_init__(self):
         seen = set()
@@ -97,7 +90,7 @@ class QDivisor:
         return " + ".join(f"{coeff}*{pid}" for pid, coeff in self.terms)
 
 
-def standard_index(coeff) -> Optional[int]:
+def standard_index(coeff) -> int | None:
     """The e with coeff == (e-1)/e, or None if the coefficient is not standard.
 
     (e-1)/e is in lowest terms, so p/q in lowest terms is standard exactly

@@ -42,17 +42,16 @@ basis, and its K functional is the pair's -(K+D) functional read on it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import comb, gcd, lcm
 from operator import itemgetter, mul
-from typing import Optional
 
 from . import linalg
 from .errors import InternalError, NotApplicable, ResourceLimit
 from .numerals import exact
 from .orders import standard_index
+from .records import Record
 
 MAX_DIM = 4
 MAX_RAY_COORD = 100
@@ -71,8 +70,7 @@ def _require(condition: bool, message: str) -> None:
         raise InternalError(f"internal invariant violated: {message}")
 
 
-@dataclass(frozen=True, init=False)
-class Lattice:
+class Lattice(Record):
     """Finite-rank lattice, held as its integer form: basis vector i is the
     integer row scaled[i] over one denominator, with gcd(denominator,
     *scaled) = 1. The form is unique, so two lattices are equal, and hash
@@ -88,8 +86,7 @@ class Lattice:
     forms without this constructor (_from_integer_form).
     """
 
-    scaled: tuple
-    denominator: int
+    __slots__ = _fields = ("scaled", "denominator")
 
     def __init__(self, basis):
         rows = tuple(tuple(exact(x) for x in vec) for vec in basis)
@@ -200,12 +197,12 @@ def _check_pairings(count: int, dim: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Pointed, full-dimensional rational cone listed by primitive extreme rays.
 
     Facet inequalities are derived at construction and cached; membership is
-    <facet, x> >= 0 for all facets. An index-one cover and a dual cone are
+    <facet, x> >= 0 for all facets. facets is not a field, so equality, hash
+    and repr leave it out. An index-one cover and a dual cone are
     built otherwise: their facets are known (_cone_with_facets).
     The shape is read off the incidence of rays and facets, since a face is
     spanned by the rays it contains (Fulton, Introduction to Toric Varieties,
@@ -214,9 +211,8 @@ class Cone:
     is extreme when no other ray lies on every facet it lies on.
     """
 
-    lattice: Lattice
-    rays: tuple
-    facets: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("lattice", "rays")
+    __slots__ = (*_fields, "facets")
 
     def __post_init__(self):
         rays = tuple(_integer_ray(ray) for ray in self.rays)
@@ -247,7 +243,7 @@ class Cone:
         object.__setattr__(self, "facets", facets)
 
     @classmethod
-    def from_rays(cls, rays, lattice: Optional[Lattice] = None) -> "Cone":
+    def from_rays(cls, rays, lattice: Lattice | None = None) -> "Cone":
         rays = tuple(_integer_ray(ray) for ray in rays)
         if not rays:
             raise ValueError("cone needs at least one ray")
@@ -260,26 +256,23 @@ class Cone:
         return self.lattice.dim
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(Record):
     """Rational coefficients, one per ray of the ambient cone."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class ConePair:
+class ConePair(Record):
     """Affine toric log pair: a cone plus an effective boundary divisor.
 
     Coefficients live in [0, 1]; cover constructions additionally demand
     standard coefficients (e-1)/e, hence strictly below 1.
     """
 
-    cone: Cone
-    boundary: ToricDivisor
+    __slots__ = _fields = ("cone", "boundary")
 
     def __post_init__(self):
         if len(self.boundary.coeffs) != len(self.cone.rays):
@@ -325,10 +318,10 @@ def q_cartier_functional(cone: Cone, divisor: ToricDivisor):
     return _divisor_solution(cone, [(c.numerator, c.denominator) for c in divisor.coeffs])
 
 
-@dataclass(frozen=True)
-class KltResult:
-    is_klt: bool
-    functional: Optional[tuple]  # the -(K+D) functional as (w, m), or None
+class KltResult(Record):
+    """The klt verdict of a pair and its -(K+D) functional as (w, m), or None."""
+
+    __slots__ = _fields = ("is_klt", "functional")
 
 
 def klt_check(pair: ConePair) -> KltResult:
@@ -497,12 +490,12 @@ def canonical_check(cone: Cone, functional=_NOT_GIVEN) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    cover_lattice: Lattice
-    cover_cone: Cone
-    degree: int  # the Cartier index m of K+D
-    cover_functional: tuple  # the cover's K functional in cover coordinates, as (w, 1)
+class CoverResult(Record):
+    """The index-one cover of a pair: its lattice and cone, its degree, the
+    Cartier index m of K+D, and the cover's K functional in cover
+    coordinates, as (w, 1)."""
+
+    __slots__ = _fields = ("cover_lattice", "cover_cone", "degree", "cover_functional")
 
 
 def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:

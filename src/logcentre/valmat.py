@@ -16,10 +16,8 @@ element-level model of exact monomial matrices, which lives with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .errors import ResourceLimit
+from .records import Record
 
 # Products and the centralizer are cubic in e: centralizer(omega_power(e, 1)) takes
 # about 0.15 s at e = 100 and 1.2 s at e = 200 (2-core VM, Python 3.11).
@@ -63,10 +61,8 @@ class _PlusInfinity:
 
 INF = _PlusInfinity()
 
-Valuation = Union[int, _PlusInfinity]
 
-
-def _check_valuation(v) -> Valuation:
+def _check_valuation(v) -> int | _PlusInfinity:
     if isinstance(v, _PlusInfinity):
         return INF
     if isinstance(v, int):
@@ -74,11 +70,10 @@ def _check_valuation(v) -> Valuation:
     raise ValueError(f"valuation entries must be integers or INF, got {v!r}")
 
 
-@dataclass(frozen=True)
-class ValMatrix:
+class ValMatrix(Record):
     """Square matrix of valuations; entry (j, k) encodes the ideal t^v R."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
 
     def __post_init__(self):
         n = len(self.entries)
@@ -153,7 +148,7 @@ def omega_power(e: int, i: int) -> ValMatrix:
     return radical_power(e, -i * (e - 1))
 
 
-def centralizer(m: ValMatrix) -> Valuation:
+def centralizer(m: ValMatrix) -> int | _PlusInfinity:
     """Valuation v of the largest central scalar ideal t^v with t^v * 1 inside m.
 
     m must be a bimodule over the standard order of matching size, which is

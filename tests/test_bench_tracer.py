@@ -1,6 +1,7 @@
-"""The benchmark tracer (perfbench/spans.py) wraps named functions and dataclass
-hooks by attribute lookup, so renaming or deleting one breaks
-``perfbench/run.py --trace 1``. This checks that every target still resolves."""
+"""The benchmark tracer (perfbench/spans.py) wraps named functions and the
+``__post_init__`` hooks of value classes by attribute lookup, so renaming or
+deleting one breaks ``perfbench/run.py --trace 1``. This checks that every
+target still resolves."""
 
 import importlib.util
 import sys

@@ -531,9 +531,9 @@ def _loaded(*argv):
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (("order", "omega-center", "--e", "3", "--i", "2"), ["valmat"]),
-    (("order", "cover-center", "--e", "3", "--m", "6"), ["numerals", "orders"]),
-    (("ncpoly", "nf", "b*a"), ["ncpoly", "numerals"]),
+    (("order", "omega-center", "--e", "3", "--i", "2"), ["records", "valmat"]),
+    (("order", "cover-center", "--e", "3", "--m", "6"), ["numerals", "orders", "records"]),
+    (("ncpoly", "nf", "b*a"), ["ncpoly", "numerals", "records"]),
     (("--help",), []),
     (("toric", "--help"), []),
 ], ids=["omega-center", "cover-center", "nf-builtin", "help", "group-help"])
@@ -547,6 +547,29 @@ def test_toric_command_skips_the_other_layers(francia_doc):
     assert "logcentre.toric" in loaded and "logcentre.iodoc" in loaded
     assert not {"logcentre.casestudies", "logcentre.corpus", "logcentre.valmat",
                 "logcentre.ncpoly"} & set(loaded)
+
+
+_EVERY_GROUP = """
+import contextlib, io, json, sys
+from logcentre import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+
+
+def test_no_command_group_loads_dataclasses_or_inspect(francia_doc):
+    # The value classes share one slotted base (logcentre.records), so a
+    # process pays for neither module; one interpreter runs each group once.
+    runs = [
+        ["order", "omega-center", "--e", "3", "--i", "2"],
+        ["toric", "klt", francia_doc + "#base"],
+        ["ncpoly", "nf", "b*a"],
+        ["examples", "run", "francia"],
+    ]
+    assert _fresh(_EVERY_GROUP, json.dumps(runs)) == [[0, 0, 0, 0], []]
 
 
 def test_package_import_loads_no_module_and_star_binds_all():

@@ -13,7 +13,8 @@ public function, class or method of ``src/logcentre`` must be read by the
 program, its scripts or its benchmark, not only by tests. A fifth keeps
 ``logcentre.linalg`` in integers: it imports no ``fractions``. A sixth keeps
 private names private: no module of ``src/logcentre`` imports a private name
-from another module of the package.
+from another module of the package. A seventh keeps start-up cheap: no module
+of ``src/logcentre`` imports ``dataclasses`` or ``typing``.
 """
 
 import ast
@@ -193,6 +194,19 @@ def test_linalg_imports_no_fractions():
     assert _imported_modules(ast.parse("import fractions.x\nfrom fractions import F\n")) == {
         "fractions"
     }
+
+
+def test_src_imports_no_dataclasses_or_typing():
+    # Value classes derive from logcentre.records.Record and annotations stay
+    # strings (from __future__ import annotations), so neither module is needed,
+    # and each would cost a logcentre process milliseconds of start-up.
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    banned = {"dataclasses", "typing"}
+    imports = {path: sorted(banned & _imported_modules(tree)) for path, tree in trees.items()}
+    assert {path: names for path, names in imports.items() if names} == {}
 
 
 def _private_imports(tree) -> list:
