@@ -15,11 +15,13 @@ compatible well-order, so every rewrite sequence halts. Construction also
 resolves every critical pair, so the system is confluent and a normal form is
 the same whichever redex is rewritten first. A normal form merges terms by
 word and rewrites the largest pending word first, so each distinct word is
-rewritten once. It holds words as strings, one character per generator, in
-buckets of equal weight and length: the redex, the leftmost match of the first
-rule that matches, is found by str.find, and within a bucket the word order is
-str order. The only guard is a work limit: past MAX_REWRITE_STEPS distinct
-rewrites in one call, normal_form raises ResourceLimit.
+rewritten once. It holds words as strings, one character per generator, coded
+by one str.translate per word when every generator name is a single character,
+in buckets of equal weight and length: the redex, the leftmost match of the
+first rule that matches, is found by str.find, and within a bucket the word
+order is str order, so a bucket is sorted once when its class comes up. The
+only guard is a work limit: past MAX_REWRITE_STEPS distinct rewrites in one
+call, normal_form raises ResourceLimit.
 
 Normal forms decide identities and centrality in algebras presented by such
 systems. The rank two quiver algebra over the quadric cone k[a,b,c,d]/(ad - bc)
@@ -171,7 +173,10 @@ class NCPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {()}:  # a constant equals its value, so it hashes as it
+            return hash(terms.get((), 0))
+        return hash(frozenset(terms.items()))
 
     def __str__(self):
         if not self._terms:
@@ -382,7 +387,7 @@ class RewriteSystem(Record):
 
     _fields = ("generators", "rules", "weights")
     _defaults = (None,)
-    __slots__ = (*_fields, "_code", "_name", "_weighing", "_coded_rules")
+    __slots__ = (*_fields, "_code", "_name", "_tables", "_weighing", "_coded_rules")
 
     def __post_init__(self):
         gens = tuple(str(g) for g in self.generators)
@@ -402,8 +407,14 @@ class RewriteSystem(Record):
         # Generator i is the character chr(n-1-i), so words of equal weight and
         # length sort largest first as their coded strings do.
         code = {g: chr(len(gens) - 1 - i) for i, g in enumerate(gens)}
+        name = {c: g for g, c in code.items()}
         object.__setattr__(self, "_code", code)
-        object.__setattr__(self, "_name", {c: g for g, c in code.items()})
+        object.__setattr__(self, "_name", name)
+        # With single-character names a word is coded, and decoded, by one
+        # str.translate of its joined letters.
+        single = all(len(g) == 1 for g in gens)
+        tables = (str.maketrans(code), str.maketrans(name)) if single else (None, None)
+        object.__setattr__(self, "_tables", tables)
         # A coded word weighs base * len + delta * count(char) per generator of
         # weight base + delta; base, the commonest weight, needs no count.
         base = max(sorted(set(weights)), key=weights.count)
@@ -491,39 +502,46 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
     back: each distinct word is rewritten once, with its merged coefficient,
     and a word whose terms cancel is dropped unrewritten. The step limit
     counts these distinct rewrites. Words are coded on entry, one character
-    per generator, and decoded on exit; a word is rewritten at the leftmost
-    str.find match of the first rule whose coded left-hand side it holds.
-    Coded words wait in buckets by class (-weight, length); a heap of class
-    keys yields the classes in order, and a bucket is heapified when its class
-    comes up, so it pops its coded strings in order. A reduct of equal weight
-    and length joins the current heap, any other a later bucket.
+    per generator (one str.translate per word when every generator name is a
+    single character), and decoded on exit; a word is rewritten at the
+    leftmost str.find match of the first rule whose coded left-hand side it
+    holds. Coded words wait in buckets by class (-weight, length); a heap of
+    class keys yields the classes in order, and a bucket is sorted once when
+    its class comes up and taken from its end. A reduct of equal weight and
+    length that is not pending yet joins a side heap, and the next word is the
+    larger head of the two in the word order; any other reduct joins a later
+    bucket.
     """
     limit = MAX_REWRITE_STEPS
-    code, rules, name = system._code.__getitem__, system._coded_rules, system._name
+    code, name, rules = system._code, system._name, system._coded_rules
+    table, inverse = system._tables
     base, extra = system._weighing
+    # str.translate passes unknown characters through, so this is the guard.
+    letters = poly.letters()
+    if not letters <= code.keys():
+        unknown = sorted(letters - code.keys())
+        raise InputError(f"polynomial uses unknown generators {unknown}")
     pending: dict = {}
     buckets = defaultdict(list)
-    try:
-        for word, coeff in poly._terms.items():
-            text = "".join(map(code, word))
-            pending[text] = coeff
-            weight = base * len(text)
-            for char, delta in extra:
-                weight += delta * text.count(char)
-            buckets[-weight, len(text)].append(text)
-    except KeyError:
-        unknown = poly.letters() - frozenset(system.generators)
-        raise InputError(f"polynomial uses unknown generators {sorted(unknown)}") from None
+    for word, coeff in poly._terms.items():
+        text = "".join(word).translate(table) if table else "".join(map(code.__getitem__, word))
+        pending[text] = coeff
+        length = len(text)
+        weight = base * length
+        for char, delta in extra:
+            weight += delta * text.count(char)
+        buckets[-weight, length].append(text)
     classes = list(buckets)
     heapify(classes)
     result: dict = {}
     steps = 0
     while classes:
         negated_weight, length = key = heappop(classes)
-        heap = buckets.pop(key)
-        heapify(heap)
-        while heap:
-            text = heappop(heap)
+        bucket = buckets.pop(key)
+        bucket.sort(reverse=True)
+        side: list = []
+        while bucket or side:
+            text = heappop(side) if side and (not bucket or side[0] < bucket[-1]) else bucket.pop()
             coeff = pending.pop(text)
             if not coeff:
                 continue
@@ -532,7 +550,8 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
                 if pos >= 0:
                     break
             else:
-                result[tuple(map(name.__getitem__, text))] = coeff
+                word = text.translate(inverse) if inverse else map(name.__getitem__, text)
+                result[tuple(word)] = coeff
                 continue
             steps += 1
             if steps > limit:
@@ -548,7 +567,7 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
                     continue
                 pending[reduct] = coeff * factor
                 if shift is None:
-                    heappush(heap, reduct)
+                    heappush(side, reduct)
                     continue
                 target = (negated_weight + shift[0], length + shift[1])
                 if target not in buckets:

@@ -60,6 +60,16 @@ def test_scalars_are_exact():
     assert NCPoly.constant(Fraction(1, 3)) * 3 == NCPoly.one()
 
 
+def test_constants_hash_as_their_values():
+    # equal objects hash equal, so a constant and its value are one set element
+    for value in (3, -1, Fraction(1, 2), Fraction(-7, 3), 0):
+        poly = NCPoly.constant(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+    assert hash(NCPoly.zero()) == hash(0) and len({NCPoly.zero(), 0}) == 1
+    assert len({A, A + 0, 2 * A, A * B, B * A}) == 4
+
+
 def test_noncommutativity():
     assert A * B != B * A
 
@@ -390,6 +400,41 @@ def test_normal_form_words_are_sorted(poly):
         assert tuple(sorted(word)) == word
 
 
+def _seeded_clifford_poly(rng):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        word = tuple(rng.choice(GENS) for _ in range(rng.randint(0, 5)))
+        terms[word] = terms.get(word, 0) + rng.choice((1, -1, 2, -3, Fraction(1, 2)))
+    return NCPoly(terms)
+
+
+def _signed(poly, signs):
+    """The image of poly under the generator scaling (a, b, c) -> (sa*a, sb*b, sc*c)."""
+    sign = dict(zip(GENS, signs))
+    out = {}
+    for word, coeff in poly.terms():
+        for letter in word:
+            coeff *= sign[letter]
+        out[word] = coeff
+    return NCPoly(out)
+
+
+def test_normal_form_metamorphic_gate():
+    # No oracle: in a confluent system nf is the quotient map, so it is linear
+    # and multiplicative modulo the ideal, and it commutes with the sign
+    # automorphisms of the Clifford relations, those with sa*sb = sc.
+    system = clifford_system()
+    automorphisms = [s for s in product((1, -1), repeat=3) if s[0] * s[1] == s[2]]
+    rng = random.Random(2)
+    for _ in range(500):
+        p, q = _seeded_clifford_poly(rng), _seeded_clifford_poly(rng)
+        nf_p, nf_q, nf_pq = (normal_form(x, system) for x in (p, q, p * q))
+        assert nf_pq == normal_form(nf_p * nf_q, system), (p, q)
+        assert normal_form(p + q, system) == normal_form(nf_p + nf_q, system), (p, q)
+        signs = rng.choice(automorphisms)
+        assert normal_form(_signed(p * q, signs), system) == _signed(nf_pq, signs), (p, q)
+
+
 def test_step_cap(monkeypatch):
     system = clifford_system()
     big = (A + B + C) ** 4
@@ -411,6 +456,8 @@ def test_step_cap_is_read_per_call(monkeypatch):
     "text, needed",
     [
         ("(a+b+c)^6", 779),  # distinct words; rewriting term by term took 9573
+        ("(a+b+c)^7", 2602),
+        ("(a+b+c)^8", 6423),
         ("c*b*a - b*c*a", 3),  # merged: c*b*a -> -b*c*a joins the other term
     ],
 )
@@ -423,8 +470,12 @@ def test_step_cap_counts_distinct_rewrites(monkeypatch, text, needed):
     expected = normal_form(poly, fresh)
     assert normal_form(poly, used) == expected
     monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", needed - 1)
+    message = (
+        f"^reducing the polynomial takes at least {needed} distinct rewrites, "
+        f"above the rewrite step limit MAX_REWRITE_STEPS = {needed - 1}$"
+    )
     for system in (fresh, used):
-        with pytest.raises(ResourceLimit, match=f"at least {needed} distinct rewrites"):
+        with pytest.raises(ResourceLimit, match=message):
             normal_form(poly, system)
 
 
@@ -576,9 +627,21 @@ def _rule_shifts(system):
     return shifts
 
 
+def _matches_triple_heap(monkeypatch, poly, system):
+    """The oracle's normal form and its distinct rewrites: normal_form passes
+    at that count and is refused one below it, so the buckets rewrite the same
+    words in the same order."""
+    expected, steps = heap_normal_form(poly, system)
+    monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", steps)
+    assert normal_form(poly, system) == expected
+    if steps:
+        monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", steps - 1)
+        with pytest.raises(ResourceLimit, match=f"at least {steps} distinct rewrites"):
+            normal_form(poly, system)
+    return expected, steps
+
+
 def test_bucketed_schedule_matches_triple_heap(monkeypatch):
-    # Each system passes at the oracle's count of distinct rewrites and is
-    # refused one below it, so the buckets rewrite the same words in the same order.
     accepted, rejected = _random_systems(seed=19, weights=(1, 2, 3))
     assert accepted and rejected
     assert set().union(*map(_rule_shifts, accepted)) == {"drop", "longer", "stay"}
@@ -590,15 +653,33 @@ def test_bucketed_schedule_matches_triple_heap(monkeypatch):
             for _ in range(rng.randint(1, 6)):
                 word = tuple(rng.choice(system.generators) for _ in range(rng.randint(0, 6)))
                 poly = poly + NCPoly.monomial(word, rng.choice((1, -1, 2, Fraction(1, 2))))
-            expected, steps = heap_normal_form(poly, system)
-            monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", steps)
-            assert normal_form(poly, system) == expected
-            if steps:
-                counted += 1
-                monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", steps - 1)
-                with pytest.raises(ResourceLimit, match=f"at least {steps} distinct rewrites"):
-                    normal_form(poly, system)
+            counted += _matches_triple_heap(monkeypatch, poly, system)[1] > 0
     assert counted > len(accepted)
+
+
+def test_bucketed_schedule_matches_triple_heap_on_expansions(monkeypatch):
+    # Every rule of both systems keeps weight and length, so (u ± v)^n is one
+    # class of hundreds of words. In the quantum plane every word of length n
+    # is in the expansion, so each reduct is already pending and the sorted
+    # bucket alone gives the order; in the quadric, b*c -> a*d brings in words
+    # with a (and d), which wait in the side heap and interleave with the bucket.
+    quantum, quadric = _quantum_plane(), _quadric_system()
+    x, y = (NCPoly.generator(g) for g in quantum.generators)
+    _, b, c, d = (NCPoly.generator(g) for g in quadric.generators)
+    for system, u, v, top in ((quantum, x, y, 9), (quadric, b, c, 9), (quadric, b + d, c, 5)):
+        assert _rule_shifts(system) == {"stay"}
+        for n in range(2, top + 1):
+            for poly in ((u + v) ** n, (u - v) ** n):
+                expected, steps = _matches_triple_heap(monkeypatch, poly, system)
+                assert steps and (expected.letters() > poly.letters()) == (system is quadric)
+    # With a seeded half of the words of (x ± y)^n left out, many reducts are
+    # new to the class and reached from several words, so the side heap and the
+    # bucket must interleave for each to be rewritten once.
+    rng = random.Random(3)
+    for n in range(4, 10):
+        for poly in ((x + y) ** n, (x - y) ** n):
+            half = NCPoly([term for term in poly.terms() if rng.random() < 0.5])
+            _matches_triple_heap(monkeypatch, half, quantum)
 
 
 def _commuting_system(gens, used, extra=()):
@@ -608,14 +689,16 @@ def _commuting_system(gens, used, extra=()):
 
 
 def test_generator_coding_edge_cases():
-    # Names that are prefixes of each other, and 300 generators, whose codes
-    # chr(299), chr(298), ... pass one byte for the first 44 of them.
+    # Single-letter names, coded by str.translate; names that are prefixes of
+    # each other, and 300 generators, whose codes chr(299), chr(298), ... pass
+    # one byte for the first 44 of them, coded letter by letter.
     prefixed = ("x", "x1", "x10")
     square = ((("x1", "x1"), NCPoly.generator("x10")),)
     many = tuple(f"g{i}" for i in range(300))
     used = ("g0", "g1", "g43", "g44", "g298", "g299")
     top = ((("g299", "g299"), NCPoly.generator("g0") - NCPoly.generator("g44")),)
     cases = [
+        (_commuting_system(GENS, GENS, ((("a", "a"), B - C),)), GENS),
         (_commuting_system(prefixed, prefixed, square), prefixed),
         (_commuting_system(many, used, top), used + ("g150",)),
     ]
@@ -624,11 +707,24 @@ def test_generator_coding_edge_cases():
             for word in product(letters, repeat=size):
                 poly = NCPoly.monomial(word, 3) - NCPoly.monomial(word[::-1])
                 assert normal_form(poly, system) == rightmost_normal_form(poly, system)
-        foreign = NCPoly.monomial(("z", letters[0], "x1 ")) + NCPoly.generator("w")
-        with pytest.raises(InputError) as caught:
-            normal_form(foreign, system)
-        unknown = sorted({"z", "x1 ", "w"} - set(system.generators))
-        assert str(caught.value) == f"polynomial uses unknown generators {unknown}"
+        # Letters that str.translate would pass through or split: a code
+        # character, a control character, a name spelled with generator
+        # letters, and the empty name.
+        spelled = letters[0] + letters[1]
+        traps = [
+            ("z", letters[0], "x1 "),
+            (system._code[letters[0]],),
+            ("\x00",),
+            (letters[1], "\x01"),
+            (spelled,),
+            ("", spelled),
+        ]
+        for word in traps:
+            foreign = NCPoly.monomial(word) + NCPoly.generator("w")
+            with pytest.raises(InputError) as caught:
+                normal_form(foreign, system)
+            unknown = sorted({*word, "w"} - set(system.generators))
+            assert str(caught.value) == f"polynomial uses unknown generators {unknown}"
 
 
 # Centrality and identities in the quadric algebra.
