@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -353,10 +354,15 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
-    if args.format == "json":
-        print(json.dumps(result, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(result, indent=2) if args.format == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point fd 1 at devnull so
+        # that the interpreter's final flush stays quiet, and keep the code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -216,6 +216,8 @@ def loads(text: str) -> InputDocument:
         )
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError("invalid JSON: arrays or objects nest too deep") from None
     return parse_document(data)
 
 

@@ -3,7 +3,7 @@
 A record class lists its attributes in ``__slots__`` and its constructor
 arguments, in order, in ``_fields``; ``_defaults`` gives defaults to the last
 fields, as in ``collections.namedtuple``. ``Record`` gives it what a frozen
-dataclass has, without importing ``dataclasses`` or compiling any code:
+dataclass has, without importing ``dataclasses``:
 
 * ``__init__`` takes the fields, sets each one and then calls
   ``self.__post_init__()``, which is looked up through the class at every
@@ -15,78 +15,28 @@ dataclass has, without importing ``dataclasses`` or compiling any code:
   one class only, and ``repr`` is ``Name(field=value, ...)``; attributes
   outside ``_fields``, such as ``Cone.facets``, take no part.
 
-Each ``__init__`` is a template of the record's arity whose parameters are
-renamed to its fields, so keywords, defaults and the ``TypeError`` of a wrong
-call are Python's own, and the positional call sets each field directly.
+Each ``__init__`` is written out from the class's ``_fields`` and run with
+``exec`` once, when the class is created, the way ``collections.namedtuple``
+builds its ``__new__``. Its parameters are the fields themselves, so keywords,
+defaults and the ``TypeError`` of a wrong call are Python's own, a record may
+have any number of fields, and the positional call sets each field directly.
+This is the package's only generated code.
 """
 
 from __future__ import annotations
 
-from types import FunctionType
-
 _set = object.__setattr__
 
 
-def _arity1(f0):
-    def __init__(self, a):
-        _set(self, f0, a)
-        self.__post_init__()
-
-    return __init__
-
-
-def _arity2(f0, f1):
-    def __init__(self, a, b):
-        _set(self, f0, a)
-        _set(self, f1, b)
-        self.__post_init__()
-
-    return __init__
-
-
-def _arity3(f0, f1, f2):
-    def __init__(self, a, b, c):
-        _set(self, f0, a)
-        _set(self, f1, b)
-        _set(self, f2, c)
-        self.__post_init__()
-
-    return __init__
-
-
-def _arity4(f0, f1, f2, f3):
-    def __init__(self, a, b, c, d):
-        _set(self, f0, a)
-        _set(self, f1, b)
-        _set(self, f2, c)
-        _set(self, f3, d)
-        self.__post_init__()
-
-    return __init__
-
-
-def _arity5(f0, f1, f2, f3, f4):
-    def __init__(self, a, b, c, d, e):
-        _set(self, f0, a)
-        _set(self, f1, b)
-        _set(self, f2, c)
-        _set(self, f3, d)
-        _set(self, f4, e)
-        self.__post_init__()
-
-    return __init__
-
-
-_TEMPLATES = {1: _arity1, 2: _arity2, 3: _arity3, 4: _arity4, 5: _arity5}
-
-
-def _initializer(cls) -> FunctionType:
-    """The __init__ of a record class: the template of its arity, closed over
-    its field names, with the template's parameters renamed to the fields."""
+def _initializer(cls):
+    """The __init__ of a record class, written out from its field names."""
     fields = cls._fields
-    template = _TEMPLATES[len(fields)](*fields)
-    code = template.__code__.replace(co_varnames=("self", *fields))
-    init = FunctionType(code, globals(), "__init__", cls._defaults or None, template.__closure__)
+    sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+    source = f"def __init__({', '.join(('self', *fields))}):\n{sets}    self.__post_init__()\n"
+    namespace = {"_set": _set, "__name__": cls.__module__}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in TypeErrors
     return init
 

@@ -49,9 +49,6 @@ class _PlusInfinity:
     def __eq__(self, other):
         return isinstance(other, _PlusInfinity)
 
-    def __ne__(self, other):
-        return not isinstance(other, _PlusInfinity)
-
     def __hash__(self):
         return hash("valmat.INF")
 

@@ -246,6 +246,33 @@ def test_file_that_is_not_utf8(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {path}: not UTF-8 text ")
 
 
+def test_deeply_nested_document_exit_code(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _run(capsys, "toric", "klt", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: arrays or objects nest too deep\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_closing_the_pipe_early_is_quiet(unbuffered):
+    # About 108 KB of JSON: more than a pipe holds, so the write meets the
+    # closed pipe after one byte is read.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["order", "cover-center", "--e", "7", "--m", "10000", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "logcentre", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env, cwd=ROOT,
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert (proc.returncode, err) == (0, "")
+
+
 def test_misspelled_builtin_system_names_the_builtins(capsys):
     code, out, err = _run(capsys, "ncpoly", "nf", "a", "--system", "quantum")
     assert (code, out) == (2, "")

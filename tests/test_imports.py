@@ -14,7 +14,9 @@ program, its scripts or its benchmark, not only by tests. A fifth keeps
 ``logcentre.linalg`` in integers: it imports no ``fractions``. A sixth keeps
 private names private: no module of ``src/logcentre`` imports a private name
 from another module of the package. A seventh keeps start-up cheap: no module
-of ``src/logcentre`` imports ``dataclasses`` or ``typing``.
+of ``src/logcentre`` imports ``dataclasses`` or ``typing``. An eighth keeps
+code generation in one place: no module of ``src/logcentre`` but ``records``
+calls the builtins ``exec``, ``eval`` or ``compile``.
 """
 
 import ast
@@ -232,3 +234,28 @@ def test_src_imports_no_private_name_of_another_module():
         "line 1: _pieces"
     ]
     assert _private_imports(ast.parse("from os import _exit\nfrom . import errors\n")) == []
+
+
+def _code_calls(tree) -> list:
+    """Each call of the builtin exec, eval or compile in the tree, by line;
+    a method of that name, such as ``re.compile``, is not one."""
+    return [
+        f"line {node.lineno}: {node.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"}
+    ]
+
+
+def test_only_records_generates_code():
+    # Record.__init__ is the package's one generated function.
+    calls = {
+        str(path.relative_to(ROOT)): _code_calls(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    assert [line.partition(": ")[2] for line in calls.pop("src/logcentre/records.py")] == ["exec"]
+    assert {path: lines for path, lines in calls.items() if lines} == {}
+    assert _code_calls(ast.parse("eval('1')\nre.compile('x')\ncompile(s, f, m)\n")) == [
+        "line 1: eval", "line 3: compile"
+    ]

@@ -44,6 +44,14 @@ def test_version_mismatch():
         loads('{"objects": {}}')
 
 
+def test_deep_nesting_is_an_input_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    rays = '{"version": "1", "objects": {"b": {"type": "cone_pair", "rays": %s}}}' % deep
+    for text in (deep, rays):
+        with pytest.raises(InputError, match="^invalid JSON: arrays or objects nest too deep$"):
+            loads(text)
+
+
 def test_floats_are_rejected():
     doc = """
     {"version": "1", "objects": {"x": {"type": "cone_pair",

@@ -194,3 +194,30 @@ def test_post_init_is_looked_up_through_the_class(monkeypatch):
     RewriteSystem(("a", "b"), ((("b", "a"), ncpoly.NCPoly.monomial(("a", "b"))),))
     assert calls == ["Cone", "RewriteSystem"]
     assert cone.facets == ((0, 1), (2, -1))
+
+
+def test_a_record_may_have_six_fields():
+    class Six(Record):
+        __slots__ = _fields = ("a", "b", "c", "d", "e", "f")
+        _defaults = (5, 6)
+
+    record = Six(1, 2, 3, 4)
+    assert record == Six(1, 2, 3, 4, 5, 6) == Six(f=6, e=5, d=4, c=3, b=2, a=1)
+    assert Six(1, 2, 3, 4, f=0)._values() == (1, 2, 3, 4, 5, 0)
+    assert hash(record) == hash((1, 2, 3, 4, 5, 6))
+    assert repr(record).endswith(".<locals>.Six(a=1, b=2, c=3, d=4, e=5, f=6)")
+    assert copy.deepcopy(record) == record
+    with pytest.raises(TypeError, match=r"Six\.__init__\(\) missing 3 required"):
+        Six(1)
+    with pytest.raises(TypeError, match=r"multiple values for argument 'a'"):
+        Six(1, 2, 3, 4, a=1)
+
+
+def test_a_record_may_have_no_fields():
+    class Fieldless(Record):
+        __slots__ = ()
+
+    assert Fieldless() == Fieldless() and hash(Fieldless()) == hash(())
+    assert repr(Fieldless()).endswith("Fieldless()")
+    with pytest.raises(TypeError):
+        Fieldless(1)

@@ -74,6 +74,13 @@ def test_frozen_building_blocks():
     assert jacobson_radical(1).entries == ((1,),)
 
 
+def test_infinity_is_unequal_to_integers_both_ways():
+    # != comes from __eq__, reflected for an int on the left.
+    assert INF != 3
+    assert 3 != INF
+    assert not (INF != INF)
+
+
 def test_frozen_radical_square():
     square = tropical_mul(jacobson_radical(2), jacobson_radical(2))
     assert square.entries == ((1, 1), (2, 1))
