@@ -20,7 +20,8 @@ cannot be written is bad usage, and nothing goes to stdout then.
 
 Exit codes: 0 success, 2 bad usage or bad input, 3 negative verdict (the test
 ran and answered no, or did not apply), 4 resource limit hit, 5 internal
-invariant violated (a bug in logcentre, not in the input).
+invariant violated (a bug in logcentre, not in the input), each read from the
+error class's ``exit_code``. One writer, ``_write``, serves stdout and stderr.
 
 Each handler imports the library module it runs when it runs, so a process
 loads, and compiles, only what its command needs; ``--help`` loads none. The
@@ -34,19 +35,35 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .errors import InputError, InternalError, LogCentreError, NotApplicable, ResourceLimit
+from .errors import InputError, LogCentreError, NotApplicable
 
 
 def _fmt_functional(u) -> str:
-    return "(" + ",".join(str(Fraction(x)) for x in u) + ")"
+    return "(" + ",".join(map(str, u)) + ")"
 
 
 def _functional_json(u):
     from .iodoc import rational_to_json
 
     return None if u is None else [rational_to_json(x) for x in u]
+
+
+def _verdict(name: str, verdict: bool, result: dict):
+    """Exit code, JSON result and text of a yes/no answer: 0 for yes, 3 for no."""
+    return (0 if verdict else 3), {**result, name: verdict}, f"{name}={str(verdict).lower()}"
+
+
+def _with_functional(name: str, verdict: bool, solved):
+    """_verdict, then the functional u = w/m of solved = (w, m) and its index m, or none."""
+    from .toric import as_fractions
+
+    code, result, text = _verdict(name, verdict, {})
+    if solved is None:
+        return code, {**result, "functional": None, "index": None}, f"{text} u=none"
+    u, index = as_fractions(solved), solved[1]
+    result.update(functional=_functional_json(u), index=index)
+    return code, result, f"{text} u={_fmt_functional(u)} index={index}"
 
 
 def _load_target(spec: str, want: str):
@@ -139,32 +156,18 @@ def _cmd_index(args):
 
 
 def _cmd_klt(args):
-    from .toric import as_fractions, klt_check
+    from .toric import klt_check
 
-    pair = _load_target(args.target, "cone_pair")
-    verdict = klt_check(pair)
-    flag = "true" if verdict.is_klt else "false"
-    if verdict.functional is None:
-        result = {"klt": verdict.is_klt, "functional": None, "index": None}
-        text = f"klt={flag} u=none"
-    else:
-        u, index = as_fractions(verdict.functional), verdict.functional[1]
-        result = {"klt": verdict.is_klt, "functional": _functional_json(u), "index": index}
-        text = f"klt={flag} u={_fmt_functional(u)} index={index}"
-    return (0 if verdict.is_klt else 3), result, text
+    verdict = klt_check(_load_target(args.target, "cone_pair"))
+    return _with_functional("klt", verdict.is_klt, verdict.functional)
 
 
 def _cmd_canonical(args):
-    from .toric import as_fractions, canonical_check, canonical_functional
+    from .toric import canonical_check, canonical_functional
 
-    pair = _load_target(args.target, "cone_pair")
-    solved = canonical_functional(pair.cone)
-    verdict = canonical_check(pair.cone, solved)
-    u, index = as_fractions(solved), solved[1]
-    flag = "true" if verdict else "false"
-    result = {"canonical": verdict, "functional": _functional_json(u), "index": index}
-    text = f"canonical={flag} u={_fmt_functional(u)} index={index}"
-    return (0 if verdict else 3), result, text
+    cone = _load_target(args.target, "cone_pair").cone
+    solved = canonical_functional(cone)
+    return _with_functional("canonical", canonical_check(cone, solved), solved)
 
 
 def _cmd_cover(args):
@@ -211,9 +214,7 @@ def _cmd_central(args):
 
     system = _load_system(args.system)
     poly = parse_poly(args.expr, system.generators)
-    verdict = is_central(poly, system)
-    result = {"input": args.expr, "central": verdict}
-    return (0 if verdict else 3), result, f"central={'true' if verdict else 'false'}"
+    return _verdict("central", is_central(poly, system), {"input": args.expr})
 
 
 def _cmd_identity(args):
@@ -223,16 +224,13 @@ def _cmd_identity(args):
     lhs = parse_poly(args.lhs, system.generators)
     rhs = parse_poly(args.rhs, system.generators)
     verdict = verify_identity(lhs, rhs, system)
-    result = {"lhs": args.lhs, "rhs": args.rhs, "identity": verdict}
-    return (0 if verdict else 3), result, f"identity={'true' if verdict else 'false'}"
+    return _verdict("identity", verdict, {"lhs": args.lhs, "rhs": args.rhs})
 
 
 def _cmd_quotient_check(args):
     from .ncpoly import commutative_quotient_check
 
-    verdict = commutative_quotient_check(args.name)
-    result = {"name": args.name, "consistent": verdict}
-    return (0 if verdict else 3), result, f"consistent={'true' if verdict else 'false'}"
+    return _verdict("consistent", commutative_quotient_check(args.name), {"name": args.name})
 
 
 def _cmd_examples_run(args):
@@ -323,6 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, line: str) -> None:
+    """Print line to stdout or stderr and flush it. Once the reader has gone (`| head`),
+    point the fd at devnull, so the final flush stays quiet, and keep the exit code."""
+    try:
+        print(line, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -331,40 +341,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, result, text = args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NotApplicable as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (LogCentreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix = "not applicable" if isinstance(exc, NotApplicable) else "error"
+        _write(sys.stderr, f"{prefix}: {exc}")
+        return getattr(exc, "exit_code", 2)
     # --out first, so that exit 2 for an unwritable path comes with no output.
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(result, indent=2) + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            _write(sys.stderr, f"error: cannot write {args.out}: {exc}")
             return 2
-    try:
-        print(json.dumps(result, indent=2) if args.format == "json" else text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (`| head`). Point fd 1 at devnull so
-        # that the interpreter's final flush stays quiet, and keep the code.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _write(sys.stdout, json.dumps(result, indent=2) if args.format == "json" else text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -101,14 +101,8 @@ def _parse_order(name: str, spec: dict) -> OrderSpec:
         if not isinstance(blocks, list):
             raise InputError(f"{name}: blocks must be a list")
         blocks = tuple(_int_from_json(b, f"{name}.blocks") for b in blocks)
-        try:
-            ramification.append(RamificationDatum(prime, e, blocks))
-        except ValueError as exc:
-            raise InputError(f"{name}: {exc}") from exc
-    try:
-        return OrderSpec(name, tuple(ramification))
-    except ValueError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+        ramification.append(RamificationDatum(prime, e, blocks))
+    return OrderSpec(name, tuple(ramification))
 
 
 def _parse_cone_pair(name: str, spec: dict) -> ConePair:
@@ -131,21 +125,14 @@ def _parse_cone_pair(name: str, spec: dict) -> ConePair:
             if not isinstance(row, list):
                 raise InputError(f"{name}: lattice basis vectors must be lists")
             basis.append(tuple(_rat_from_json(x, f"{name}.lattice") for x in row))
-        try:
-            lattice = Lattice(tuple(basis))
-        except ValueError as exc:
-            raise InputError(f"{name}: {exc}") from exc
+        lattice = Lattice(tuple(basis))
     boundary = spec.get("boundary")
     if boundary is None:
         boundary = [0] * len(parsed_rays)
     if not isinstance(boundary, list):
         raise InputError(f"{name}: boundary must be a list of rationals")
     coeffs = tuple(_rat_from_json(x, f"{name}.boundary") for x in boundary)
-    try:
-        cone = Cone.from_rays(parsed_rays, lattice)
-        return ConePair(cone, ToricDivisor(coeffs))
-    except ValueError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+    return ConePair(Cone.from_rays(parsed_rays, lattice), ToricDivisor(coeffs))
 
 
 def _parse_presentation(name: str, spec: dict):
@@ -180,10 +167,7 @@ def _parse_presentation(name: str, spec: dict):
         if len(lhs_terms) != 1 or lhs_terms[0][1] != 1 or not lhs_terms[0][0]:
             raise InputError(f"{name}: rule lhs {lhs_text!r} must be a single plain word")
         rules.append((lhs_terms[0][0], parse_poly(rhs_text, generators)))
-    try:
-        return RewriteSystem(tuple(generators), tuple(rules), weights)
-    except ValueError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+    return RewriteSystem(tuple(generators), tuple(rules), weights)
 
 
 def parse_document(data) -> InputDocument:
@@ -205,7 +189,10 @@ def parse_document(data) -> InputDocument:
         if not isinstance(kind, str) or kind not in _KINDS:
             raise InputError(f"{name}: unknown type {kind!r}; expected one of {tuple(_KINDS)}")
         _, parse, _ = _KINDS[kind]
-        objects[name] = parse(name, spec)
+        try:
+            objects[name] = parse(name, spec)
+        except ValueError as exc:  # a value class refusing its fields is bad input
+            raise InputError(f"{name}: {exc}") from exc
     return InputDocument(version, objects)
 
 

@@ -7,8 +7,8 @@ integer-preserving Gaussian elimination", Math. Comp. 22, 1968). There is one
 integer solve, solve_scaled: integer equations in, integer numerators over one
 least common denominator out; callers write rational equations as integer
 rows, and nothing here makes a Fraction.
-adjugate solves for every unit vector at once: one elimination of [P | I]
-gives the integer normals dual to the rows of P, scaled by |det P|.
+adjugate solves for every unit vector after one elimination of [P | I]: the
+integer normals dual to the rows of P, scaled by |det P|.
 Lattice work uses extended gcd column operations. Inputs are sequences of rows
 unless a function says columns.
 """
@@ -48,6 +48,17 @@ def _eliminate(rows, n: int) -> int:
     return sign * previous
 
 
+def _back_substitute(rows, n: int, det: int, column: int) -> list:
+    """det * x, the Cramer numerators, for the upper triangular rows[:n] left by
+    _eliminate, with the right-hand side in the given column."""
+    nums = [0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        rest = sum(map(mul, row[k + 1 : n], nums[k + 1 :]))
+        nums[k] = (det * row[column] - rest) // row[k]
+    return nums
+
+
 def solve_scaled(eqs):
     """Solve the integer augmented rows [a_1 ... a_d, b] (a . x = b) exactly.
 
@@ -67,10 +78,7 @@ def solve_scaled(eqs):
         raise ValueError("system does not determine a unique solution")
     if any(eq[n] for eq in eqs[n:]):
         return None
-    nums = [0] * n
-    for k in reversed(range(n)):
-        rest = sum(map(mul, eqs[k][k + 1 : n], nums[k + 1 :]))
-        nums[k] = (det * eqs[k][n] - rest) // eqs[k][k]
+    nums = _back_substitute(eqs, n, det, n)
     s = gcd(det, *nums)
     if det < 0:
         s = -s
@@ -82,27 +90,19 @@ def adjugate(rows):
     v_j, such that n_i . v_j = |det P| * [i == j], as (normals, |det P|); None
     when P is singular.
 
-    One fraction-free elimination of [P | I], then back substitution in
-    integers for all the columns e_i of I at once, as in solve_scaled: det * x
-    with P x = e_i is column i of the adjugate of P, and n_i is that column
-    times the sign of det.
+    One fraction-free elimination of [P | I], then the back substitution of
+    solve_scaled for each column e_i of I: det * x with P x = e_i is column i
+    of the adjugate of P, and n_i is that column times the sign of det.
     """
     d = len(rows)
     work = [[*row, *(0,) * i, 1, *(0,) * (d - 1 - i)] for i, row in enumerate(rows)]
     det = _eliminate(work, d)
     if not det:
         return None
-    solved = [None] * d  # solved[k][i]: det * x_k for the right-hand side e_i
-    for k in reversed(range(d)):
-        row = work[k]
-        acc = [det * b for b in row[d:]]
-        for j in range(k + 1, d):
-            if row[j]:
-                acc = [a - row[j] * x for a, x in zip(acc, solved[j])]
-        solved[k] = [a // row[k] for a in acc]
+    normals = [_back_substitute(work, d, det, d + i) for i in range(d)]
     if det < 0:
-        return [[-x for x in col] for col in zip(*solved)], -det
-    return [list(col) for col in zip(*solved)], det
+        return [[-x for x in normal] for normal in normals], -det
+    return normals, det
 
 
 def primitive_vector(v):
@@ -112,9 +112,7 @@ def primitive_vector(v):
         if not isinstance(x, int):
             raise ValueError(f"expected integer coordinates, got {x!r}")
         ints.append(x)
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)

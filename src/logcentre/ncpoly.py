@@ -4,8 +4,8 @@ Polynomials are finite rational combinations of words over named generators.
 Integral coefficients are plain ints and only true fractions are Fractions, so
 integer work never pays for Fraction arithmetic; ints and Fractions compare,
 hash and print alike. The parser walks a flat list of bare tokens, expands
-products in full and powers by squaring, and charges each product its term
-products plus the letters it writes against the work budget MAX_PARSE_WORK.
+products in full and powers by squaring, and charges each product the term
+products, letters and wide coefficient bits it writes against MAX_PARSE_WORK.
 A :class:`RewriteSystem` carries rules ``lhs -> rhs`` together with a
 termination witness: a weighted degree order under which every monomial of a
 rule's right-hand side is strictly smaller than its left-hand side. Words are
@@ -32,6 +32,7 @@ generators and trades bc for ad, and the quiver's matrices have entries in it.
 from __future__ import annotations
 
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -182,18 +183,26 @@ class NCPoly:
         if not self._terms:
             return "0"
         chunks = []
-        for index, (word, coeff) in enumerate(self.terms()):
-            magnitude = abs(coeff)
-            if not word:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = _word_str(word)
-            else:
-                body = f"{magnitude}*{_word_str(word)}"
-            if index == 0:
-                chunks.append(("-" if coeff < 0 else "") + body)
-            else:
-                chunks.append(("- " if coeff < 0 else "+ ") + body)
+        try:
+            for index, (word, coeff) in enumerate(self.terms()):
+                magnitude = abs(coeff)
+                if not word:
+                    body = str(magnitude)
+                elif magnitude == 1:
+                    body = _word_str(word)
+                else:
+                    body = f"{magnitude}*{_word_str(word)}"
+                if index == 0:
+                    chunks.append(("-" if coeff < 0 else "") + body)
+                else:
+                    chunks.append(("- " if coeff < 0 else "+ ") + body)
+        except ValueError:  # Python, from 3.10.7, writes no integer this long
+            widest = max(max(abs(c.numerator), c.denominator) for c in self._terms.values())
+            digits = int(widest.bit_length() * 0.30102999566398120)  # the count or one less
+            raise ResourceLimit(
+                f"a coefficient has {digits + (widest >= 10**digits)} digits, above the "
+                f"{sys.get_int_max_str_digits()} digits Python writes an integer with"
+            ) from None
         return " ".join(chunks)
 
     def __repr__(self):
@@ -222,6 +231,16 @@ def _power(base: NCPoly, exponent: int, multiply) -> NCPoly:
         if not exponent:
             return out
         base = multiply(base, base)
+
+
+def _size(terms: dict) -> int:
+    """The terms' letters plus their coefficients' bits past one 64-bit word each."""
+    size = sum(map(len, terms))
+    for c in terms.values():
+        bits = (c if type(c) is int else c.numerator * c.denominator).bit_length()
+        if bits > 64:
+            size += bits - 64
+    return size
 
 
 def _word_str(word) -> str:
@@ -275,8 +294,8 @@ class _Parser:
     It reads the flat token list by index: an operator is its character, a name
     its string, a number its int or Fraction, and None ends the list. Every
     product A*B, powers included, is charged |A|*|B| + |B|*sum|a| + |A|*sum|b|
-    (term products plus letters written) before it is formed, and the parse is
-    refused once the charges pass MAX_PARSE_WORK.
+    (term products plus letters and wide coefficient bits written, see _size)
+    before it is formed; the parse is refused once the charges pass MAX_PARSE_WORK.
     """
 
     def __init__(self, tokens, generators):
@@ -288,13 +307,13 @@ class _Parser:
     def product(self, left: NCPoly, right: NCPoly) -> NCPoly:
         left_terms, right_terms = left._terms, right._terms
         self.work += len(left_terms) * len(right_terms) + (
-            len(right_terms) * sum(map(len, left_terms))
-            + len(left_terms) * sum(map(len, right_terms))
+            len(right_terms) * _size(left_terms) + len(left_terms) * _size(right_terms)
         )
         if self.work > MAX_PARSE_WORK:
             raise ResourceLimit(
-                f"expanding the expression takes at least {self.work} term products "
-                f"and letters, above the parse work budget MAX_PARSE_WORK = {MAX_PARSE_WORK}"
+                f"expanding the expression takes at least {self.work} term products, "
+                f"letters and coefficient bits, above the parse work budget "
+                f"MAX_PARSE_WORK = {MAX_PARSE_WORK}"
             )
         return left * right
 

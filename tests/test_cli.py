@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from logcentre import cli, ncpoly
 from logcentre.casestudies import francia_input_document
 from logcentre.cli import main
+from logcentre.errors import InputError, InternalError, LogCentreError, NotApplicable, ResourceLimit
 from logcentre.iodoc import serialize_document
 from logcentre.orders import MAX_GRADING_LENGTH
 from logcentre.valmat import MAX_RAMIFICATION_INDEX
@@ -273,6 +275,47 @@ def test_reader_closing_the_pipe_early_is_quiet(unbuffered):
     assert (proc.returncode, err) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["toric", "klt", "/no/such.json"], 2), (["toric", "canonical", "{doc}#base"], 3)],
+    ids=["bad-input", "not-applicable"],
+)
+def test_closed_stderr_keeps_the_exit_code(argv, code, francia_doc):
+    # The error line meets a pipe with no reader; the command still exits with
+    # its error's code, not 1 for an uncaught BrokenPipeError.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logcentre", *(arg.format(doc=francia_doc) for arg in argv)],
+            stdout=subprocess.PIPE, stderr=write_end, env=env, cwd=ROOT, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (InputError, 2, "error"),
+        (NotApplicable, 3, "not applicable"),
+        (ResourceLimit, 4, "error"),
+        (InternalError, 5, "error"),
+        (LogCentreError, 2, "error"),
+        (ValueError, 2, "error"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, error, code, prefix):
+    def refuse(poly, system):
+        raise error("refused")
+
+    monkeypatch.setattr(ncpoly, "normal_form", refuse)
+    assert _run(capsys, "ncpoly", "nf", "a") == (code, "", f"{prefix}: refused\n")
+
+
 def test_misspelled_builtin_system_names_the_builtins(capsys):
     code, out, err = _run(capsys, "ncpoly", "nf", "a", "--system", "quantum")
     assert (code, out) == (2, "")
@@ -351,6 +394,40 @@ def test_parse_work_exit_code(capsys):
         assert "MAX_PARSE_WORK" in err and "at least" in err
     code, out, _ = _run(capsys, "ncpoly", "nf", "a^40000")
     assert (code, out) == (0, "a^40000\n")
+
+
+def test_constant_power_exit_code(capsys):
+    # Coefficient bits past one word are charged, so the squarings of a huge
+    # constant power are refused before they take minutes.
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "ncpoly", "nf", "3^100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert "MAX_PARSE_WORK" in err and "at least" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python writes integers of any length"
+)
+def test_unprintable_coefficient_exit_code(capsys, tmp_path):
+    # An answer Python cannot write is a resource limit, not bad input.
+    doc = {
+        "version": "1",
+        "objects": {"plane": {"type": "presentation", "generators": ["x", "y"],
+                              "rules": [{"lhs": "y*x", "rhs": "2*x*y"}]}},
+    }
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    for expr, system, digits in (("3^100000", "clifford", 47713), ("y^120*x^120", path, 4335)):
+        code, out, err = _run(capsys, "ncpoly", "nf", expr, "--system", str(system))
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: a coefficient has {digits} digits, above the {limit} digits Python "
+            "writes an integer with\n"
+        )
+    code, out, _ = _run(capsys, "ncpoly", "nf", "y^110*x^110", "--system", str(path))
+    assert code == 0 and out.endswith("*x^110*y^110\n")
 
 
 def test_long_integer_literal_exit_code(capsys):

@@ -16,7 +16,9 @@ private names private: no module of ``src/logcentre`` imports a private name
 from another module of the package. A seventh keeps start-up cheap: no module
 of ``src/logcentre`` imports ``dataclasses`` or ``typing``. An eighth keeps
 code generation in one place: no module of ``src/logcentre`` but ``records``
-calls the builtins ``exec``, ``eval`` or ``compile``.
+calls the builtins ``exec``, ``eval`` or ``compile``. A ninth keeps output in
+one place: no module of ``src/logcentre`` calls ``print`` outside
+``cli._write``, the writer that guards both streams against a closed pipe.
 """
 
 import ast
@@ -259,3 +261,37 @@ def test_only_records_generates_code():
     assert _code_calls(ast.parse("eval('1')\nre.compile('x')\ncompile(s, f, m)\n")) == [
         "line 1: eval", "line 3: compile"
     ]
+
+
+def _print_calls(tree) -> list:
+    """Each call of the builtin print in the tree, by line and enclosing function."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "print"
+            ):
+                calls.append(f"line {child.lineno}: {function}")
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return calls
+
+
+def test_only_cli_write_prints():
+    # Every line the package writes goes through cli._write, which survives a
+    # reader that closed stdout or stderr early and keeps the exit code.
+    calls = {
+        str(path.relative_to(ROOT)): _print_calls(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    assert [line.partition(": ")[2] for line in calls.pop("src/logcentre/cli.py")] == ["_write"]
+    assert {path: lines for path, lines in calls.items() if lines} == {}
+    source = "print(1)\ndef f():\n    sys.stdout.print(2)\n    print(3)\n"
+    assert _print_calls(ast.parse(source)) == ["line 1: <module>", "line 4: f"]

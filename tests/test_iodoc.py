@@ -148,6 +148,26 @@ def test_empty_ray_is_an_input_error():
         loads('{"version": "1", "objects": {"p": {"type": "cone_pair", "rays": [[]]}}}')
 
 
+@pytest.mark.parametrize(
+    "name, spec, message",
+    [
+        ("ord", {"type": "order", "ramification": [{"prime": "P", "e": 0}]},
+         "ramification index must be a positive integer, got 0"),
+        ("pair", {"type": "cone_pair", "rays": [[1, 0], [0, 1]], "lattice": [[1, 2], [2, 4]]},
+         "matrix is singular"),
+        ("sys", {"type": "presentation", "generators": ["a", "b"],
+                 "rules": [{"lhs": "a", "rhs": "a*b"}]},
+         "rule a -> a*b breaks the termination order"),
+    ],
+    ids=["order", "cone_pair", "presentation"],
+)
+def test_value_class_refusal_is_an_input_error_naming_the_object(name, spec, message):
+    with pytest.raises(InputError) as caught:
+        parse_document({"version": "1", "objects": {name: spec}})
+    assert str(caught.value) == f"{name}: {message}"
+    assert type(caught.value.__cause__) is ValueError
+
+
 def test_presentation_parsing():
     doc = loads(
         '{"version": "1", "objects": {"sys": {"type": "presentation",'
