@@ -22,6 +22,8 @@ Exit codes: 0 success, 2 bad usage or bad input, 3 negative verdict (the test
 ran and answered no, or did not apply), 4 resource limit hit, 5 internal
 invariant violated (a bug in logcentre, not in the input), each read from the
 error class's ``exit_code``. One writer, ``_write``, serves stdout and stderr.
+A toric answer writes its numbers with ``numerals.write``: one too long to
+write is a resource limit.
 
 Each handler imports the library module it runs when it runs, so a process
 loads, and compiles, only what its command needs; ``--help`` loads none. The
@@ -40,7 +42,9 @@ from .errors import InputError, LogCentreError, NotApplicable
 
 
 def _fmt_functional(u) -> str:
-    return "(" + ",".join(map(str, u)) + ")"
+    from .numerals import write
+
+    return "(" + ",".join(map(write, u)) + ")"
 
 
 def _functional_json(u):
@@ -56,6 +60,7 @@ def _verdict(name: str, verdict: bool, result: dict):
 
 def _with_functional(name: str, verdict: bool, solved):
     """_verdict, then the functional u = w/m of solved = (w, m) and its index m, or none."""
+    from .numerals import write
     from .toric import as_fractions
 
     code, result, text = _verdict(name, verdict, {})
@@ -63,7 +68,7 @@ def _with_functional(name: str, verdict: bool, solved):
         return code, {**result, "functional": None, "index": None}, f"{text} u=none"
     u, index = as_fractions(solved), solved[1]
     result.update(functional=_functional_json(u), index=index)
-    return code, result, f"{text} u={_fmt_functional(u)} index={index}"
+    return code, result, f"{text} u={_fmt_functional(u)} index={write(index)}"
 
 
 def _load_target(spec: str, want: str):
@@ -104,10 +109,6 @@ def _solution_for(pair, spec: str):
         coeffs = tuple(read_rational(part) for part in spec.split(","))
     except InputError as exc:
         raise InputError(f"bad divisor spec {excerpt(spec)}") from exc
-    if len(coeffs) != len(pair.cone.rays):
-        raise InputError(
-            f"divisor spec has {len(coeffs)} coefficients, cone has {len(pair.cone.rays)} rays"
-        )
     return q_cartier_functional(pair.cone, ToricDivisor(coeffs))
 
 
@@ -147,12 +148,14 @@ def _cmd_qcartier(args):
 
 
 def _cmd_index(args):
+    from .numerals import write
+
     solved = _solution_for(_load_target(args.target, "cone_pair"), args.divisor)
     index = None if solved is None else solved[1]
     result = {"divisor": args.divisor, "index": index}
     if index is None:
         return 3, result, "none"
-    return 0, result, str(index)
+    return 0, result, write(index)
 
 
 def _cmd_klt(args):
@@ -172,6 +175,7 @@ def _cmd_canonical(args):
 
 def _cmd_cover(args):
     from .iodoc import rational_to_json
+    from .numerals import write
     from .toric import log_canonical_cover
 
     pair = _load_target(args.target, "cone_pair")
@@ -182,20 +186,21 @@ def _cmd_cover(args):
         "lattice": [[rational_to_json(x) for x in row] for row in basis],
         "rays": [list(ray) for ray in cover.cover_cone.rays],
     }
-    lines = [f"degree={cover.degree}"]
+    lines = [f"degree={write(cover.degree)}"]
     lines.append("lattice=" + ";".join(_fmt_functional(row) for row in basis))
     lines.append("rays=" + ";".join(_fmt_functional(ray) for ray in cover.cover_cone.rays))
     return 0, result, "\n".join(lines)
 
 
 def _cmd_dual_gens(args):
+    from .numerals import write
     from .toric import dual_cone_generators
 
     pair = _load_target(args.target, "cone_pair")
     gens = dual_cone_generators(pair.cone)
     result = {"count": len(gens), "generators": [list(g) for g in gens]}
     lines = [f"{len(gens)} generators"]
-    lines.extend(" ".join(str(x) for x in g) for g in gens)
+    lines.extend(" ".join(map(write, g)) for g in gens)
     return 0, result, "\n".join(lines)
 
 

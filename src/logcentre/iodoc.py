@@ -11,12 +11,16 @@ this package is exact, and so are decimal and exponent strings such as
 Object schemas:
 
 * ``order``: ``ramification`` is a list of ``{"prime": str, "e": int,
-  "blocks": [int, ...]}``; ``blocks`` defaults to ``e`` ones.
+  "blocks": [int, ...]}``, ``blocks`` optional.
 * ``cone_pair``: ``rays`` (integer lattice coordinates), ``boundary`` (one
   rational per ray), optional ``lattice`` (basis rows in ambient rational
   coordinates, default the standard lattice).
 * ``presentation``: ``generators``, optional ``weights``, and ``rules`` given
   as ``{"lhs": "b*a", "rhs": "a*b - 2*c^3"}`` with expression syntax.
+
+This layer checks JSON shape and reads rationals. Every other value goes as it
+is to its value class, which checks it; a refusal comes back as an InputError
+naming the object.
 
 Each type tag maps to its class, parser and serializer in one table, which
 drives parsing, serialization and ``select_object``. The rewrite engine,
@@ -30,7 +34,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .numerals import read_int, read_rational
+from .numerals import read_int, read_rational, write
 from .orders import OrderSpec, RamificationDatum
 from .records import Record
 from .toric import Cone, ConePair, Lattice, ToricDivisor
@@ -66,15 +70,17 @@ def _rat_from_json(value, where: str) -> Fraction:
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
+def _rats_from_json(values, where: str) -> tuple:
+    if not isinstance(values, list):
+        raise InputError(f"{where}: expected a list of rationals")
+    return tuple(_rat_from_json(x, where) for x in values)
+
+
 def rational_to_json(value: Fraction):
+    """value as a JSON int or "p/q" string; ResourceLimit where write refuses it."""
     value = Fraction(value)
-    return int(value) if value.denominator == 1 else str(value)
-
-
-def _int_from_json(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: expected an integer")
-    return value
+    text = write(value)
+    return int(value) if value.denominator == 1 else text
 
 
 def _check_keys(spec: dict, allowed, where: str) -> None:
@@ -93,46 +99,26 @@ def _parse_order(name: str, spec: dict) -> OrderSpec:
         if not isinstance(entry, dict):
             raise InputError(f"{name}: ramification entries must be objects")
         _check_keys(entry, ("prime", "e", "blocks"), name)
-        prime = entry.get("prime")
-        if not isinstance(prime, str) or not prime:
-            raise InputError(f"{name}: ramification entry needs a prime name")
-        e = _int_from_json(entry.get("e"), f"{name}.e")
-        blocks = entry.get("blocks", [1] * e)
-        if not isinstance(blocks, list):
+        blocks = entry.get("blocks")
+        if "blocks" in entry and not isinstance(blocks, list):
             raise InputError(f"{name}: blocks must be a list")
-        blocks = tuple(_int_from_json(b, f"{name}.blocks") for b in blocks)
-        ramification.append(RamificationDatum(prime, e, blocks))
+        ramification.append(RamificationDatum(entry.get("prime"), entry.get("e"), blocks))
     return OrderSpec(name, tuple(ramification))
 
 
 def _parse_cone_pair(name: str, spec: dict) -> ConePair:
     _check_keys(spec, ("type", "lattice", "rays", "boundary"), name)
     rays = spec.get("rays")
-    if not isinstance(rays, list) or not rays:
-        raise InputError(f"{name}: rays must be a nonempty list of vectors")
-    parsed_rays = []
-    for ray in rays:
-        if not isinstance(ray, list):
-            raise InputError(f"{name}: each ray must be a list")
-        parsed_rays.append(tuple(_int_from_json(x, f"{name}.rays") for x in ray))
-    lattice = None
-    basis_raw = spec.get("lattice")
-    if basis_raw is not None:
-        if not isinstance(basis_raw, list):
+    if not isinstance(rays, list) or not all(isinstance(ray, list) for ray in rays):
+        raise InputError(f"{name}: rays must be a list of vectors")
+    lattice = spec.get("lattice")
+    if lattice is not None:
+        if not isinstance(lattice, list):
             raise InputError(f"{name}: lattice must be a list of basis vectors")
-        basis = []
-        for row in basis_raw:
-            if not isinstance(row, list):
-                raise InputError(f"{name}: lattice basis vectors must be lists")
-            basis.append(tuple(_rat_from_json(x, f"{name}.lattice") for x in row))
-        lattice = Lattice(tuple(basis))
+        lattice = Lattice(tuple(_rats_from_json(row, f"{name}.lattice") for row in lattice))
     boundary = spec.get("boundary")
-    if boundary is None:
-        boundary = [0] * len(parsed_rays)
-    if not isinstance(boundary, list):
-        raise InputError(f"{name}: boundary must be a list of rationals")
-    coeffs = tuple(_rat_from_json(x, f"{name}.boundary") for x in boundary)
-    return ConePair(Cone.from_rays(parsed_rays, lattice), ToricDivisor(coeffs))
+    coeffs = (0,) * len(rays) if boundary is None else _rats_from_json(boundary, f"{name}.boundary")
+    return ConePair(Cone.from_rays(rays, lattice), ToricDivisor(coeffs))
 
 
 def _parse_presentation(name: str, spec: dict):
@@ -140,17 +126,11 @@ def _parse_presentation(name: str, spec: dict):
 
     _check_keys(spec, ("type", "generators", "weights", "rules"), name)
     generators = spec.get("generators")
-    if (
-        not isinstance(generators, list)
-        or not generators
-        or any(not isinstance(g, str) for g in generators)
-    ):
+    if not isinstance(generators, list) or not generators:
         raise InputError(f"{name}: generators must be a nonempty list of names")
     weights = spec.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list):
-            raise InputError(f"{name}: weights must be a list of integers")
-        weights = tuple(_int_from_json(w, f"{name}.weights") for w in weights)
+    if weights is not None and not isinstance(weights, list):
+        raise InputError(f"{name}: weights must be a list of integers")
     rules_raw = spec.get("rules")
     if not isinstance(rules_raw, list):
         raise InputError(f"{name}: rules must be a list")
@@ -167,7 +147,7 @@ def _parse_presentation(name: str, spec: dict):
         if len(lhs_terms) != 1 or lhs_terms[0][1] != 1 or not lhs_terms[0][0]:
             raise InputError(f"{name}: rule lhs {lhs_text!r} must be a single plain word")
         rules.append((lhs_terms[0][0], parse_poly(rhs_text, generators)))
-    return RewriteSystem(tuple(generators), tuple(rules), weights)
+    return RewriteSystem(generators, rules, weights)
 
 
 def parse_document(data) -> InputDocument:

@@ -32,14 +32,13 @@ generators and trades bc for ad, and the quiver's matrices have entries in it.
 from __future__ import annotations
 
 import re
-import sys
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 
 from .errors import InputError, ResourceLimit
-from .numerals import exact, read_int
+from .numerals import exact, read_int, write
 from .records import Record
 
 # Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
@@ -183,26 +182,18 @@ class NCPoly:
         if not self._terms:
             return "0"
         chunks = []
-        try:
-            for index, (word, coeff) in enumerate(self.terms()):
-                magnitude = abs(coeff)
-                if not word:
-                    body = str(magnitude)
-                elif magnitude == 1:
-                    body = _word_str(word)
-                else:
-                    body = f"{magnitude}*{_word_str(word)}"
-                if index == 0:
-                    chunks.append(("-" if coeff < 0 else "") + body)
-                else:
-                    chunks.append(("- " if coeff < 0 else "+ ") + body)
-        except ValueError:  # Python, from 3.10.7, writes no integer this long
-            widest = max(max(abs(c.numerator), c.denominator) for c in self._terms.values())
-            digits = int(widest.bit_length() * 0.30102999566398120)  # the count or one less
-            raise ResourceLimit(
-                f"a coefficient has {digits + (widest >= 10**digits)} digits, above the "
-                f"{sys.get_int_max_str_digits()} digits Python writes an integer with"
-            ) from None
+        for index, (word, coeff) in enumerate(self.terms()):
+            magnitude = abs(coeff)
+            if not word:
+                body = write(magnitude)
+            elif magnitude == 1:
+                body = _word_str(word)
+            else:
+                body = f"{write(magnitude)}*{_word_str(word)}"
+            if index == 0:
+                chunks.append(("-" if coeff < 0 else "") + body)
+            else:
+                chunks.append(("- " if coeff < 0 else "+ ") + body)
         return " ".join(chunks)
 
     def __repr__(self):
@@ -301,7 +292,9 @@ class _Parser:
     def __init__(self, tokens, generators):
         self.tokens = tokens
         self.pos = 0
-        self.generators = frozenset(generators)
+        # Tokens are strs, so no other name can match one; RewriteSystem refuses
+        # such names, and frozenset could not hold a list among them.
+        self.generators = frozenset(g for g in generators if type(g) is str)
         self.work = 0
 
     def product(self, left: NCPoly, right: NCPoly) -> NCPoly:
@@ -409,9 +402,9 @@ class RewriteSystem(Record):
     __slots__ = (*_fields, "_code", "_name", "_tables", "_weighing", "_coded_rules")
 
     def __post_init__(self):
-        gens = tuple(str(g) for g in self.generators)
-        if not gens or len(set(gens)) != len(gens) or any(not g for g in gens):
-            raise ValueError("generators must be distinct nonempty names")
+        gens = tuple(self.generators)
+        if not gens or any(type(g) is not str or not g for g in gens) or len(set(gens)) < len(gens):
+            raise ValueError(f"generators must be distinct nonempty strings, got {gens!r}")
         object.__setattr__(self, "generators", gens)
         if self.weights is None:
             weights = (1,) * len(gens)

@@ -1,15 +1,16 @@
 """Readers of the integers and rationals that documents, expressions and the
-command line spell, and the one refusal of floats for the exact layers. They
-live apart from the rewrite engine and the document layer, so that reading a
-number loads neither.
+command line spell, their one writer, and the one refusal of floats for the
+exact layers. They live apart from the rewrite engine and the document layer,
+so that reading or writing a number loads neither.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, ResourceLimit
 
 
 def read_int(text: str) -> int:
@@ -22,6 +23,20 @@ def read_int(text: str) -> int:
     except ValueError:
         digits = len(text.lstrip("+-"))
         raise InputError(f"integer literal of {digits} digits is too long") from None
+
+
+def write(x) -> str:
+    """str of an int or Fraction; ResourceLimit when Python writes no integer
+    that long (from 3.10.7, past sys.get_int_max_str_digits() digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        widest = max(abs(x.numerator), x.denominator)
+        digits = int(widest.bit_length() * 0.30102999566398120)  # the count or one less
+        raise ResourceLimit(
+            f"a coefficient has {digits + (widest >= 10**digits)} digits, above the "
+            f"{sys.get_int_max_str_digits()} digits Python writes an integer with"
+        ) from None
 
 
 def exact(x) -> Fraction:

@@ -23,19 +23,21 @@ MAX_GRADING_LENGTH = 10_000
 
 
 class RamificationDatum(Record):
-    """One ramified height-one prime: its label, index e, and block sizes."""
+    """One ramified height-one prime: its label, index e, and block sizes,
+    which default to e ones. e and every block size are ints, never bools."""
 
     __slots__ = _fields = ("prime_id", "e", "blocks")
+    _defaults = (None,)
 
     def __post_init__(self):
         if not isinstance(self.prime_id, str) or not self.prime_id:
             raise ValueError("prime_id must be a nonempty string")
-        if not isinstance(self.e, int) or self.e < 1:
+        if type(self.e) is not int or self.e < 1:
             raise ValueError(f"ramification index must be a positive integer, got {self.e!r}")
-        blocks = tuple(self.blocks)
+        blocks = (1,) * self.e if self.blocks is None else tuple(self.blocks)
         if len(blocks) != self.e:
             raise ValueError(f"expected {self.e} block sizes, got {len(blocks)}")
-        if not all(isinstance(n, int) and n >= 1 for n in blocks):
+        if not all(type(n) is int and n >= 1 for n in blocks):
             raise ValueError("block sizes must be positive integers")
         object.__setattr__(self, "blocks", blocks)
 

@@ -171,9 +171,11 @@ def _facet_normals(dim: int, rays) -> tuple:
 
 def _integer_ray(ray) -> tuple:
     """The ray as ints; ValueError naming it for a coordinate that is not an int
-    or an integral Fraction, which truncating would turn into another cone."""
-    if not all(isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1 for x in ray):
-        raise ValueError(f"ray ({', '.join(map(str, ray))}) has a non-integer coordinate")
+    or an integral Fraction, which truncating would turn into another cone, or
+    is a bool. The message writes numbers as str and anything else as repr."""
+    if not all(type(x) is int or isinstance(x, Fraction) and x.denominator == 1 for x in ray):
+        shown = (str(x) if isinstance(x, (int, float, Fraction)) else repr(x) for x in ray)
+        raise ValueError(f"ray ({', '.join(shown)}) has a non-integer coordinate")
     return tuple(map(int, ray))
 
 
@@ -288,7 +290,7 @@ def _divisor_solution(cone: Cone, coeffs):
     Q-Cartier. Each n_i is an integer pair (p_i, q_i), n_i = p_i/q_i, q_i >= 1;
     its equation is the integer row [q_i*v_i, -p_i], solved by solve_scaled."""
     if len(coeffs) != len(cone.rays):
-        raise ValueError("divisor needs one coefficient per ray")
+        raise ValueError(f"divisor has {len(coeffs)} coefficients, cone has {len(cone.rays)} rays")
     return linalg.solve_scaled(
         [[*(q * x for x in ray), -p] for ray, (p, q) in zip(cone.rays, coeffs)]
     )

@@ -430,6 +430,31 @@ def test_unprintable_coefficient_exit_code(capsys, tmp_path):
     assert code == 0 and out.endswith("*x^110*y^110\n")
 
 
+def test_answer_too_long_to_write_exit_code(capsys, tmp_path):
+    # u = (-1/p, 2/(pq)) and its index pq, of 8001 digits: past what Python writes.
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"pair": {
+        "type": "cone_pair", "rays": [[1, 0], [1, 1]]}}}))
+    p, q = 10**4000 + 1, 10**4000 + 3
+    limit = sys.get_int_max_str_digits()
+    for command in ("qcartier", "index"):
+        for fmt in ("text", "json"):
+            code, out, err = _run(capsys, "toric", command, str(path),
+                                  "--divisor", f"1/{p},1/{q}", "--format", fmt)
+            assert (code, out) == (4, ""), (command, fmt)
+            assert err == (
+                f"error: a coefficient has 8001 digits, above the {limit} digits Python "
+                "writes an integer with\n"
+            )
+
+
+def test_divisor_of_wrong_length_names_both_counts(capsys, francia_doc):
+    for command in ("qcartier", "index"):
+        code, out, err = _run(capsys, "toric", command, francia_doc + "#base", "--divisor", "0,0,0")
+        assert (code, out) == (2, "")
+        assert "3 coefficients" in err and "4 rays" in err
+
+
 def test_long_integer_literal_exit_code(capsys):
     # Python refuses to read more than a few thousand digits; that is bad input.
     for expr in ("9" * 5000 + "*a", "a*1/" + "7" * 5000):

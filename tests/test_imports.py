@@ -18,7 +18,9 @@ of ``src/logcentre`` imports ``dataclasses`` or ``typing``. An eighth keeps
 code generation in one place: no module of ``src/logcentre`` but ``records``
 calls the builtins ``exec``, ``eval`` or ``compile``. A ninth keeps output in
 one place: no module of ``src/logcentre`` calls ``print`` outside
-``cli._write``, the writer that guards both streams against a closed pipe.
+``cli._write``, the writer that guards both streams against a closed pipe. A
+tenth keeps value checks in the value classes: ``iodoc`` tests ``isinstance(...,
+int)`` only in ``_rat_from_json``, which reads a rational.
 """
 
 import ast
@@ -295,3 +297,30 @@ def test_only_cli_write_prints():
     assert {path: lines for path, lines in calls.items() if lines} == {}
     source = "print(1)\ndef f():\n    sys.stdout.print(2)\n    print(3)\n"
     assert _print_calls(ast.parse(source)) == ["line 1: <module>", "line 4: f"]
+
+
+def _int_checks(tree) -> list:
+    """The top-level function, or "<module>", of each isinstance(x, int) call
+    in the tree, int alone or in a tuple."""
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        found.extend(
+            where
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))
+        )
+    return found
+
+
+def test_iodoc_checks_no_integer_value():
+    # The document layer checks JSON shape and reads rationals; an integer's
+    # value is checked by the value class that holds it.
+    tree = ast.parse((ROOT / "src" / "logcentre" / "iodoc.py").read_text(encoding="utf-8"))
+    assert _int_checks(tree) == ["_rat_from_json"]
+    source = "isinstance(a, int)\ndef f(x):\n    isinstance(x, (bool, int))\n    isinstance(x, str)"
+    assert _int_checks(ast.parse(source)) == ["<module>", "f"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from logcentre.casestudies import clifford_input_document, francia_input_document
+from logcentre.cli import main
 from logcentre.errors import InputError
 from logcentre.iodoc import (
     InputDocument,
@@ -225,3 +226,80 @@ def test_select_object():
 def test_parse_document_rejects_non_string_version():
     with pytest.raises(InputError):
         parse_document({"version": 1, "objects": {}})
+
+
+_ORDER = {"type": "order", "ramification": [{"prime": "P", "e": 2}]}
+_PAIR = {"type": "cone_pair", "rays": [[1, 0], [0, 1]]}
+_SYSTEM = {"type": "presentation", "generators": ["a", "b"],
+           "rules": [{"lhs": "b*a", "rhs": "a*b"}]}
+
+
+def _entry(**fields):
+    """_ORDER with its one ramification entry updated; a None field is dropped."""
+    entry = {key: value for key, value in {"prime": "P", "e": 2, **fields}.items()
+             if value is not None}
+    return {**_ORDER, "ramification": [entry]}
+
+
+# (kind of fault, object spec): one malformed value each; every one is refused
+# as bad input that names the object, and nothing else escapes the loader.
+MALFORMED = [
+    ("prime", _entry(prime=None)),
+    ("prime", _entry(prime=1)),
+    ("prime", _entry(prime="")),
+    ("e", _entry(e="2")),
+    ("e", _entry(e=True)),
+    ("e", _entry(e=None)),
+    ("e", _entry(e=0)),
+    ("e", _entry(e=[2])),
+    ("blocks", _entry(blocks=2)),
+    ("blocks", _entry(blocks="11")),
+    ("blocks", _entry(blocks=True)),
+    ("blocks", {**_ORDER, "ramification": [{"prime": "P", "e": 2, "blocks": None}]}),
+    ("blocks", _entry(blocks=[True, 1])),
+    ("blocks", _entry(blocks=[1])),
+    ("rays", {"type": "cone_pair"}),
+    ("rays", {**_PAIR, "rays": []}),
+    ("rays", {**_PAIR, "rays": {"x": [1, 0]}}),
+    ("rays", {**_PAIR, "rays": [1, 0]}),
+    ("coordinate", {**_PAIR, "rays": [["1", 0], [0, 1]]}),
+    ("coordinate", {**_PAIR, "rays": [[True, 0], [0, 1]]}),
+    ("coordinate", {**_PAIR, "rays": [[[1], 0], [0, 1]]}),
+    ("coordinate", {**_PAIR, "rays": [[None, 0], [0, 1]]}),
+    ("rays", {**_PAIR, "rays": [[], [0, 1]]}),
+    ("boundary", {**_PAIR, "boundary": [0]}),
+    ("boundary", {**_PAIR, "boundary": "0,0"}),
+    ("lattice", {**_PAIR, "lattice": "1,0;0,1"}),
+    ("lattice", {**_PAIR, "lattice": [1, 0]}),
+    ("weights", {**_SYSTEM, "weights": True}),
+    ("weights", {**_SYSTEM, "weights": [True, 1]}),
+    ("weights", {**_SYSTEM, "weights": ["1", 1]}),
+    ("weights", {**_SYSTEM, "weights": [None, 1]}),
+    ("weights", {**_SYSTEM, "weights": [1]}),
+    ("weights", {**_SYSTEM, "weights": [0, 1]}),
+    ("generator", {**_SYSTEM, "generators": ["a", 1], "rules": []}),
+    ("generator", {**_SYSTEM, "generators": ["a", "b", ["c"]]}),
+]
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in MALFORMED],
+                         ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(MALFORMED)])
+def test_malformed_value_is_an_input_error_naming_the_object(spec):
+    with pytest.raises(InputError) as caught:
+        parse_document({"version": "1", "objects": {"o": spec}})
+    assert str(caught.value)[:2] in ("o:", "o.")  # the object, or a field of it
+
+
+# The command that loads each object type, the document path going last.
+_LOADERS = {"order": ("order", "discriminant"), "cone_pair": ("toric", "klt"),
+            "presentation": ("ncpoly", "nf", "a", "--system")}
+
+
+@pytest.mark.parametrize("kind, spec", list({kind: spec for kind, spec in MALFORMED}.items()))
+def test_malformed_value_exits_2_on_the_command_line(tmp_path, capsys, kind, spec):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"o": spec}}))
+    code = main([*_LOADERS[spec["type"]], str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: o") and "Traceback" not in captured.err

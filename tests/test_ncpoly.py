@@ -301,6 +301,14 @@ def test_rejects_unknown_letters_and_empty_lhs():
         RewriteSystem(("a", "a"), ())
 
 
+def test_generator_names_are_nonempty_strings():
+    # str() would turn 1 and 2 into names; each non-string is refused instead.
+    for generators in ((1, 2), ("a", 1), ("a", ""), ("a", ("b",)), ("a", ["b"])):
+        with pytest.raises(ValueError, match="^generators must be distinct nonempty strings"):
+            RewriteSystem(generators, ())
+    assert RewriteSystem(["a", "b"], ()).generators == ("a", "b")
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         RewriteSystem(("a", "b"), (), weights=(1,))

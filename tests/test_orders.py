@@ -40,6 +40,15 @@ def test_ramification_validation():
         OrderSpec("o", (RamificationDatum("B", 2, (1, 1)), RamificationDatum("B", 3, (1, 1, 1))))
 
 
+def test_ramification_index_and_blocks_are_ints_not_bools():
+    # int() would read True as 1; the datum refuses it where a document gives it.
+    for e, blocks in ((True, None), (1, (True,)), ("2", None), (2, ("1", 1))):
+        with pytest.raises(ValueError):
+            RamificationDatum("P", e, blocks)
+    assert RamificationDatum("P", 3).blocks == (1, 1, 1)
+    assert RamificationDatum("P", 3) == RamificationDatum("P", 3, [1, 1, 1])
+
+
 def test_qdivisor_normalisation_and_str():
     div = QDivisor((("B", Fraction(1, 2)), ("C", 0), ("D", Fraction(2, 3))))
     assert div.terms == (("B", Fraction(1, 2)), ("D", Fraction(2, 3)))

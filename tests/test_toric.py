@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -281,6 +282,15 @@ def test_inexact_inputs_are_refused():
     with pytest.raises(TypeError, match="^floating point entries are not exact"):
         Lattice(((1, 0), (0, 0.5)))
     assert ToricDivisor((Fraction(1, 10), 0)).coeffs == (Fraction(1, 10), 0)
+
+
+def test_bool_and_non_number_coordinates_are_refused():
+    # int() would read True as 1. A number is shown as written, anything else
+    # by repr, so the text "1" does not read as the number 1.
+    for bad, shown in ((True, "True"), ("1", "'1'"), (None, "None"), ([1], "[1]")):
+        message = rf"^ray \({re.escape(shown)}, 0\) has a non-integer coordinate$"
+        with pytest.raises(ValueError, match=message):
+            Cone.from_rays(((bad, 0), (0, 1)))
 
 
 def test_cone_validation():
@@ -1261,3 +1271,108 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
             for ray, n in zip(base.cone.rays, coeffs)
         ]
         assert solved == [rows], (command, flags)
+
+
+# Metamorphic gates: no answer depends on the coordinates or on the ray order.
+
+
+def _small_unimodular(rng):
+    """A in GL_3(Z): three elementary row operations and a sign on the
+    identity, then the rows permuted; its entries stay small, so most mapped
+    rays keep below MAX_RAY_COORD."""
+    rows = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(3):
+        i, j = rng.sample(range(3), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    k = rng.randrange(3)
+    rows[k] = [-a for a in rows[k]]
+    rng.shuffle(rows)
+    return rows
+
+
+def _inverse_transpose(a):
+    """A^(-T) of A in GL_3(Z): its cofactor matrix over det A = +-1."""
+    cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+            - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    det = sum(x * c for x, c in zip(a[0], cof[0]))
+    assert det in (1, -1)
+    return [[det * c for c in row] for row in cof]
+
+
+def _apply(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _outcome(answer):
+    """answer(), "n/a" for NotApplicable, or "limit" for a ResourceLimit."""
+    try:
+        return answer()
+    except NotApplicable:
+        return "n/a"
+    except ResourceLimit:
+        return "limit"
+
+
+def _index(solved):
+    return None if solved is None else solved[1]
+
+
+def _invariants(pair):
+    """The answers that must not depend on the coordinates or the ray order."""
+    cone = pair.cone
+    return {
+        "canonical": _outcome(lambda: canonical_check(cone)),
+        "K index": _outcome(lambda: _index(canonical_functional(cone))),
+        "klt": _outcome(lambda: klt_check(pair).is_klt),
+        "K+D index": _outcome(lambda: _index(pair_functional(pair))),
+        "cover degree": _outcome(lambda: log_canonical_cover(pair).degree),
+        "correspondence": _outcome(lambda: cover_correspondence_check(pair)),
+    }
+
+
+def _assert_same(first, second, context):
+    # A refusal is allowed on either side: a change of coordinates can move
+    # the work of an answer past a limit.
+    for key, value in first.items():
+        if "limit" not in (value, second[key]):
+            assert value == second[key], (key, context)
+
+
+def test_answers_survive_a_change_of_coordinates_and_of_ray_order():
+    # About 100 cones over 3 to 5 rays (x, y, z) with |x|, |y| <= 3 and
+    # 1 <= z <= 3, so every cone is pointed; boundary coefficients (e-1)/e.
+    rng = random.Random(2929)
+    verdicts, checked = Counter(), 0
+    while checked < 100:
+        rays = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(3, 5))]
+        try:
+            cone = Cone.from_rays(rays)
+        except ValueError:
+            continue  # repeated, dependent or not extreme rays
+        checked += 1
+        boundary = tuple(Fraction(e - 1, e) for e in rng.choices((1, 2, 3), k=len(cone.rays)))
+        pair = ConePair(cone, ToricDivisor(boundary))
+        expected = _invariants(pair)
+        verdicts[expected["canonical"]] += 1
+        a = _small_unimodular(rng)
+        order = rng.sample(range(len(cone.rays)), len(cone.rays))
+        permuted = ConePair(Cone.from_rays([cone.rays[i] for i in order]),
+                            ToricDivisor(tuple(boundary[i] for i in order)))
+        _assert_same(expected, _invariants(permuted), (cone.rays, order))
+        try:
+            mapped_cone = Cone.from_rays([_apply(a, ray) for ray in cone.rays])
+        except ResourceLimit:
+            continue  # a mapped coordinate above MAX_RAY_COORD
+        mapped = ConePair(mapped_cone, ToricDivisor(boundary))
+        _assert_same(expected, _invariants(mapped), (cone.rays, a))
+        normals = _inverse_transpose(a)
+        assert set(mapped_cone.facets) == {_apply(normals, n) for n in cone.facets}
+        for semigroup, change in ((hilbert_basis, a), (dual_cone_generators, normals)):
+            basis = _outcome(lambda: semigroup(cone))
+            mapped_basis = _outcome(lambda: semigroup(mapped_cone))
+            if "limit" not in (basis, mapped_basis):
+                assert set(mapped_basis) == {_apply(change, p) for p in basis}, (cone.rays, a)
+    assert {True, False, "n/a"} <= set(verdicts)
