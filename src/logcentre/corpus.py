@@ -39,11 +39,6 @@ from .toric import Cone, ConePair, Lattice, ToricDivisor, pair_functional
 _MAX_ATTEMPTS = 1000
 
 
-def _cover_is_tame(pair: ConePair, max_index: int) -> bool:
-    solved = pair_functional(pair)
-    return solved is not None and solved[1] <= max_index
-
-
 def _random_ray(rng: random.Random, dim: int, bound: int):
     while True:
         vec = tuple(rng.randint(-bound, bound) for _ in range(dim))
@@ -62,7 +57,8 @@ def _simplicial_pair(rng: random.Random, dim: int, bound: int, indices, max_inde
             continue
         boundary = tuple(Fraction(e - 1, e) for e in (rng.choice(indices) for _ in rays))
         pair = ConePair(Cone(Lattice.standard(dim), tuple(rays)), ToricDivisor(boundary))
-        if _cover_is_tame(pair, max_index):
+        solved = pair_functional(pair)
+        if solved is not None and solved[1] <= max_index:  # Q-Cartier of small index
             return pair
     raise LogCentreError("could not sample a tame simplicial pair")
 

@@ -58,9 +58,7 @@ def excerpt(text: str) -> str:
 
 
 def _rat_from_json(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -109,7 +109,7 @@ def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries (orientation kept)."""
     ints = []
     for x in v:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"expected integer coordinates, got {x!r}")
         ints.append(x)
     g = gcd(*ints)

@@ -39,7 +39,7 @@ from itertools import groupby
 
 from .errors import InputError, ResourceLimit
 from .numerals import exact, read_int, write
-from .records import Record
+from .records import Record, sequence
 
 # Distinct words one normal_form call rewrites: (a+b+c)^6 in Clifford takes 779.
 MAX_REWRITE_STEPS = 10**6
@@ -162,7 +162,7 @@ class NCPoly:
         return other * self
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         return _power(self, exponent, NCPoly.__mul__)
 
@@ -242,7 +242,7 @@ def _word_str(word) -> str:
 def _as_poly(value) -> NCPoly | None:
     if isinstance(value, NCPoly):
         return value
-    if isinstance(value, (int, Fraction, float)):
+    if type(value) in (int, float) or isinstance(value, Fraction):
         return NCPoly.constant(value)  # _coerce refuses a float
     return None
 
@@ -402,16 +402,16 @@ class RewriteSystem(Record):
     __slots__ = (*_fields, "_code", "_name", "_tables", "_weighing", "_coded_rules")
 
     def __post_init__(self):
-        gens = tuple(self.generators)
+        gens = sequence(self.generators, "generators")
         if not gens or any(type(g) is not str or not g for g in gens) or len(set(gens)) < len(gens):
             raise ValueError(f"generators must be distinct nonempty strings, got {gens!r}")
         object.__setattr__(self, "generators", gens)
         if self.weights is None:
             weights = (1,) * len(gens)
         else:
-            weights = tuple(self.weights)
+            weights = sequence(self.weights, "weights")
             for w in weights:
-                if not isinstance(w, int) or isinstance(w, bool):
+                if type(w) is not int:
                     raise ValueError(f"weight {w!r} is not an integer")
         if len(weights) != len(gens) or any(w <= 0 for w in weights):
             raise ValueError("need one positive weight per generator")
@@ -433,7 +433,7 @@ class RewriteSystem(Record):
         extra = tuple((code[g], w - base) for g, w in zip(gens, weights) if w != base)
         object.__setattr__(self, "_weighing", (base, extra))
         rules, coded = [], []
-        for lhs, rhs in self.rules:
+        for lhs, rhs in sequence(self.rules, "rules"):
             lhs = tuple(lhs)
             if not lhs:
                 raise ValueError("rule left-hand side must be a nonempty word")

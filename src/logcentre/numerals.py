@@ -32,7 +32,8 @@ def write(x) -> str:
         return str(x)
     except ValueError:
         widest = max(abs(x.numerator), x.denominator)
-        digits = int(widest.bit_length() * 0.30102999566398120)  # the count or one less
+        # 30103/100000 > log10(2): the count or one less below 5 * 10**6 bits
+        digits = widest.bit_length() * 30103 // 100000
         raise ResourceLimit(
             f"a coefficient has {digits + (widest >= 10**digits)} digits, above the "
             f"{sys.get_int_max_str_digits()} digits Python writes an integer with"

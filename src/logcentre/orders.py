@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ResourceLimit
 from .numerals import exact
-from .records import Record
+from .records import Record, sequence
 
 # The graded pieces are listed whole, so m is a desk-scale bound: at 10**6
 # the tuple and its text took 139 MB.
@@ -34,7 +34,7 @@ class RamificationDatum(Record):
             raise ValueError("prime_id must be a nonempty string")
         if type(self.e) is not int or self.e < 1:
             raise ValueError(f"ramification index must be a positive integer, got {self.e!r}")
-        blocks = (1,) * self.e if self.blocks is None else tuple(self.blocks)
+        blocks = (1,) * self.e if self.blocks is None else sequence(self.blocks, "blocks")
         if len(blocks) != self.e:
             raise ValueError(f"expected {self.e} block sizes, got {len(blocks)}")
         if not all(type(n) is int and n >= 1 for n in blocks):
@@ -50,7 +50,7 @@ class OrderSpec(Record):
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("order name must be a nonempty string")
-        data = tuple(self.ramification)
+        data = sequence(self.ramification, "ramification")
         seen = set()
         for datum in data:
             if not isinstance(datum, RamificationDatum):
@@ -99,7 +99,7 @@ def standard_index(coeff) -> int | None:
     when q - p = 1 (which also gives 0 <= p/q < 1), and then e = q. TypeError
     for a float, which is not exact.
     """
-    if not isinstance(coeff, (int, Fraction)):
+    if not isinstance(coeff, Fraction):
         coeff = exact(coeff)
     p, q = coeff.numerator, coeff.denominator
     return q if q - p == 1 else None
@@ -125,9 +125,9 @@ def cover_graded_valuations(e: int, m: int) -> tuple:
     suite verifies all three routes agree. ResourceLimit when m exceeds
     MAX_GRADING_LENGTH.
     """
-    if not isinstance(e, int) or e < 1:
+    if type(e) is not int or e < 1:
         raise ValueError(f"ramification index must be a positive integer, got {e!r}")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"grading length must be a positive integer, got {m!r}")
     if m > MAX_GRADING_LENGTH:
         raise ResourceLimit(

@@ -41,6 +41,15 @@ def _initializer(cls):
     return init
 
 
+def sequence(value, field: str) -> tuple:
+    """A sequence field's items as a tuple; ValueError naming it if not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{field} must be a sequence, got {value!r}") from None
+    return tuple(items)
+
+
 class Record:
     """Base of an immutable value class; see the module docstring."""
 

@@ -172,9 +172,9 @@ def _facet_normals(dim: int, rays) -> tuple:
 def _integer_ray(ray) -> tuple:
     """The ray as ints; ValueError naming it for a coordinate that is not an int
     or an integral Fraction, which truncating would turn into another cone, or
-    is a bool. The message writes numbers as str and anything else as repr."""
+    is a bool. The message writes a Fraction as str and anything else as repr."""
     if not all(type(x) is int or isinstance(x, Fraction) and x.denominator == 1 for x in ray):
-        shown = (str(x) if isinstance(x, (int, float, Fraction)) else repr(x) for x in ray)
+        shown = (str(x) if isinstance(x, Fraction) else repr(x) for x in ray)
         raise ValueError(f"ray ({', '.join(shown)}) has a non-integer coordinate")
     return tuple(map(int, ray))
 
@@ -246,12 +246,14 @@ class Cone(Record):
 
     @classmethod
     def from_rays(cls, rays, lattice: Lattice | None = None) -> "Cone":
+        """The cone over the rays, made primitive once each has the lattice's
+        dimension; the default lattice is the standard one of the longest ray."""
         rays = tuple(_integer_ray(ray) for ray in rays)
-        if not rays:
-            raise ValueError("cone needs at least one ray")
-        if lattice is None:
-            lattice = Lattice.standard(len(rays[0]))
-        return cls(lattice, tuple(linalg.primitive_vector(r) for r in rays))
+        if lattice is None:  # with no rays, a line, and the cone refuses them
+            lattice = Lattice.standard(max(map(len, rays), default=1))
+        if any(len(ray) != lattice.dim for ray in rays):
+            raise ValueError("ray dimension mismatch")
+        return cls(lattice, tuple(map(linalg.primitive_vector, rays)))
 
     @property
     def dim(self) -> int:
@@ -328,15 +330,11 @@ class KltResult(Record):
 
 def klt_check(pair: ConePair) -> KltResult:
     """Kawamata log terminal test: the -(K+D) functional exists and is
-    positive on every ray (equivalently, every boundary coefficient is < 1)."""
-    functional = pair_functional(pair)
-    return KltResult(_klt_verdict(pair, functional), functional)
-
-
-def _klt_verdict(pair: ConePair, solved) -> bool:
-    """klt_check's verdict given the pair's -(K+D) functional as (w, m), or
-    None: w.v_i has the sign of u.v_i, as m >= 1."""
-    return solved is not None and all(sum(map(mul, solved[0], v)) > 0 for v in pair.cone.rays)
+    positive on every ray (equivalently, every boundary coefficient is < 1).
+    It is held as (w, m), and w.v_i has the sign of u.v_i, as m >= 1."""
+    solved = pair_functional(pair)
+    klt = solved is not None and all(sum(map(mul, solved[0], v)) > 0 for v in pair.cone.rays)
+    return KltResult(klt, solved)
 
 
 def _pieces(cone: Cone) -> list:
@@ -649,7 +647,6 @@ def cover_correspondence_check(pair: ConePair) -> bool:
     """True when the klt verdict of the pair matches the canonical verdict of
     its index-one cover, both read off one solve of -(K+D); a mismatch
     signals an implementation bug."""
-    functional = pair_functional(pair)
-    cover = log_canonical_cover(pair, functional)
-    klt = _klt_verdict(pair, functional)
-    return klt == canonical_check(cover.cover_cone, cover.cover_functional)
+    klt = klt_check(pair)
+    cover = log_canonical_cover(pair, klt.functional)
+    return klt.is_klt == canonical_check(cover.cover_cone, cover.cover_functional)

@@ -62,7 +62,7 @@ INF = _PlusInfinity()
 def _check_valuation(v) -> int | _PlusInfinity:
     if isinstance(v, _PlusInfinity):
         return INF
-    if isinstance(v, int):
+    if type(v) is int:
         return v
     raise ValueError(f"valuation entries must be integers or INF, got {v!r}")
 
@@ -93,7 +93,7 @@ class ValMatrix(Record):
 
 
 def _check_index(e: int) -> int:
-    if not isinstance(e, int) or e < 1:
+    if type(e) is not int or e < 1:
         raise ValueError(f"ramification index must be a positive integer, got {e!r}")
     if e > MAX_RAMIFICATION_INDEX:
         raise ResourceLimit(
@@ -105,9 +105,8 @@ def _check_index(e: int) -> int:
 
 def standard_order(e: int) -> ValMatrix:
     """Standard hereditary order with ramification index e: units on and above
-    the diagonal, the maximal ideal strictly below."""
-    _check_index(e)
-    return ValMatrix(tuple(tuple(0 if k >= j else 1 for k in range(e)) for j in range(e)))
+    the diagonal, the maximal ideal strictly below: the radical's 0-th power."""
+    return radical_power(e, 0)
 
 
 def tropical_mul(a: ValMatrix, b: ValMatrix) -> ValMatrix:
@@ -130,7 +129,7 @@ def radical_power(e: int, i: int) -> ValMatrix:
     standard order itself.
     """
     _check_index(e)
-    if not isinstance(i, int):
+    if type(i) is not int:
         raise ValueError(f"power must be an integer, got {i!r}")
     return ValMatrix(
         tuple(tuple(-((k - j - i) // e) for k in range(e)) for j in range(e))
@@ -140,7 +139,7 @@ def radical_power(e: int, i: int) -> ValMatrix:
 def omega_power(e: int, i: int) -> ValMatrix:
     """i-th power of the dualizing bimodule (i >= 0), closed form."""
     _check_index(e)
-    if not isinstance(i, int) or i < 0:
+    if type(i) is not int or i < 0:
         raise ValueError(f"dualizing power must be a nonnegative integer, got {i!r}")
     return radical_power(e, -i * (e - 1))
 

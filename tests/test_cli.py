@@ -15,6 +15,7 @@ from logcentre.casestudies import francia_input_document
 from logcentre.cli import main
 from logcentre.errors import InputError, InternalError, LogCentreError, NotApplicable, ResourceLimit
 from logcentre.iodoc import serialize_document
+from logcentre.numerals import write
 from logcentre.orders import MAX_GRADING_LENGTH
 from logcentre.valmat import MAX_RAMIFICATION_INDEX
 
@@ -446,6 +447,18 @@ def test_answer_too_long_to_write_exit_code(capsys, tmp_path):
                 f"error: a coefficient has 8001 digits, above the {limit} digits Python "
                 "writes an integer with\n"
             )
+
+
+def test_digit_count_of_a_number_too_long_to_write():
+    # The count is estimated from the bit length, then corrected by one power of ten.
+    limit = sys.get_int_max_str_digits()
+    for value, digits in ((10**4300, 4301), (10**5000 - 1, 5000)):
+        with pytest.raises(ResourceLimit) as caught:
+            write(value)
+        assert str(caught.value) == (
+            f"a coefficient has {digits} digits, above the {limit} digits Python "
+            "writes an integer with"
+        )
 
 
 def test_divisor_of_wrong_length_names_both_counts(capsys, francia_doc):

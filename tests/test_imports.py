@@ -19,8 +19,10 @@ code generation in one place: no module of ``src/logcentre`` but ``records``
 calls the builtins ``exec``, ``eval`` or ``compile``. A ninth keeps output in
 one place: no module of ``src/logcentre`` calls ``print`` outside
 ``cli._write``, the writer that guards both streams against a closed pipe. A
-tenth keeps value checks in the value classes: ``iodoc`` tests ``isinstance(...,
-int)`` only in ``_rat_from_json``, which reads a rational.
+tenth keeps one integer rule: no module of ``src/logcentre`` calls
+``isinstance(..., int)``, which takes a bool for an int; the package checks
+``type(x) is int``. An eleventh keeps the package exact: no module of
+``src/logcentre`` holds a float or complex literal.
 """
 
 import ast
@@ -300,27 +302,45 @@ def test_only_cli_write_prints():
 
 
 def _int_checks(tree) -> list:
-    """The top-level function, or "<module>", of each isinstance(x, int) call
-    in the tree, int alone or in a tuple."""
-    found = []
-    for top in tree.body:
-        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
-        found.extend(
-            where
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-            and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))
-        )
-    return found
+    """Line numbers of each isinstance(x, int) call in the tree, int alone or
+    in a tuple."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))
+    )
 
 
-def test_iodoc_checks_no_integer_value():
-    # The document layer checks JSON shape and reads rationals; an integer's
-    # value is checked by the value class that holds it.
-    tree = ast.parse((ROOT / "src" / "logcentre" / "iodoc.py").read_text(encoding="utf-8"))
-    assert _int_checks(tree) == ["_rat_from_json"]
+def test_src_checks_integers_by_type():
+    # isinstance(x, int) takes True for 1; every integer check in the package
+    # is type(x) is int, which refuses a bool.
+    checks = {
+        str(path.relative_to(ROOT)): _int_checks(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    assert {path: lines for path, lines in checks.items() if lines} == {}
     source = "isinstance(a, int)\ndef f(x):\n    isinstance(x, (bool, int))\n    isinstance(x, str)"
-    assert _int_checks(ast.parse(source)) == ["<module>", "f"]
+    assert _int_checks(ast.parse(source)) == [1, 3]
+
+
+def _float_constants(tree) -> list:
+    """Line numbers of each float or complex literal in the tree."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+    )
+
+
+def test_src_holds_no_float_constant():
+    # The package computes over ints and Fractions only.
+    constants = {
+        str(path.relative_to(ROOT)): _float_constants(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    assert {path: lines for path, lines in constants.items() if lines} == {}
+    assert _float_constants(ast.parse("x = 1\ny = 0.5 * x\nz = 2j\nw = '0.5'\n")) == [2, 3]

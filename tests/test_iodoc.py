@@ -143,6 +143,22 @@ def test_cone_pair_defaults():
     assert pair.cone.lattice.dim == 2
 
 
+@pytest.mark.parametrize("rays", [[[], [0, 1]], [[0, 1], []]], ids=["first", "second"])
+@pytest.mark.parametrize("lattice", [None, [[1, 0], [0, 1]]], ids=["standard", "given"])
+def test_empty_ray_is_a_dimension_mismatch(rays, lattice):
+    spec = {"type": "cone_pair", "rays": rays}
+    if lattice is not None:
+        spec["lattice"] = lattice
+    with pytest.raises(InputError, match="^o: ray dimension mismatch$"):
+        parse_document({"version": "1", "objects": {"o": spec}})
+
+
+def test_boolean_rational_is_refused_by_type():
+    with pytest.raises(InputError, match="^o.boundary: expected a rational, got bool$"):
+        parse_document({"version": "1", "objects": {"o": {
+            "type": "cone_pair", "rays": [[1, 0], [0, 1]], "boundary": [True, 0]}}})
+
+
 def test_empty_ray_is_an_input_error():
     # The default lattice comes from Cone.from_rays, inside the loader's error handling.
     with pytest.raises(InputError, match="p: "):

@@ -235,6 +235,11 @@ def test_primitive_vector_examples():
         linalg.primitive_vector((0, 0))
 
 
+def test_primitive_vector_refuses_a_bool():
+    with pytest.raises(ValueError, match="^expected integer coordinates, got True$"):
+        linalg.primitive_vector((True, 0))
+
+
 @given(st.lists(_small, min_size=1, max_size=4))
 def test_primitive_vector_gcd_one(vec):
     if not any(vec):

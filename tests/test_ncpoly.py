@@ -326,6 +326,26 @@ def test_weights_are_ints_not_truncated():
     assert RewriteSystem(("a", "b"), (), weights=[2, 1]).weights == (2, 1)
 
 
+def test_exponent_is_an_int_not_a_bool():
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        NCPoly.generator("a") ** True
+
+
+def test_weights_must_be_a_sequence():
+    with pytest.raises(ValueError, match="^weights must be a sequence, got 5$"):
+        RewriteSystem(("a",), (), 5)
+
+
+def test_rules_must_be_a_sequence():
+    with pytest.raises(ValueError, match="^rules must be a sequence, got 5$"):
+        RewriteSystem(("a",), 5)
+
+
+def test_generators_must_be_a_sequence():
+    with pytest.raises(ValueError, match="^generators must be a sequence, got 5$"):
+        RewriteSystem(5, ())
+
+
 def test_clifford_requires_weights():
     # under uniform weights the product rule increases the order key
     with pytest.raises(ValueError):

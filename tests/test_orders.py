@@ -49,6 +49,23 @@ def test_ramification_index_and_blocks_are_ints_not_bools():
     assert RamificationDatum("P", 3) == RamificationDatum("P", 3, [1, 1, 1])
 
 
+def test_grading_arguments_are_ints_not_bools():
+    with pytest.raises(ValueError, match="^ramification index must be a positive integer, got True$"):
+        cover_graded_valuations(True, 2)
+    with pytest.raises(ValueError, match="^grading length must be a positive integer, got True$"):
+        cover_graded_valuations(2, True)
+
+
+def test_block_sizes_must_be_a_sequence():
+    with pytest.raises(ValueError, match="^blocks must be a sequence, got 5$"):
+        RamificationDatum("P", 2, 5)
+
+
+def test_ramification_must_be_a_sequence():
+    with pytest.raises(ValueError, match="^ramification must be a sequence, got 5$"):
+        OrderSpec("o", 5)
+
+
 def test_qdivisor_normalisation_and_str():
     div = QDivisor((("B", Fraction(1, 2)), ("C", 0), ("D", Fraction(2, 3))))
     assert div.terms == (("B", Fraction(1, 2)), ("D", Fraction(2, 3)))

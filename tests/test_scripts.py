@@ -1,12 +1,10 @@
-"""The two scripts the README documents, run as a user runs them."""
+"""The script the README documents, run as a user runs it."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-
-from logcentre.casestudies import CASE_STUDIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,17 +17,6 @@ def _run(*args):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, check=False, env=env, cwd=ROOT
     )
-
-
-def test_run_case_studies_prints_each_cli_report():
-    proc = _run("scripts/run_case_studies.py")
-    assert proc.returncode == 0, proc.stderr
-    expected = ""
-    for name in CASE_STUDIES:
-        cli = _run("-m", "logcentre", "examples", "run", name)
-        assert cli.returncode == 0, cli.stderr
-        expected += cli.stdout + "\n"
-    assert proc.stdout == expected
 
 
 def test_crosscheck_corpus_finds_no_disagreement():

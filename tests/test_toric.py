@@ -293,6 +293,15 @@ def test_bool_and_non_number_coordinates_are_refused():
             Cone.from_rays(((bad, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("rays", [((), (0, 1)), ((0, 1), ())], ids=["first", "second"])
+def test_empty_ray_is_a_dimension_mismatch(rays):
+    # Each ray's length is checked before any ray is made primitive, against
+    # the lattice's dimension or, by default, the longest ray's length.
+    for lattice in (None, Lattice.standard(2)):
+        with pytest.raises(ValueError, match="^ray dimension mismatch$"):
+            Cone.from_rays(rays, lattice)
+
+
 def test_cone_validation():
     with pytest.raises(ValueError, match=r"^ray \(2, 0\) is not primitive$"):
         Cone(Lattice.standard(2), ((2, 0), (0, 1)))
@@ -1276,29 +1285,28 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
 # Metamorphic gates: no answer depends on the coordinates or on the ray order.
 
 
-def _small_unimodular(rng):
-    """A in GL_3(Z): three elementary row operations and a sign on the
-    identity, then the rows permuted; its entries stay small, so most mapped
-    rays keep below MAX_RAY_COORD."""
-    rows = [[int(i == j) for j in range(3)] for i in range(3)]
-    for _ in range(3):
-        i, j = rng.sample(range(3), 2)
+def _small_unimodular(rng, dim):
+    """A in GL_d(Z): d elementary row operations and a sign on the identity,
+    then the rows permuted; its entries stay small, so most mapped rays keep
+    below MAX_RAY_COORD."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(dim):
+        i, j = rng.sample(range(dim), 2)
         c = rng.choice((-1, 1))
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    k = rng.randrange(3)
+    k = rng.randrange(dim)
     rows[k] = [-a for a in rows[k]]
     rng.shuffle(rows)
     return rows
 
 
 def _inverse_transpose(a):
-    """A^(-T) of A in GL_3(Z): its cofactor matrix over det A = +-1."""
-    cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-            - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)] for i in range(3)]
-    det = sum(x * c for x, c in zip(a[0], cof[0]))
-    assert det in (1, -1)
-    return [[det * c for c in row] for row in cof]
+    """A^(-T) of A in GL_d(Z), read off the reduced form [I | A^(-1)] of
+    [A | I]; its entries are integers exactly when det A = +-1."""
+    d = len(a)
+    reduced, _ = rref([[*row, *(int(i == j) for j in range(d))] for i, row in enumerate(a)])
+    assert all(x.denominator == 1 for row in reduced for x in row)
+    return [[int(reduced[j][d + i]) for j in range(d)] for i in range(d)]
 
 
 def _apply(a, v):
@@ -1340,14 +1348,31 @@ def _assert_same(first, second, context):
             assert value == second[key], (key, context)
 
 
+# (dimension, cones, coordinate bound, canonical outcomes that occur there):
+# every cone in dimension 2 is simplicial, so its K is Q-Cartier.
+_METAMORPHIC_SAMPLES = (
+    (2, 60, 3, {True, False}),
+    (3, 100, 3, {True, False, "n/a"}),
+    (4, 20, 2, {True, False, "n/a"}),
+)
+
+
 def test_answers_survive_a_change_of_coordinates_and_of_ray_order():
-    # About 100 cones over 3 to 5 rays (x, y, z) with |x|, |y| <= 3 and
-    # 1 <= z <= 3, so every cone is pointed; boundary coefficients (e-1)/e.
+    for dim, count, bound, outcomes in _METAMORPHIC_SAMPLES:
+        verdicts = _metamorphic_gate(dim, count, bound)
+        assert outcomes <= set(verdicts), (dim, verdicts)
+
+
+def _metamorphic_gate(dim, count, bound):
+    """Check `count` seeded cones in dimension `dim` over d to d + 2 rays
+    (x_1, ..., x_(d-1), z) with |x_i| <= bound and 1 <= z <= bound, so every
+    cone is pointed; boundary coefficients (e-1)/e. Returns the count of each
+    canonical outcome."""
     rng = random.Random(2929)
     verdicts, checked = Counter(), 0
-    while checked < 100:
-        rays = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
-                for _ in range(rng.randint(3, 5))]
+    while checked < count:
+        rays = [(*(rng.randint(-bound, bound) for _ in range(dim - 1)), rng.randint(1, bound))
+                for _ in range(rng.randint(dim, dim + 2))]
         try:
             cone = Cone.from_rays(rays)
         except ValueError:
@@ -1357,7 +1382,7 @@ def test_answers_survive_a_change_of_coordinates_and_of_ray_order():
         pair = ConePair(cone, ToricDivisor(boundary))
         expected = _invariants(pair)
         verdicts[expected["canonical"]] += 1
-        a = _small_unimodular(rng)
+        a = _small_unimodular(rng, dim)
         order = rng.sample(range(len(cone.rays)), len(cone.rays))
         permuted = ConePair(Cone.from_rays([cone.rays[i] for i in order]),
                             ToricDivisor(tuple(boundary[i] for i in order)))
@@ -1375,4 +1400,4 @@ def test_answers_survive_a_change_of_coordinates_and_of_ray_order():
             mapped_basis = _outcome(lambda: semigroup(mapped_cone))
             if "limit" not in (basis, mapped_basis):
                 assert set(mapped_basis) == {_apply(change, p) for p in basis}, (cone.rays, a)
-    assert {True, False, "n/a"} <= set(verdicts)
+    return verdicts

@@ -212,6 +212,20 @@ def test_valmatrix_validation():
         tropical_mul(standard_order(2), standard_order(3))
 
 
+def test_bools_are_not_integers():
+    # isinstance(True, int) holds; every integer argument is an int, never a bool.
+    with pytest.raises(ValueError, match="^power must be an integer, got True$"):
+        radical_power(2, True)
+    with pytest.raises(ValueError, match="^ramification index must be a positive integer, got True$"):
+        omega_power(True, 1)
+    with pytest.raises(ValueError, match="^dualizing power must be a nonnegative integer, got True$"):
+        omega_power(2, True)
+    with pytest.raises(ValueError, match="^ramification index must be a positive integer, got True$"):
+        standard_order(True)
+    with pytest.raises(ValueError, match="^valuation entries must be integers or INF, got True$"):
+        ValMatrix(((True,),))
+
+
 def test_ramification_index_limit():
     big = MAX_RAMIFICATION_INDEX + 1
     for build in (standard_order, lambda e: radical_power(e, 1), lambda e: omega_power(e, 1)):
