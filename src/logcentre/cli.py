@@ -116,7 +116,7 @@ def _cmd_omega_center(args):
     from .valmat import centralizer, omega_power
 
     value = centralizer(omega_power(args.e, args.i))
-    result = {"e": args.e, "i": args.i, "valuation": int(value)}
+    result = {"e": args.e, "i": args.i, "valuation": value}
     return 0, result, str(value)
 
 

@@ -1,7 +1,9 @@
 """Readers of the integers and rationals that documents, expressions and the
-command line spell, their one writer, and the one refusal of floats for the
-exact layers. They live apart from the rewrite engine and the document layer,
-so that reading or writing a number loads neither.
+command line spell, their one writer, and the one gate of the exact layers,
+which takes an int or a Fraction where a rational is asked for and refuses
+floats, bools, text and everything else. They live apart from the rewrite
+engine and the document layer, so that reading or writing a number loads
+neither.
 """
 
 from __future__ import annotations
@@ -41,10 +43,15 @@ def write(x) -> str:
 
 
 def exact(x) -> Fraction:
-    """x as a Fraction; TypeError for a float, which is not exact."""
+    """x as a Fraction: a Fraction unchanged, an int (never a bool) converted;
+    TypeError for anything else, a float, a bool, text or a Decimal."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, float):
         raise TypeError("floating point entries are not exact; use Fraction")
-    return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
 _RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?")

@@ -97,10 +97,9 @@ def standard_index(coeff) -> int | None:
 
     (e-1)/e is in lowest terms, so p/q in lowest terms is standard exactly
     when q - p = 1 (which also gives 0 <= p/q < 1), and then e = q. TypeError
-    for a float, which is not exact.
+    for anything but an int or a Fraction, as numerals.exact gives it.
     """
-    if not isinstance(coeff, Fraction):
-        coeff = exact(coeff)
+    coeff = exact(coeff)
     p, q = coeff.numerator, coeff.denominator
     return q if q - p == 1 else None
 

@@ -103,8 +103,8 @@ class Lattice(Record):
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
-        if dim < 1:
-            return cls(())  # refused like any empty basis
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"lattice dimension must be a positive integer, got {dim!r}")
         return _from_integer_form([[int(i == j) for j in range(dim)] for i in range(dim)], 1)
 
     @property

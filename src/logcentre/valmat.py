@@ -1,17 +1,20 @@
 """Min-plus matrices of fractional ideals over a discrete valuation ring.
 
 Fix a DVR R with uniformizer t. Every nonzero fractional ideal of R is t^v R
-for a unique integer v, and the zero ideal is the valuation +infinity. A square
-matrix whose entries are fractional ideals is therefore stored as a matrix of
-valuations (`ValMatrix`, with `INF` for the zero ideal). Sums of ideals take
-the minimum valuation and products add valuations, so products of ideal
-matrices are matrix products over the min-plus (tropical) semiring.
+for a unique integer v, so a square matrix whose entries are nonzero
+fractional ideals is stored as a matrix of integer valuations (`ValMatrix`).
+Sums of ideals take the minimum valuation and products add valuations, so
+products of ideal matrices are matrix products over the min-plus (tropical)
+semiring.
 
 The hereditary-order constructions live at this level: the standard order with
 a given ramification index e, arbitrary integer powers of its radical (the
-dualizing bimodule is the (1-e)-th), and the scalar centralizer of a bimodule. Closed forms are used for the powers; the test
-suite replays them against brute-force tropical products and against an
-element-level model of exact monomial matrices, which lives with the tests.
+dualizing bimodule is the (1-e)-th), and the scalar centralizer of a bimodule.
+No entry is ever the zero ideal: a bimodule of a hereditary order is a full
+lattice, so each of its entries is a nonzero fractional ideal. Closed forms
+are used for the powers; the test suite replays them against brute-force
+tropical products and against an element-level model of exact monomial
+matrices, which lives with the tests.
 """
 
 from __future__ import annotations
@@ -24,65 +27,21 @@ from .records import Record
 MAX_RAMIFICATION_INDEX = 100
 
 
-class _PlusInfinity:
-    """Valuation of the zero ideal: absorbing for +, maximal for comparisons."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _PlusInfinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __hash__(self):
-        return hash("valmat.INF")
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _PlusInfinity()
-
-
-def _check_valuation(v) -> int | _PlusInfinity:
-    if isinstance(v, _PlusInfinity):
-        return INF
-    if type(v) is int:
-        return v
-    raise ValueError(f"valuation entries must be integers or INF, got {v!r}")
-
-
 class ValMatrix(Record):
     """Square matrix of valuations; entry (j, k) encodes the ideal t^v R."""
 
     __slots__ = _fields = ("entries",)
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
+        rows = tuple(map(tuple, self.entries))
+        if not rows:
             raise ValueError("matrix must be nonempty")
-        rows = []
-        for row in self.entries:
-            row = tuple(_check_valuation(v) for v in row)
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(row)
-        object.__setattr__(self, "entries", tuple(rows))
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        for v in (v for row in rows for v in row):
+            if type(v) is not int:
+                raise ValueError(f"valuation entries must be integers, got {v!r}")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def size(self) -> int:
@@ -144,7 +103,7 @@ def omega_power(e: int, i: int) -> ValMatrix:
     return radical_power(e, -i * (e - 1))
 
 
-def centralizer(m: ValMatrix) -> int | _PlusInfinity:
+def centralizer(m: ValMatrix) -> int:
     """Valuation v of the largest central scalar ideal t^v with t^v * 1 inside m.
 
     m must be a bimodule over the standard order of matching size, which is

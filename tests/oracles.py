@@ -33,7 +33,10 @@ q * t^n (or zero) and multiply as ordinary matrices, raising
 ``RepresentationOverflow`` if a product entry is not again a monomial. The
 normal element y with y^e = t lives there, so identities such as "the radical
 is generated by y on either side" are checked on actual elements rather than
-on valuations.
+on valuations. ``min_plus_mul`` is the brute-force min-plus product on lists
+of valuations (``valuations``), with ``None`` for the zero ideal, which
+``logcentre.valmat`` never holds: the ideals a monomial matrix generates
+entrywise (``ideal_of``) and the tropical identity have zero entries.
 
 Rewriting is checked against a second strategy: ``rightmost_normal_form``
 rewrites the rightmost redex of each term on its own, where
@@ -61,7 +64,7 @@ from logcentre.errors import LogCentreError
 from logcentre.linalg import det_int, hermite_column_form, solve_scaled, xgcd
 from logcentre.ncpoly import NCPoly
 from logcentre.toric import ToricDivisor
-from logcentre.valmat import INF, ValMatrix
+from logcentre.valmat import ValMatrix
 
 
 def rref(rows):
@@ -256,10 +259,35 @@ def dualizing_module(e: int) -> ValMatrix:
     return ValMatrix(tuple(tuple(-1 if k > j else 0 for k in range(e)) for j in range(e)))
 
 
-def tropical_identity(size: int) -> ValMatrix:
-    """Identity for tropical_mul: units on the diagonal, zero ideals elsewhere."""
+def tropical_identity(size: int) -> list:
+    """Identity for min_plus_mul: units on the diagonal, zero ideals elsewhere."""
     _check_size(size)
-    return ValMatrix(tuple(tuple(0 if k == j else INF for k in range(size)) for j in range(size)))
+    return [[0 if k == j else None for k in range(size)] for j in range(size)]
+
+
+def valuations(m: ValMatrix) -> list:
+    """The entries of m as lists, the form min_plus_mul reads."""
+    return [list(row) for row in m.entries]
+
+
+def min_plus_mul(a, b) -> list:
+    """Brute-force min-plus product of square lists, None standing for the
+    zero ideal, the valuation +infinity."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            best = None
+            for j in range(n):
+                if a[i][j] is None or b[j][k] is None:
+                    continue
+                s = a[i][j] + b[j][k]
+                if best is None or s < best:
+                    best = s
+            row.append(best)
+        out.append(row)
+    return out
 
 
 def shift(m: ValMatrix, v: int) -> ValMatrix:
@@ -424,14 +452,10 @@ def y_power(e: int, i: int) -> MonomialMatrix:
     return monomial_scale(monomial_pow(y_matrix(e), r), exp=q)
 
 
-def ideal_of(a: MonomialMatrix) -> ValMatrix:
-    """Valuation matrix of the fractional-ideal matrix generated entrywise by a."""
-    return ValMatrix(
-        tuple(
-            tuple(INF if x is None else x[1] for x in row)
-            for row in a.entries
-        )
-    )
+def ideal_of(a: MonomialMatrix) -> list:
+    """Valuations of the fractional-ideal matrix generated entrywise by a, as
+    lists for min_plus_mul, None for a zero entry."""
+    return [[None if x is None else x[1] for x in row] for row in a.entries]
 
 
 # ---------------------------------------------------------------------------

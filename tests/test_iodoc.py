@@ -161,7 +161,7 @@ def test_boolean_rational_is_refused_by_type():
 
 def test_empty_ray_is_an_input_error():
     # The default lattice comes from Cone.from_rays, inside the loader's error handling.
-    with pytest.raises(InputError, match="p: "):
+    with pytest.raises(InputError, match="^p: lattice dimension must be a positive integer, got 0$"):
         loads('{"version": "1", "objects": {"p": {"type": "cone_pair", "rays": [[]]}}}')
 
 

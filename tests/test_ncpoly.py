@@ -60,6 +60,13 @@ def test_scalars_are_exact():
     assert NCPoly.constant(Fraction(1, 3)) * 3 == NCPoly.one()
 
 
+def test_bools_and_text_are_not_scalars():
+    # Fraction() would read True as 1 and "1/2" by its own parser.
+    for bad in (True, "1/2"):
+        with pytest.raises(TypeError, match=f"^expected an int or a Fraction, got {type(bad).__name__}$"):
+            NCPoly.constant(bad)
+
+
 def test_constants_hash_as_their_values():
     # equal objects hash equal, so a constant and its value are one set element
     for value in (3, -1, Fraction(1, 2), Fraction(-7, 3), 0):
@@ -548,6 +555,23 @@ def test_inclusions_are_critical_pairs():
     with pytest.raises(ValueError, match=r"do not resolve on a\*b\*a$"):
         RewriteSystem(("a", "b"), ((("a", "b", "a"), a), (("b",), NCPoly.one())))
     RewriteSystem(("a", "b"), ((("a", "b", "a"), NCPoly.zero()), (("b",), NCPoly.zero())))
+
+
+def test_inclusion_tail_follows_the_match():
+    # c sits inside a*c*b with the tail b after it, so the second reduct is a*b*b.
+    system = RewriteSystem(GENS, ((("a", "c", "b"), A * B**2), (("c",), B)))
+    assert str(normal_form(A * C * B, system)) == "a*b^2"
+
+
+def test_rule_that_keeps_its_left_side_is_refused():
+    with pytest.raises(ValueError, match=r"^rule a -> 2\*a breaks the termination order$"):
+        RewriteSystem(("a",), ((("a",), 2 * A),))
+
+
+def test_multi_letter_generator_names():
+    ab, cd = NCPoly.generator("ab"), NCPoly.generator("cd")
+    system = RewriteSystem(("ab", "cd"), ((("cd", "ab"), ab * cd),))
+    assert str(normal_form(cd * ab * cd, system)) == "ab*cd^2"
 
 
 def test_shipped_systems_are_confluent():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -119,10 +120,19 @@ def _standard_index_by_inversion(coeff):
 
 def test_standard_index_matches_inversion():
     coeffs = {Fraction(p, q) for q in range(1, 51) for p in range(-q - 1, 2 * q + 2)}
-    coeffs |= set(range(-3, 4)) | {True, False}
-    coeffs |= {"0", "1", "1/2", "2/4", "3/4", "-1/2", "5/3", "49/50", "48/50", " 6/7 "}
+    coeffs |= set(range(-3, 4))
     for coeff in coeffs:
         assert standard_index(coeff) == _standard_index_by_inversion(coeff), coeff
+
+
+def test_bools_text_and_decimals_are_not_rationals():
+    # Fraction() would read True as 1 and "1/2" or "1e-1" by its own parser.
+    for bad in (True, False, "1/2", " 6/7 ", Decimal("0.5")):
+        message = f"^expected an int or a Fraction, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            standard_index(bad)
+        with pytest.raises(TypeError, match=message):
+            QDivisor((("B", bad),))
 
 
 def test_discriminant_examples():

@@ -60,7 +60,7 @@ def _instances():
             orders.OrderSpec("o", (RamificationDatum("p", 2, [1, 1]),)),
             QDivisor((("p", Fraction(1, 2)), ("q", 0))),
             clifford_system(),
-            ValMatrix(((0, 0), (1, valmat.INF))),
+            ValMatrix(((0, 0), (1, 2))),
             CheckResult("id", "what", "1", "1", True),
             casestudies.CaseStudyReport("name", (CheckResult("id", "what", "1", "1", True),)),
             InputDocument("1", {}),

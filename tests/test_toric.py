@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -282,6 +283,23 @@ def test_inexact_inputs_are_refused():
     with pytest.raises(TypeError, match="^floating point entries are not exact"):
         Lattice(((1, 0), (0, 0.5)))
     assert ToricDivisor((Fraction(1, 10), 0)).coeffs == (Fraction(1, 10), 0)
+
+
+def test_bools_text_and_decimals_are_not_rationals():
+    # Fraction() would read True as 1, and "0.5" or "1e-1" by its own parser.
+    for bad in (True, "0.5", "1e-1", Decimal("0.1")):
+        message = f"^expected an int or a Fraction, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            ToricDivisor((bad, 0))
+        with pytest.raises(TypeError, match=message):
+            Lattice(((bad, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, "3", 0, -1])
+def test_standard_lattice_dimension_is_a_positive_int(dim):
+    message = rf"^lattice dimension must be a positive integer, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=message):
+        Lattice.standard(dim)
 
 
 def test_bool_and_non_number_coordinates_are_refused():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from logcentre.errors import ResourceLimit
 from logcentre.valmat import (
-    INF,
     MAX_RAMIFICATION_INDEX,
     ValMatrix,
     centralizer,
@@ -22,63 +21,26 @@ from oracles import (
     ideal_of,
     inflate,
     jacobson_radical,
+    min_plus_mul,
     monomial_identity,
     monomial_mul,
     monomial_pow,
     shift,
     t_scalar,
     tropical_identity,
+    valuations,
     y_matrix,
     y_power,
 )
-
-# Brute-force min-plus oracle on plain lists, None standing for +infinity.
-
-
-def _mp_add(x, y):
-    if x is None or y is None:
-        return None
-    return x + y
-
-
-def _mp_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            best = None
-            for j in range(n):
-                s = _mp_add(a[i][j], b[j][k])
-                if s is not None and (best is None or s < best):
-                    best = s
-            row.append(best)
-        out.append(row)
-    return out
-
-
-def _to_lists(m: ValMatrix):
-    return [[None if x == INF else x for x in row] for row in m.entries]
-
-
-def _to_valmat(lists) -> ValMatrix:
-    return ValMatrix([[INF if x is None else x for x in row] for row in lists])
 
 
 def test_frozen_building_blocks():
     assert standard_order(2).entries == ((0, 0), (1, 0))
     assert jacobson_radical(2).entries == ((1, 0), (1, 1))
     assert dualizing_module(2).entries == ((0, -1), (0, 0))
-    assert tropical_identity(2).entries == ((0, INF), (INF, 0))
+    assert tropical_identity(2) == [[0, None], [None, 0]]
     assert standard_order(1).entries == ((0,),)
     assert jacobson_radical(1).entries == ((1,),)
-
-
-def test_infinity_is_unequal_to_integers_both_ways():
-    # != comes from __eq__, reflected for an int on the left.
-    assert INF != 3
-    assert 3 != INF
-    assert not (INF != INF)
 
 
 def test_frozen_radical_square():
@@ -102,26 +64,26 @@ def test_radical_power_zero_and_one():
 
 @given(st.integers(1, 8), st.integers(0, 20))
 def test_radical_power_matches_bruteforce(e, i):
-    radical = _to_lists(jacobson_radical(e))
-    acc = _to_lists(standard_order(e))
+    radical = valuations(jacobson_radical(e))
+    acc = valuations(standard_order(e))
     for _ in range(i):
-        acc = _mp_mul(acc, radical)
-    assert _to_valmat(acc) == radical_power(e, i)
+        acc = min_plus_mul(acc, radical)
+    assert ValMatrix(acc) == radical_power(e, i)
 
 
 @given(st.integers(1, 8), st.integers(0, 12))
 def test_omega_power_matches_bruteforce(e, i):
-    omega = _to_lists(dualizing_module(e))
-    acc = _to_lists(standard_order(e))
+    omega = valuations(dualizing_module(e))
+    acc = valuations(standard_order(e))
     for _ in range(i):
-        acc = _mp_mul(acc, omega)
-    assert _to_valmat(acc) == omega_power(e, i)
+        acc = min_plus_mul(acc, omega)
+    assert ValMatrix(acc) == omega_power(e, i)
 
 
 @given(st.integers(1, 8), st.integers(-20, 20), st.integers(-20, 20))
 def test_radical_powers_are_additive(e, i, j):
-    product = _mp_mul(_to_lists(radical_power(e, i)), _to_lists(radical_power(e, j)))
-    assert _to_valmat(product) == radical_power(e, i + j)
+    product = min_plus_mul(valuations(radical_power(e, i)), valuations(radical_power(e, j)))
+    assert ValMatrix(product) == radical_power(e, i + j)
 
 
 @given(st.integers(1, 8), st.integers(-20, 20))
@@ -135,7 +97,7 @@ def test_powers_are_closed_bimodules(e, i):
 @st.composite
 def _matrix_pair(draw):
     n = draw(st.integers(1, 4))
-    entry = st.one_of(st.none(), st.integers(-5, 5))
+    entry = st.integers(-5, 5)
     make = lambda: [[draw(entry) for _ in range(n)] for _ in range(n)]
     return make(), make()
 
@@ -143,14 +105,14 @@ def _matrix_pair(draw):
 @given(_matrix_pair())
 def test_tropical_mul_matches_bruteforce(pair):
     a, b = pair
-    assert tropical_mul(_to_valmat(a), _to_valmat(b)) == _to_valmat(_mp_mul(a, b))
+    assert tropical_mul(ValMatrix(a), ValMatrix(b)) == ValMatrix(min_plus_mul(a, b))
 
 
 def test_tropical_identity_is_neutral():
-    m = radical_power(4, 3)
+    m = valuations(radical_power(4, 3))
     ident = tropical_identity(4)
-    assert tropical_mul(ident, m) == m
-    assert tropical_mul(m, ident) == m
+    assert min_plus_mul(ident, m) == m
+    assert min_plus_mul(m, ident) == m
 
 
 def test_shift_scales_every_entry():
@@ -172,7 +134,7 @@ def test_centralizer_of_omega_power_closed_form(e, i):
 
 def test_centralizer_requires_bimodule():
     with pytest.raises(ValueError, match="not closed under multiplication by the standard order"):
-        centralizer(tropical_identity(2))
+        centralizer(ValMatrix(((0, 5), (5, 0))))
 
 
 def test_inflate_frozen_example():
@@ -212,6 +174,14 @@ def test_valmatrix_validation():
         tropical_mul(standard_order(2), standard_order(3))
 
 
+def test_zero_ideal_is_refused():
+    # A bimodule of a hereditary order is a full lattice: no entry is the zero ideal.
+    with pytest.raises(ValueError, match="^valuation entries must be integers, got None$"):
+        ValMatrix(((0, None), (None, 0)))
+    with pytest.raises(ValueError, match="^valuation entries must be integers, got inf$"):
+        ValMatrix(((float("inf"),),))
+
+
 def test_bools_are_not_integers():
     # isinstance(True, int) holds; every integer argument is an int, never a bool.
     with pytest.raises(ValueError, match="^power must be an integer, got True$"):
@@ -222,7 +192,7 @@ def test_bools_are_not_integers():
         omega_power(2, True)
     with pytest.raises(ValueError, match="^ramification index must be a positive integer, got True$"):
         standard_order(True)
-    with pytest.raises(ValueError, match="^valuation entries must be integers or INF, got True$"):
+    with pytest.raises(ValueError, match="^valuation entries must be integers, got True$"):
         ValMatrix(((True,),))
 
 
@@ -255,22 +225,24 @@ def test_y_power_additive(e, i, j):
 
 def test_radical_is_generated_by_y_on_both_sides():
     for e in range(1, 9):
-        order = standard_order(e)
+        order = valuations(standard_order(e))
         y_ideal = ideal_of(y_matrix(e))
-        assert tropical_mul(y_ideal, order) == jacobson_radical(e)
-        assert tropical_mul(order, y_ideal) == jacobson_radical(e)
+        assert min_plus_mul(y_ideal, order) == valuations(jacobson_radical(e))
+        assert min_plus_mul(order, y_ideal) == valuations(jacobson_radical(e))
 
 
 def test_dualizing_module_is_generated_by_y_power():
     for e in range(1, 9):
         generator = ideal_of(y_power(e, 1 - e))
-        assert tropical_mul(generator, standard_order(e)) == dualizing_module(e)
+        order = valuations(standard_order(e))
+        assert min_plus_mul(generator, order) == valuations(dualizing_module(e))
 
 
 @given(st.integers(1, 8), st.integers(-15, 15))
 def test_radical_powers_generated_by_y_powers(e, i):
     generator = ideal_of(y_power(e, i))
-    assert tropical_mul(generator, standard_order(e)) == radical_power(e, i)
+    order = valuations(standard_order(e))
+    assert min_plus_mul(generator, order) == valuations(radical_power(e, i))
 
 
 def test_monomial_mul_overflow():
