@@ -31,6 +31,11 @@ class ResourceLimit(LogCentreError):
 
     exit_code = 4
 
+    @classmethod
+    def over(cls, work: str, name: str, limit) -> "ResourceLimit":
+        """The one refusal of every work limit: "WORK, above the limit NAME = LIMIT"."""
+        return cls(f"{work}, above the limit {name} = {limit}")
+
 
 class InternalError(LogCentreError):
     """An internal mathematical invariant failed: a bug, not bad input."""

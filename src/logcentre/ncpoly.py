@@ -247,7 +247,8 @@ def _as_poly(value) -> NCPoly | None:
     return None
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)(?:/(\d+))?|({_NAME.pattern})|([-+*^()])|(\S))")
 
 
 def _tokenize(text: str) -> list:
@@ -271,10 +272,8 @@ def _tokenize(text: str) -> list:
                 token = _coerce(Fraction(token, denominator))
         tokens.append(token)
     if deepest > MAX_NESTING_DEPTH:
-        raise ResourceLimit(
-            f"parentheses nest {deepest} deep, above the nesting depth limit "
-            f"MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}"
-        )
+        raise ResourceLimit.over(f"parentheses nest {deepest} deep",
+                                 "MAX_NESTING_DEPTH", MAX_NESTING_DEPTH)
     tokens.append(None)
     return tokens
 
@@ -303,11 +302,9 @@ class _Parser:
             len(right_terms) * _size(left_terms) + len(left_terms) * _size(right_terms)
         )
         if self.work > MAX_PARSE_WORK:
-            raise ResourceLimit(
-                f"expanding the expression takes at least {self.work} term products, "
-                f"letters and coefficient bits, above the parse work budget "
-                f"MAX_PARSE_WORK = {MAX_PARSE_WORK}"
-            )
+            raise ResourceLimit.over(f"expanding the expression takes at least {self.work} term "
+                                     "products, letters and coefficient bits",
+                                     "MAX_PARSE_WORK", MAX_PARSE_WORK)
         return left * right
 
     def parse(self) -> NCPoly:
@@ -405,6 +402,9 @@ class RewriteSystem(Record):
         gens = sequence(self.generators, "generators")
         if not gens or any(type(g) is not str or not g for g in gens) or len(set(gens)) < len(gens):
             raise ValueError(f"generators must be distinct nonempty strings, got {gens!r}")
+        for g in gens:  # no expression spells another name, so no document would round-trip
+            if not _NAME.fullmatch(g):
+                raise ValueError(f"generator {g!r} does not match {_NAME.pattern}")
         object.__setattr__(self, "generators", gens)
         if self.weights is None:
             weights = (1,) * len(gens)
@@ -567,10 +567,8 @@ def normal_form(poly: NCPoly, system: RewriteSystem) -> NCPoly:
                 continue
             steps += 1
             if steps > limit:
-                raise ResourceLimit(
-                    f"reducing the polynomial takes at least {steps} distinct rewrites, "
-                    f"above the rewrite step limit MAX_REWRITE_STEPS = {limit}"
-                )
+                raise ResourceLimit.over(f"reducing the polynomial takes at least {steps} distinct "
+                                         "rewrites", "MAX_REWRITE_STEPS", limit)
             prefix, suffix = text[:pos], text[pos + span :]
             for body, factor, shift in reducts:
                 reduct = prefix + body + suffix
@@ -607,6 +605,8 @@ def matrix_compose(m, n, system: RewriteSystem):
     n = tuple(tuple(_entry(x) for x in row) for row in n)
     if any(len(row) != len(n) for row in m):
         raise ValueError("inner dimensions do not match")
+    if not n:
+        raise ValueError("right factor has no rows")
     width = len(n[0])
     if any(len(row) != width for row in n):
         raise ValueError("ragged matrix")

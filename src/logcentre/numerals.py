@@ -36,9 +36,9 @@ def write(x) -> str:
         widest = max(abs(x.numerator), x.denominator)
         # 30103/100000 > log10(2): the count or one less below 5 * 10**6 bits
         digits = widest.bit_length() * 30103 // 100000
-        raise ResourceLimit(
-            f"a coefficient has {digits + (widest >= 10**digits)} digits, above the "
-            f"{sys.get_int_max_str_digits()} digits Python writes an integer with"
+        raise ResourceLimit.over(
+            f"a coefficient has {digits + (widest >= 10**digits)} digits",
+            "sys.get_int_max_str_digits()", sys.get_int_max_str_digits(),
         ) from None
 
 

@@ -129,8 +129,5 @@ def cover_graded_valuations(e: int, m: int) -> tuple:
     if type(m) is not int or m < 1:
         raise ValueError(f"grading length must be a positive integer, got {m!r}")
     if m > MAX_GRADING_LENGTH:
-        raise ResourceLimit(
-            f"grading length {m} exceeds the desk-scale limit "
-            f"MAX_GRADING_LENGTH = {MAX_GRADING_LENGTH}"
-        )
+        raise ResourceLimit.over(f"grading length {m}", "MAX_GRADING_LENGTH", MAX_GRADING_LENGTH)
     return tuple(-(i * (e - 1) // e) for i in range(m))

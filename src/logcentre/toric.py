@@ -179,13 +179,12 @@ def _integer_ray(ray) -> tuple:
     return tuple(map(int, ray))
 
 
-def _check_ray_coords(ray) -> None:
-    """ResourceLimit when a coordinate of the ray is above MAX_RAY_COORD."""
-    if any(abs(x) > MAX_RAY_COORD for x in ray):
-        raise ResourceLimit(
-            f"ray {ray} has a coordinate above the desk-scale bound "
-            f"MAX_RAY_COORD = {MAX_RAY_COORD}"
-        )
+def _check_ray_coords(ray, noun: str = "ray") -> None:
+    """ResourceLimit, calling the ray `noun`, when a coordinate is above MAX_RAY_COORD."""
+    top = max(map(abs, ray))
+    if top > MAX_RAY_COORD:
+        raise ResourceLimit.over(f"{noun} {ray} has a coordinate of {top}",
+                                 "MAX_RAY_COORD", MAX_RAY_COORD)
 
 
 def _check_pairings(count: int, dim: int) -> None:
@@ -193,10 +192,8 @@ def _check_pairings(count: int, dim: int) -> None:
     would take more than MAX_FACET_PAIRINGS pairings."""
     pairings = comb(count, dim - 1) * count
     if pairings > MAX_FACET_PAIRINGS:
-        raise ResourceLimit(
-            f"{count} rays in dimension {dim} need {pairings} facet pairings, "
-            f"above the cap MAX_FACET_PAIRINGS = {MAX_FACET_PAIRINGS}"
-        )
+        raise ResourceLimit.over(f"{count} rays in dimension {dim} need {pairings} facet pairings",
+                                 "MAX_FACET_PAIRINGS", MAX_FACET_PAIRINGS)
 
 
 class Cone(Record):
@@ -222,7 +219,7 @@ class Cone(Record):
             raise ValueError("cone needs at least one ray")
         dim = self.lattice.dim
         if dim > MAX_DIM:
-            raise ResourceLimit(f"dimension {dim} exceeds the desk-scale limit MAX_DIM = {MAX_DIM}")
+            raise ResourceLimit.over(f"dimension {dim}", "MAX_DIM", MAX_DIM)
         for ray in rays:
             if len(ray) != dim:
                 raise ValueError("ray dimension mismatch")
@@ -363,10 +360,8 @@ def _pieces(cone: Cone) -> list:
                 pieces.append((piece, *solved))
     count = sum(size for _, _, size in pieces)
     if count > MAX_PARALLELEPIPED_POINTS:
-        raise ResourceLimit(
-            f"fundamental parallelepipeds hold {count} lattice points, above the cap "
-            f"MAX_PARALLELEPIPED_POINTS = {MAX_PARALLELEPIPED_POINTS}"
-        )
+        raise ResourceLimit.over(f"fundamental parallelepipeds hold {count} lattice points",
+                                 "MAX_PARALLELEPIPED_POINTS", MAX_PARALLELEPIPED_POINTS)
     return pieces
 
 
@@ -613,16 +608,16 @@ def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
             _require(value >= 0 and (value == 0) == on_base,
                      "pulled-back facet disagrees with its base facet")
         facets.append(pulled)
-    return _cone_with_facets(lattice, rays, facets)
+    return _cone_with_facets(lattice, rays, facets, "cover ray")
 
 
-def _cone_with_facets(lattice: Lattice, rays, facets) -> Cone:
+def _cone_with_facets(lattice: Lattice, rays, facets, noun: str) -> Cone:
     """The cone with these facets over these primitive, distinct, extreme
     rays, which the caller knows, so no facet is enumerated. The dimension is
-    that of a cone already built; the rays are checked against MAX_RAY_COORD
-    and MAX_FACET_PAIRINGS as in Cone.__post_init__."""
+    that of a cone already built; the rays, called `noun` in a refusal, are
+    checked against MAX_RAY_COORD and MAX_FACET_PAIRINGS as in Cone.__post_init__."""
     for ray in rays:
-        _check_ray_coords(ray)
+        _check_ray_coords(ray, noun)
     _check_pairings(len(rays), lattice.dim)
     cone = object.__new__(Cone)
     object.__setattr__(cone, "lattice", lattice)
@@ -634,7 +629,7 @@ def _cone_with_facets(lattice: Lattice, rays, facets) -> Cone:
 def dual_cone(cone: Cone) -> Cone:
     """Dual cone over the dual lattice; its rays are the facet normals, and
     its facets the rays, as the dual of the dual is the cone."""
-    return _cone_with_facets(cone.lattice.dual(), cone.facets, cone.rays)
+    return _cone_with_facets(cone.lattice.dual(), cone.facets, cone.rays, "dual cone ray")
 
 
 def dual_cone_generators(cone: Cone) -> tuple:

@@ -55,10 +55,8 @@ def _check_index(e: int) -> int:
     if type(e) is not int or e < 1:
         raise ValueError(f"ramification index must be a positive integer, got {e!r}")
     if e > MAX_RAMIFICATION_INDEX:
-        raise ResourceLimit(
-            f"ramification index {e} exceeds the desk-scale limit "
-            f"MAX_RAMIFICATION_INDEX = {MAX_RAMIFICATION_INDEX}"
-        )
+        raise ResourceLimit.over(f"ramification index {e}",
+                                 "MAX_RAMIFICATION_INDEX", MAX_RAMIFICATION_INDEX)
     return e
 
 

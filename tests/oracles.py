@@ -241,7 +241,7 @@ def fold_parallelepiped_points(cone):
 
 
 def _check_size(n) -> int:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"size must be a positive integer, got {n!r}")
     return n
 
@@ -304,7 +304,7 @@ def inflate(a: ValMatrix, blocks) -> ValMatrix:
     blocks = tuple(blocks)
     if len(blocks) != a.size:
         raise ValueError(f"expected {a.size} block sizes, got {len(blocks)}")
-    if not all(isinstance(n, int) and n >= 1 for n in blocks):
+    if not all(type(n) is int and n >= 1 for n in blocks):
         raise ValueError("block sizes must be positive integers")
     rows = []
     for j, nj in enumerate(blocks):
@@ -331,7 +331,7 @@ def _norm_monomial(entry) -> Optional[Monomial]:
         return None
     coeff, exp = entry
     coeff = Fraction(coeff)
-    if not isinstance(exp, int):
+    if type(exp) is not int:
         raise ValueError(f"monomial exponent must be an integer, got {exp!r}")
     if coeff == 0:
         return None
@@ -405,7 +405,7 @@ def monomial_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
 
 
 def monomial_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"power must be a nonnegative integer, got {k!r}")
     out = monomial_identity(a.size)
     for _ in range(k):
@@ -446,7 +446,7 @@ def y_matrix(e: int) -> MonomialMatrix:
 def y_power(e: int, i: int) -> MonomialMatrix:
     """y^i for any integer i; negative powers use y^-e = t^-1."""
     _check_size(e)
-    if not isinstance(i, int):
+    if type(i) is not int:
         raise ValueError(f"power must be an integer, got {i!r}")
     q, r = divmod(i, e)
     return monomial_scale(monomial_pow(y_matrix(e), r), exp=q)

@@ -51,7 +51,10 @@ def test_omega_center_index_limit(capsys):
         capsys, "order", "omega-center", "--e", str(MAX_RAMIFICATION_INDEX + 1), "--i", "1"
     )
     assert (code, out) == (4, "")
-    assert f"index {MAX_RAMIFICATION_INDEX + 1} " in err and "MAX_RAMIFICATION_INDEX" in err
+    assert err == (
+        f"error: ramification index {MAX_RAMIFICATION_INDEX + 1}, above the limit "
+        f"MAX_RAMIFICATION_INDEX = {MAX_RAMIFICATION_INDEX}\n"
+    )
     code, _, _ = _run(
         capsys, "order", "omega-center", "--e", str(MAX_RAMIFICATION_INDEX), "--i", "1"
     )
@@ -67,7 +70,9 @@ def test_cover_center_grading_limit(capsys):
     big = MAX_GRADING_LENGTH + 1
     code, out, err = _run(capsys, "order", "cover-center", "--e", "3", "--m", str(big))
     assert (code, out) == (4, "")
-    assert f"length {big} " in err and "MAX_GRADING_LENGTH" in err
+    assert err == (
+        f"error: grading length {big}, above the limit MAX_GRADING_LENGTH = {MAX_GRADING_LENGTH}\n"
+    )
 
 
 def test_discriminant(capsys, francia_doc):
@@ -132,6 +137,19 @@ def test_dual_gens(capsys, francia_doc):
     assert code == 0
     assert out.splitlines()[0] == "5 generators"
     assert "-1 -1 1" in out.splitlines()
+
+
+def test_dual_gens_names_the_dual_cone_ray_at_the_limit(capsys, tmp_path):
+    # The given rays are within MAX_RAY_COORD = 100; a facet normal is not.
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"skew": {
+        "type": "cone_pair", "rays": [[100, 1, 0], [0, 100, 1], [1, 0, 100]]}}}))
+    code, out, err = _run(capsys, "toric", "dual-gens", str(path))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: dual cone ray (-100, 10000, 1) has a coordinate of 10000, "
+        "above the limit MAX_RAY_COORD = 100\n"
+    )
 
 
 def test_json_format(capsys, francia_doc):
@@ -424,8 +442,8 @@ def test_unprintable_coefficient_exit_code(capsys, tmp_path):
         code, out, err = _run(capsys, "ncpoly", "nf", expr, "--system", str(system))
         assert (code, out) == (4, "")
         assert err == (
-            f"error: a coefficient has {digits} digits, above the {limit} digits Python "
-            "writes an integer with\n"
+            f"error: a coefficient has {digits} digits, above the limit "
+            f"sys.get_int_max_str_digits() = {limit}\n"
         )
     code, out, _ = _run(capsys, "ncpoly", "nf", "y^110*x^110", "--system", str(path))
     assert code == 0 and out.endswith("*x^110*y^110\n")
@@ -444,8 +462,8 @@ def test_answer_too_long_to_write_exit_code(capsys, tmp_path):
                                   "--divisor", f"1/{p},1/{q}", "--format", fmt)
             assert (code, out) == (4, ""), (command, fmt)
             assert err == (
-                f"error: a coefficient has 8001 digits, above the {limit} digits Python "
-                "writes an integer with\n"
+                f"error: a coefficient has 8001 digits, above the limit "
+                f"sys.get_int_max_str_digits() = {limit}\n"
             )
 
 
@@ -456,8 +474,8 @@ def test_digit_count_of_a_number_too_long_to_write():
         with pytest.raises(ResourceLimit) as caught:
             write(value)
         assert str(caught.value) == (
-            f"a coefficient has {digits} digits, above the {limit} digits Python "
-            "writes an integer with"
+            f"a coefficient has {digits} digits, above the limit "
+            f"sys.get_int_max_str_digits() = {limit}"
         )
 
 

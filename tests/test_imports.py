@@ -21,8 +21,11 @@ one place: no module of ``src/logcentre`` calls ``print`` outside
 ``cli._write``, the writer that guards both streams against a closed pipe. A
 tenth keeps one integer rule: no module of ``src/logcentre`` calls
 ``isinstance(..., int)``, which takes a bool for an int; the package checks
-``type(x) is int``. An eleventh keeps the package exact: no module of
-``src/logcentre`` holds a float or complex literal.
+``type(x) is int``, and neither does ``tests/oracles.py``. An eleventh keeps the
+package exact: no module of ``src/logcentre`` holds a float or complex literal.
+A twelfth keeps one shape of limit message: no module of ``src/logcentre`` but
+``errors`` calls ``ResourceLimit(...)``; every limit refuses through
+``ResourceLimit.over``, which names the limit and its value.
 """
 
 import ast
@@ -317,10 +320,12 @@ def _int_checks(tree) -> list:
 
 def test_src_checks_integers_by_type():
     # isinstance(x, int) takes True for 1; every integer check in the package
-    # is type(x) is int, which refuses a bool.
+    # and in the oracles that tests compare it with is type(x) is int, which
+    # refuses a bool.
+    paths = [*sorted((ROOT / "src" / "logcentre").rglob("*.py")), ROOT / "tests" / "oracles.py"]
     checks = {
         str(path.relative_to(ROOT)): _int_checks(ast.parse(path.read_text(encoding="utf-8")))
-        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+        for path in paths
     }
     assert {path: lines for path, lines in checks.items() if lines} == {}
     source = "isinstance(a, int)\ndef f(x):\n    isinstance(x, (bool, int))\n    isinstance(x, str)"
@@ -344,3 +349,31 @@ def test_src_holds_no_float_constant():
     }
     assert {path: lines for path, lines in constants.items() if lines} == {}
     assert _float_constants(ast.parse("x = 1\ny = 0.5 * x\nz = 2j\nw = '0.5'\n")) == [2, 3]
+
+
+def _limit_constructions(tree) -> list:
+    """Line numbers of each call of ResourceLimit itself in the tree, by bare
+    name or as an attribute; ResourceLimit.over(...) is not one."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "ResourceLimit"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "ResourceLimit"
+        )
+    )
+
+
+def test_limits_refuse_through_resource_limit_over():
+    # ResourceLimit.over writes every limit message as "WORK, above the limit
+    # NAME = VALUE", so each names its knob and the work it measured.
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+        if path.name != "errors.py"
+    }
+    calls = {path: _limit_constructions(tree) for path, tree in trees.items()}
+    assert {path: lines for path, lines in calls.items() if lines} == {}
+    source = "raise ResourceLimit('x')\nerrors.ResourceLimit('y')\nResourceLimit.over('z', 'N', 1)"
+    assert _limit_constructions(ast.parse(source)) == [1, 2]

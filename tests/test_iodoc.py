@@ -15,7 +15,7 @@ from logcentre.iodoc import (
     select_object,
     serialize_document,
 )
-from logcentre.ncpoly import RewriteSystem
+from logcentre.ncpoly import NCPoly, RewriteSystem
 from logcentre.orders import OrderSpec
 from logcentre.toric import ConePair
 
@@ -29,6 +29,26 @@ def test_round_trip_preserves_objects():
             assert again.objects[key] == doc.objects[key]
         # serialization is a fixed point
         assert serialize_document(again) == text
+
+
+def test_multi_letter_generators_round_trip():
+    # x1 and x10 are names of their own, not x times 1 or x1 times 0.
+    system = RewriteSystem(("x", "x1", "x10"), ((("x10", "x"), 2 * NCPoly.generator("x1")),))
+    doc = InputDocument("1", {"p": system})
+    again = loads(serialize_document(doc))
+    assert again == doc and again.objects["p"].rules == system.rules
+
+
+def test_generator_no_expression_spells_is_an_input_error():
+    # Listed but used in no rule: before names were checked, it loaded and
+    # then could not be read back.
+    for name in ("+", "x y", "2x"):
+        text = json.dumps({"version": "1", "objects": {"p": {
+            "type": "presentation", "generators": ["a", name],
+            "rules": [{"lhs": "a*a", "rhs": "0"}]}}})
+        with pytest.raises(InputError) as refused:
+            loads(text)
+        assert str(refused.value) == f"p: generator {name!r} does not match [A-Za-z_][A-Za-z0-9_]*"
 
 
 def test_serialized_form_is_pretty_json():

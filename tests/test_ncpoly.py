@@ -124,7 +124,8 @@ def test_parse_nesting_depth_limit():
     assert parse_poly("(" * deepest + "a" + ")" * deepest, GENS) == A
     assert parse_poly("(a)" * 3 * deepest, GENS) == A ** (3 * deepest)
     for depth in (deepest + 1, 1200):
-        with pytest.raises(ResourceLimit, match=f"parentheses nest {depth} deep"):
+        message = f"^parentheses nest {depth} deep, above the limit MAX_NESTING_DEPTH = {deepest}$"
+        with pytest.raises(ResourceLimit, match=message):
             parse_poly("(" * depth + "a" + ")" * depth, GENS)
 
 
@@ -132,7 +133,10 @@ def test_parse_work_budget():
     assert parse_poly("a^40000", GENS) == NCPoly.monomial(("a",) * 40000)
     assert len(parse_poly("(a+b+c)^10", GENS).terms()) == 3**10
     for text in ("a^1000000", "(a+b+c)^12", "(a+b+c)^6*(a+b+c)^6"):
-        with pytest.raises(ResourceLimit, match=f"MAX_PARSE_WORK = {MAX_PARSE_WORK}"):
+        with pytest.raises(ResourceLimit, match=(
+            r"^expanding the expression takes at least \d+ term products, letters and "
+            rf"coefficient bits, above the limit MAX_PARSE_WORK = {MAX_PARSE_WORK}$"
+        )):
             parse_poly(text, GENS)
 
 
@@ -148,7 +152,10 @@ def test_parse_work_counts_products_and_letters(monkeypatch):
     ]
     for text, gens, work, expected in cases:
         monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", work - 1)
-        with pytest.raises(ResourceLimit, match=f"at least {work} "):
+        with pytest.raises(ResourceLimit, match=(
+            f"^expanding the expression takes at least {work} term products, letters and "
+            f"coefficient bits, above the limit MAX_PARSE_WORK = {work - 1}$"
+        )):
             parse_poly(text, gens)
         monkeypatch.setattr(ncpoly, "MAX_PARSE_WORK", work)
         assert parse_poly(text, gens) == expected, text
@@ -314,6 +321,16 @@ def test_generator_names_are_nonempty_strings():
         with pytest.raises(ValueError, match="^generators must be distinct nonempty strings"):
             RewriteSystem(generators, ())
     assert RewriteSystem(["a", "b"], ()).generators == ("a", "b")
+
+
+def test_generator_names_are_names_an_expression_can_spell():
+    # "+" reads as an operator, "x y" as x times y and "2x" as 2 times x, so no
+    # document could give a rule in such a generator, nor read one back.
+    for name in ("+", "x y", "2x", "a-b", "é"):
+        with pytest.raises(ValueError) as refused:
+            RewriteSystem((name, "a"), (((name,), NCPoly()),))
+        assert str(refused.value) == f"generator {name!r} does not match [A-Za-z_][A-Za-z0-9_]*"
+    assert RewriteSystem(("_", "x1", "X_2"), ()).generators == ("_", "x1", "X_2")
 
 
 def test_weight_validation():
@@ -507,7 +524,7 @@ def test_step_cap_counts_distinct_rewrites(monkeypatch, text, needed):
     monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", needed - 1)
     message = (
         f"^reducing the polynomial takes at least {needed} distinct rewrites, "
-        f"above the rewrite step limit MAX_REWRITE_STEPS = {needed - 1}$"
+        f"above the limit MAX_REWRITE_STEPS = {needed - 1}$"
     )
     for system in (fresh, used):
         with pytest.raises(ResourceLimit, match=message):
@@ -810,6 +827,14 @@ def test_resolution_matrix_composes_to_zero():
     col = ((A,), (B,), (C,))
     assert matrix_compose(row, mat, system) == ((NCPoly.zero(),) * 3,)
     assert matrix_compose(mat, col, system) == ((NCPoly.zero(),),) * 3
+
+
+def test_matrix_compose_refuses_an_empty_right_factor():
+    system = clifford_system()
+    for m, n in ((((),), ()), ((), ())):
+        with pytest.raises(ValueError, match="^right factor has no rows$"):
+            matrix_compose(m, n, system)
+    assert matrix_compose(((A,),), ((B, C),), system) == ((A * B, A * C),)
 
 
 # The quadric cone k[a,b,c,d]/(ad - bc) as a rewrite system.

@@ -194,5 +194,6 @@ def test_bad_arguments():
 def test_grading_length_limit():
     assert len(cover_graded_valuations(3, MAX_GRADING_LENGTH)) == MAX_GRADING_LENGTH
     big = MAX_GRADING_LENGTH + 1
-    with pytest.raises(ResourceLimit, match=f"length {big} .*MAX_GRADING_LENGTH"):
+    message = f"^grading length {big}, above the limit MAX_GRADING_LENGTH = {MAX_GRADING_LENGTH}$"
+    with pytest.raises(ResourceLimit, match=message):
         cover_graded_valuations(3, big)

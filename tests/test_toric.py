@@ -427,12 +427,15 @@ def test_cone_resource_limits():
 
 
 def test_dimension_limit_names_its_constant():
-    with pytest.raises(ResourceLimit, match=r"^dimension 5 exceeds .* MAX_DIM = 4$"):
+    with pytest.raises(ResourceLimit, match=r"^dimension 5, above the limit MAX_DIM = 4$"):
         _orthant(5)
 
 
 def test_ray_coordinate_limit_names_its_constant():
-    with pytest.raises(ResourceLimit, match=r"^ray \(101, 1\) has .* MAX_RAY_COORD = 100$"):
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^ray \(101, 1\) has a coordinate of 101, above the limit MAX_RAY_COORD = 100$",
+    ):
         Cone.from_rays(((1, 0), (101, 1)))
 
 
@@ -445,7 +448,7 @@ def test_parallelepiped_limit_names_its_constant():
         with pytest.raises(
             ResourceLimit,
             match=r"^fundamental parallelepipeds hold 99999999 lattice points, "
-            r"above the cap MAX_PARALLELEPIPED_POINTS = 1000000$",
+            r"above the limit MAX_PARALLELEPIPED_POINTS = 1000000$",
         ):
             check(cone)
 
@@ -464,7 +467,7 @@ def test_facet_enumeration_is_capped():
     with pytest.raises(
         ResourceLimit,
         match=r"^29 rays in dimension 4 need 105966 facet pairings, "
-        r"above the cap MAX_FACET_PAIRINGS = 100000$",
+        r"above the limit MAX_FACET_PAIRINGS = 100000$",
     ):
         Cone.from_rays(_paraboloid_rays(29))
     with pytest.raises(ResourceLimit, match="need 6572800 facet pairings"):
@@ -1032,7 +1035,8 @@ def test_dual_cone_takes_its_facets_from_the_rays():
         except ResourceLimit as exc:
             with pytest.raises(ResourceLimit) as refused:
                 dual_cone(cone)
-            assert str(refused.value) == str(exc)
+            noun = "dual cone " if "MAX_RAY_COORD" in str(exc) else ""
+            assert str(refused.value) == noun + str(exc)
             outcomes[next(n for n in ("MAX_RAY_COORD", "MAX_FACET_PAIRINGS") if n in str(exc))] += 1
             continue
         dual = dual_cone(cone)
@@ -1143,15 +1147,30 @@ def test_pulled_back_cover_facets_match_rebuilt_cone():
 
 
 def test_cover_ray_coordinate_limit_keeps_its_message(monkeypatch):
-    # Cover rays (2, -1) and (0, 1) at degree 2: the first is above a bound of 1.
+    # Cover rays (2, -1) and (0, 1) at degree 2: the first is above a bound of 1,
+    # and the message names it as a ray of the cover.
     pair = ConePair(_orthant(2), ToricDivisor((Fraction(1, 2), Fraction(1, 2))))
     assert log_canonical_cover(pair).cover_cone.rays == ((2, -1), (0, 1))
     monkeypatch.setattr(toric, "MAX_RAY_COORD", 1)
     with pytest.raises(
         ResourceLimit,
-        match=r"^ray \(2, -1\) has a coordinate above the desk-scale bound MAX_RAY_COORD = 1$",
+        match=r"^cover ray \(2, -1\) has a coordinate of 2, above the limit MAX_RAY_COORD = 1$",
     ):
         log_canonical_cover(pair)
+
+
+def test_dual_cone_names_its_own_ray_at_the_coordinate_limit():
+    # Every given ray is within MAX_RAY_COORD; the facet normal (-100, 10000, 1)
+    # is not, and it is a ray of the dual cone, not one the user gave.
+    cone = Cone.from_rays(((100, 1, 0), (0, 100, 1), (1, 0, 100)))
+    assert toric.MAX_RAY_COORD == 100
+    for build in (dual_cone, dual_cone_generators):
+        with pytest.raises(ResourceLimit) as refused:
+            build(cone)
+        assert str(refused.value) == (
+            "dual cone ray (-100, 10000, 1) has a coordinate of 10000, "
+            "above the limit MAX_RAY_COORD = 100"
+        )
 
 
 def test_cover_requires_standard_coefficients():

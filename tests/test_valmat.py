@@ -200,11 +200,29 @@ def test_ramification_index_limit():
     big = MAX_RAMIFICATION_INDEX + 1
     for build in (standard_order, lambda e: radical_power(e, 1), lambda e: omega_power(e, 1)):
         assert build(MAX_RAMIFICATION_INDEX).size == MAX_RAMIFICATION_INDEX
-        with pytest.raises(ResourceLimit, match=f"index {big} .*MAX_RAMIFICATION_INDEX"):
+        with pytest.raises(ResourceLimit, match=(
+            f"^ramification index {big}, above the limit "
+            f"MAX_RAMIFICATION_INDEX = {MAX_RAMIFICATION_INDEX}$"
+        )):
             build(big)
 
 
 # Element-level monomial model.
+
+
+def test_oracles_refuse_bools_as_integers():
+    # The oracles refuse a bool where src would, so no check compares src with
+    # an oracle that built an object src refuses to build.
+    calls = [
+        (lambda: jacobson_radical(True), "size must be a positive integer"),
+        (lambda: y_power(2, True), "power must be an integer"),
+        (lambda: monomial_pow(y_matrix(2), True), "power must be a nonnegative integer"),
+        (lambda: inflate(standard_order(1), (True,)), "block sizes must be positive integers"),
+        (lambda: MonomialMatrix((((1, True),),)), "monomial exponent must be an integer"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
 
 
 def test_y_power_e_is_uniformizer():
