@@ -53,11 +53,13 @@ from .numerals import exact
 from .orders import standard_index
 from .records import Record
 
-MAX_DIM = 4
+MAX_DIM = 4  # _minors has a closed form in each dimension up to this one
 MAX_RAY_COORD = 100
 MAX_PARALLELEPIPED_POINTS = 10**6
 # Facet enumeration pairs each (d-1)-subset of the n rays with each ray, C(n, d-1) * n
-# times: about 0.3 s at this cap (Python 3.11, 2-core VM), or 28 rays in dimension 4.
+# times. At this cap, 28 rays in dimension 4, the cone over (a, b, a^2 + b^2, 1) at 28
+# points (a, b) in -3..3 (test_facet_enumeration_is_capped), 91,728 pairings, builds in
+# about 0.045 s (Python 3.11.7, 2-core VM).
 MAX_FACET_PAIRINGS = 10**5
 # Residues listed at once (_residues): a piece of large determinant is listed in
 # bounded memory, and the canonical test stops within one row of its witness.
@@ -142,31 +144,61 @@ class Lattice(Record):
 
 
 def _minors(vectors, dim: int) -> list:
-    """Signed maximal minors of dim - 1 vectors: orthogonal to each of them,
-    and zero exactly when they span less than a hyperplane. In dimension 1 the
-    empty set of vectors gives (1,)."""
+    """Signed maximal minors of dim - 1 vectors, their generalized cross
+    product: entry i is (-1)^i times the determinant of the vectors with
+    coordinate i left out. It is orthogonal to each of them, and zero exactly
+    when they span less than a hyperplane. Closed forms for dim 1 to MAX_DIM,
+    which Cone checks first: the empty set of vectors gives (1,) in dimension
+    1, one vector turns a quarter in dimension 2, two give the cross product in
+    dimension 3, and in dimension 4 each 3 x 3 minor is expanded along the
+    first vector over the six 2 x 2 minors of the other two.
+    """
+    if dim == 1:
+        return [1]
+    if dim == 2:
+        ((a0, a1),) = vectors
+        return [a1, -a0]
+    if dim == 3:
+        (a0, a1, a2), (b0, b1, b2) = vectors
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = vectors
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
     return [
-        (-1) ** i * linalg.det_int([v[:i] + v[i + 1 :] for v in vectors]) for i in range(dim)
+        a1 * m23 - a2 * m13 + a3 * m12,
+        a2 * m03 - a0 * m23 - a3 * m02,
+        a0 * m13 - a1 * m03 + a3 * m01,
+        a1 * m02 - a0 * m12 - a2 * m01,
     ]
 
 
 def _facet_normals(dim: int, rays) -> tuple:
-    """Facet normals of the cone over the rays, and whether the rays span the
-    space: some (d-1)-subset spans a hyperplane that a further ray leaves."""
-    found = set()
+    """The facets of the cone over the rays, sorted, with each facet's
+    pairings with the rays, and whether the rays span the space: some
+    (d-1)-subset spans a hyperplane that a further ray leaves. The normal of a
+    subset is its signed minors (_minors), ints, divided by their gcd; it is a
+    facet, oriented to be >= 0 on the rays, when no two rays lie on opposite
+    sides of it.
+    """
+    found = {}
     spanning = False
     for subset in combinations(rays, dim - 1):
         n = _minors(subset, dim)
-        if not any(n):
+        g = gcd(*n)
+        if not g:
             continue
-        n = linalg.primitive_vector(n)
+        if g != 1:
+            n = [x // g for x in n]
         pairings = [sum(map(mul, n, v)) for v in rays]
-        spanning = spanning or any(pairings)
-        if all(p >= 0 for p in pairings):
-            found.add(n)
-        elif all(p <= 0 for p in pairings):
-            found.add(tuple(-x for x in n))
-    return tuple(sorted(found)), spanning
+        low, high = min(pairings), max(pairings)
+        if low or high:
+            spanning = True
+        if low >= 0:
+            found[tuple(n)] = pairings
+        elif high <= 0:
+            found[tuple(-x for x in n)] = [-p for p in pairings]
+    facets = sorted(found)
+    return tuple(facets), [found[n] for n in facets], spanning
 
 
 def _integer_ray(ray) -> tuple:
@@ -180,7 +212,8 @@ def _integer_ray(ray) -> tuple:
 
 
 def _check_ray_coords(ray, noun: str = "ray") -> None:
-    """ResourceLimit, calling the ray `noun`, when a coordinate is above MAX_RAY_COORD."""
+    """ResourceLimit, with `noun` written before the ray, when a coordinate is
+    above MAX_RAY_COORD."""
     top = max(map(abs, ray))
     if top > MAX_RAY_COORD:
         raise ResourceLimit.over(f"{noun} {ray} has a coordinate of {top}",
@@ -203,7 +236,10 @@ class Cone(Record):
     <facet, x> >= 0 for all facets. facets is not a field, so equality, hash
     and repr leave it out. An index-one cover and a dual cone are
     built otherwise: their facets are known (_cone_with_facets).
-    The shape is read off the incidence of rays and facets, since a face is
+    The facets are the normals of (d-1)-subsets of the rays, each from the
+    closed-form signed minors (_minors), so no elimination runs; finding them
+    pairs every normal with every ray (_facet_normals). The shape is read off
+    the incidence of rays and facets in those pairings, since a face is
     spanned by the rays it contains (Fulton, Introduction to Toric Varieties,
     1.2): the cone is full-dimensional when a ray leaves some hyperplane
     spanned by other rays, pointed when no ray lies on every facet, and a ray
@@ -229,28 +265,38 @@ class Cone(Record):
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
         _check_pairings(len(rays), dim)
-        facets, spanning = _facet_normals(dim, rays)
+        facets, pairings, spanning = _facet_normals(dim, rays)
         if not spanning:
             raise ValueError("cone is not full-dimensional")
         object.__setattr__(self, "rays", rays)
-        zeros = [{n for n in facets if sum(map(mul, n, ray)) == 0} for ray in rays]
-        if set(facets) in zeros:
+        on = [0] * len(rays)  # bit f of on[r]: ray r lies on facet f
+        for f, values in enumerate(pairings):
+            for r, value in enumerate(values):
+                if not value:
+                    on[r] |= 1 << f
+        if (1 << len(facets)) - 1 in on:
             raise ValueError("cone is not pointed")
-        for ray, on in zip(rays, zeros):
-            if sum(on <= other for other in zeros) > 1:  # the ray itself counts once
+        for ray, mask in zip(rays, on):
+            if sum(mask & other == mask for other in on) > 1:  # the ray itself counts once
                 raise ValueError(f"ray {ray} is not extreme")
         object.__setattr__(self, "facets", facets)
 
     @classmethod
     def from_rays(cls, rays, lattice: Lattice | None = None) -> "Cone":
         """The cone over the rays, made primitive once each has the lattice's
-        dimension; the default lattice is the standard one of the longest ray."""
+        dimension; the default lattice is the standard one of the longest ray.
+        A primitive form above MAX_RAY_COORD is refused naming the ray as given
+        too, in the order Cone would refuse it."""
         rays = tuple(_integer_ray(ray) for ray in rays)
         if lattice is None:  # with no rays, a line, and the cone refuses them
             lattice = Lattice.standard(max(map(len, rays), default=1))
         if any(len(ray) != lattice.dim for ray in rays):
             raise ValueError("ray dimension mismatch")
-        return cls(lattice, tuple(map(linalg.primitive_vector, rays)))
+        primitive = tuple(map(linalg.primitive_vector, rays))
+        if lattice.dim <= MAX_DIM:  # otherwise the cone refuses the dimension first
+            for given, ray in zip(rays, primitive):
+                _check_ray_coords(ray, "ray" if ray == given else f"ray {given}, whose primitive form")
+        return cls(lattice, primitive)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,11 @@ solves a divisor's functional by ``solve_exact`` on the rays, and
 ``q_cartier_route`` solves the -(K+D) functional that way, as the functional of
 the Fraction divisor K + D; ``canonical_divisor`` is K as a divisor, and
 ``integer_pair`` reads a Fraction functional as the pair (w, m) in which
-``logcentre.toric`` returns every functional. ``fold_parallelepiped_points`` lists the lattice points
+``logcentre.toric`` returns every functional. ``facet_normals`` finds a
+cone's facets, or its refusal, the older way: each normal from determinants
+(``_signed_minors``), where ``logcentre.toric`` writes the signed minors in
+closed form, and the shape from a second pass over the rays.
+``fold_parallelepiped_points`` lists the lattice points
 of the fundamental parallelepipeds the older way, with normals from signed
 minors and each coset representative folded back by the integer parts of its
 coefficients, where ``logcentre.toric`` reads each point from its residues
@@ -61,7 +65,7 @@ from math import lcm
 from typing import Optional
 
 from logcentre.errors import LogCentreError
-from logcentre.linalg import det_int, hermite_column_form, solve_scaled, xgcd
+from logcentre.linalg import det_int, hermite_column_form, primitive_vector, solve_scaled, xgcd
 from logcentre.ncpoly import NCPoly
 from logcentre.toric import ToricDivisor
 from logcentre.valmat import ValMatrix
@@ -203,6 +207,38 @@ def contains(cone, v) -> bool:
 def _signed_minors(vectors, dim: int) -> list:
     """Signed maximal minors of dim - 1 vectors: a normal orthogonal to each."""
     return [(-1) ** i * det_int([v[:i] + v[i + 1 :] for v in vectors]) for i in range(dim)]
+
+
+def facet_normals(dim: int, rays):
+    """The facets of the cone over distinct primitive rays, found the older
+    way, or the message ``Cone`` refuses the rays with. Each (d-1)-subset's
+    normal is its signed minors, d determinants, made primitive; it is a facet
+    when no two rays lie on opposite sides of it. The shape is then read off a
+    second pass of every facet over every ray, with the refusals in the order
+    ``Cone`` makes them.
+    """
+    found = set()
+    spanning = False
+    for subset in combinations(rays, dim - 1):
+        n = _signed_minors(subset, dim)
+        if not any(n):
+            continue
+        n = primitive_vector(n)
+        pairings = [sum(a * b for a, b in zip(n, v)) for v in rays]
+        spanning = spanning or any(pairings)
+        if all(p >= 0 for p in pairings):
+            found.add(n)
+        elif all(p <= 0 for p in pairings):
+            found.add(tuple(-x for x in n))
+    if not spanning:
+        return "cone is not full-dimensional"
+    zeros = [{n for n in found if sum(a * b for a, b in zip(n, ray)) == 0} for ray in rays]
+    if found in zeros:
+        return "cone is not pointed"
+    for ray, on in zip(rays, zeros):
+        if sum(on <= other for other in zeros) > 1:
+            return f"ray {ray} is not extreme"
+    return tuple(sorted(found))
 
 
 def fold_parallelepiped_points(cone):

@@ -152,6 +152,23 @@ def test_dual_gens_names_the_dual_cone_ray_at_the_limit(capsys, tmp_path):
     )
 
 
+def test_toric_names_a_document_ray_as_given_at_the_limit(capsys, tmp_path):
+    # The limit applies to the primitive form (101, 1) of the document's ray
+    # [202, 2], and the refusal names both; [200, 100] is (2, 1) and builds.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"wide": {
+        "type": "cone_pair", "rays": [[1, 0], [202, 2]]}}}))
+    code, out, err = _run(capsys, "toric", "klt", str(path))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: ray (202, 2), whose primitive form (101, 1) has a coordinate of 101, "
+        "above the limit MAX_RAY_COORD = 100\n"
+    )
+    path.write_text(json.dumps({"version": "1", "objects": {"wide": {
+        "type": "cone_pair", "rays": [[1, 0], [200, 100]]}}}))
+    assert _run(capsys, "toric", "klt", str(path))[0] == 0
+
+
 def test_json_format(capsys, francia_doc):
     code, out, _ = _run(capsys, "toric", "klt", francia_doc + "#base", "--format", "json")
     assert code == 0

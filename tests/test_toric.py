@@ -4,16 +4,18 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import (
+    _signed_minors,
     canonical_divisor,
     contains,
     divisor_route,
+    facet_normals,
     fold_parallelepiped_points,
     integer_kernel_of_row,
     integer_pair,
@@ -437,6 +439,23 @@ def test_ray_coordinate_limit_names_its_constant():
         match=r"^ray \(101, 1\) has a coordinate of 101, above the limit MAX_RAY_COORD = 100$",
     ):
         Cone.from_rays(((1, 0), (101, 1)))
+
+
+def test_from_rays_names_the_ray_as_given_at_the_coordinate_limit():
+    # The limit applies to the primitive form, and the refusal names the ray
+    # the caller wrote with it.
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^ray \(202, 2\), whose primitive form \(101, 1\) has a coordinate of 101, "
+        r"above the limit MAX_RAY_COORD = 100$",
+    ):
+        Cone.from_rays(((1, 0), (202, 2)))
+    assert Cone.from_rays(((1, 0), (200, 100))).rays == ((1, 0), (2, 1))
+    # The first ray over the limit is named, and the dimension is refused first.
+    with pytest.raises(ResourceLimit, match=r"^ray \(101, 1\) has a coordinate of 101, "):
+        Cone.from_rays(((101, 1), (202, 2)))
+    with pytest.raises(ResourceLimit, match=r"^dimension 5, above the limit MAX_DIM = 4$"):
+        Cone.from_rays([(202, 2, 0, 0, 0), *((0,) * i + (1,) + (0,) * (4 - i) for i in range(1, 5))])
 
 
 def test_parallelepiped_limit_names_its_constant():
@@ -980,9 +999,11 @@ def test_residue_listing_matches_the_fold(monkeypatch, row_length):
     assert any(sum(p > 1 for p in piece) > 1 for piece in pivots)
 
 
-def test_facets_of_random_cones():
+def _seeded_ray_sets():
+    """600 seeded draws of distinct primitive rays in dimension 2, 3 or 4, as
+    (dim, sorted rays); a draw of fewer than dim rays, which cannot span the
+    space, is left out."""
     rng = random.Random(20231018)
-    built = []
     for _ in range(600):
         dim = rng.choice((2, 3, 4))
         # Keeps every (dim-1)-minor, so every dual ray coordinate, within MAX_RAY_COORD.
@@ -995,10 +1016,15 @@ def test_facets_of_random_cones():
             )
             if any(v)
         }
-        if len(rays) < dim:
-            continue  # cannot span the space
+        if len(rays) >= dim:
+            yield dim, sorted(rays)
+
+
+def test_facets_of_random_cones():
+    built = []
+    for dim, rays in _seeded_ray_sets():
         try:
-            cone = Cone.from_rays(sorted(rays))
+            cone = Cone.from_rays(rays)
         except ValueError:
             continue  # not pointed, not full-dimensional, or a ray not extreme
         built.append(dim)
@@ -1010,6 +1036,77 @@ def test_facets_of_random_cones():
             assert rank(touching) == dim - 1, (cone, n)
         assert set(dual_cone(dual_cone(cone)).rays) == set(cone.rays)
     assert len(built) >= 150 and set(built) == {2, 3, 4}, len(built)
+
+
+def test_facets_match_the_determinant_oracle():
+    # The closed-form minors give the facets, and the refusals, that d
+    # determinants per (d-1)-subset of the rays gave.
+    from logcentre.corpus import random_standard_pairs
+
+    outcomes = Counter()
+    for dim, rays in _seeded_ray_sets():
+        expected = facet_normals(dim, rays)
+        try:
+            actual = Cone(Lattice.standard(dim), rays).facets
+        except ValueError as exc:
+            actual = str(exc)
+        assert actual == expected, (dim, rays)
+        outcomes[expected.split()[-1] if isinstance(expected, str) else "built"] += 1
+    assert set(outcomes) == {"built", "full-dimensional", "pointed", "extreme"}, outcomes
+    for seed in (0, 1, 2):
+        for pair in random_standard_pairs(seed, 1200):
+            assert pair.cone.facets == facet_normals(pair.cone.dim, pair.cone.rays), pair
+    # At the MAX_FACET_PAIRINGS cap: 28 rays (a, b, a^2 + b^2, 1), a, b in -3..3.
+    rays = _paraboloid_rays(28)
+    assert max(map(abs, chain.from_iterable(p[:2] for p in rays))) == 3
+    assert Cone.from_rays(rays).facets == facet_normals(4, tuple(rays))
+
+
+def test_minors_match_the_determinant_oracle():
+    # Exactly the signed minors (-1)^i det(drop coordinate i), sign included,
+    # with coordinates up to MAX_RAY_COORD; rank-deficient sets give all zeros.
+    rng = random.Random(3301)
+    bound, half = toric.MAX_RAY_COORD, toric.MAX_RAY_COORD // 2
+    for dim in range(1, 5):
+        for trial in range(300):
+            if dim > 1 and trial % 3 == 0:
+                # One vector an integer combination of the others, anywhere in the set.
+                others = [tuple(rng.randint(-half, half) for _ in range(dim)) for _ in range(dim - 2)]
+                coeffs = [rng.randint(-1, 1) for _ in others]
+                vectors = [*others, tuple(sum(c * v[i] for c, v in zip(coeffs, others))
+                                          for i in range(dim))]
+                rng.shuffle(vectors)
+                assert toric._minors(vectors, dim) == [0] * dim, vectors
+            elif trial % 3 == 1:
+                vectors = [tuple(rng.choice((-bound, bound)) for _ in range(dim))
+                           for _ in range(dim - 1)]
+            else:
+                vectors = [tuple(rng.randint(-bound, bound) for _ in range(dim))
+                           for _ in range(dim - 1)]
+            assert toric._minors(vectors, dim) == _signed_minors(vectors, dim), vectors
+    assert toric._minors((), 1) == [1]
+
+
+def test_cone_construction_takes_no_elimination(monkeypatch):
+    from logcentre.corpus import random_standard_pairs
+
+    pairs = random_standard_pairs(3, 300)
+    inputs = [(pair.cone.lattice, pair.cone.rays) for pair in pairs]
+    eliminated = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, n):
+        eliminated.append(n)
+        return eliminate(rows, n)
+
+    # Every determinant, solve and adjugate runs through the one elimination;
+    # the facets of a cone come from closed-form minors instead.
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    cones = [Cone(lattice, rays) for lattice, rays in inputs]
+    assert eliminated == []
+    assert linalg.det_int(((1, 0), (0, 1))) == 1 and eliminated == [2]  # the count is live
+    monkeypatch.undo()
+    assert [cone.facets for cone in cones] == [pair.cone.facets for pair in pairs]
 
 
 def _bipyramid_cone():
