@@ -33,10 +33,12 @@ parallelepiped point p = sum r_i v_i / |det|. The canonical test reads u(p)
 from the residues and builds no point; the Hilbert basis builds p. Hilbert
 bases are reduced in order of degree (the sum of the facet values) against the
 basis elements already found. The index-one cover is computed in integers from
-end to end: the cover lattice is one integer Hermite form, lower triangular,
-applied to the base lattice's integer form; its rays are solved on that basis
-by forward substitution, its facets are the pair's facets pulled back to that
-basis, and its K functional is the pair's -(K+D) functional read on it.
+end to end: the cover lattice is the Hermite form of one congruence, lower
+triangular and written down from the -(K+D) functional (w, m) with no
+elimination (linalg.congruence_basis), applied to the base lattice's integer
+form; its rays are solved on that basis by forward substitution, its facets
+are the pair's facets pulled back to that basis, and its K functional is the
+pair's -(K+D) functional read on it.
 """
 
 from __future__ import annotations
@@ -260,8 +262,10 @@ class Cone(Record):
             if len(ray) != dim:
                 raise ValueError("ray dimension mismatch")
             _check_ray_coords(ray)
-            if linalg.primitive_vector(ray) != ray:
-                raise ValueError(f"ray {ray} is not primitive")
+            g = gcd(*ray)
+            if g != 1:
+                raise ValueError("zero vector has no primitive representative" if g == 0
+                                 else f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
         _check_pairings(len(rays), dim)
@@ -547,8 +551,9 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
     K+D, its one reduced denominator. A caller that holds it passes it as
     `functional`; NotApplicable when it is None, as K+D is not Q-Cartier.
     The cover lattice is the sublattice where u is integral: the
-    x with w.x = 0 mod m, given by its Hermite basis in base coordinates and
-    carried to ambient coordinates through the base lattice's integer form
+    x with w.x = 0 mod m, given by its Hermite basis in base coordinates,
+    which linalg.congruence_basis writes down from w and m, and carried to
+    ambient coordinates through the base lattice's integer form
     (_sublattice). Its index is m, and the rays are rescaled by the local
     indices e_i of the boundary. The Hermite basis is lower triangular with a
     positive diagonal, so each rescaled ray is solved on it row by row in
@@ -571,16 +576,10 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
         if e is None:
             raise NotApplicable(f"boundary coefficient {d} is not of the form (e-1)/e")
         indices.append(e)
-    dim = pair.cone.dim
-    # The columns (w_j, e_j) and (m, 0, ..., 0) span Z^(d+1), as gcd(w, m) = 1,
-    # and the columns that are 0 in the first coordinate span {x : w.x = 0 mod m}.
-    # So the Hermite form has pivot 1 in the first row, and dropping that column
-    # and that row leaves the Hermite form of the cover lattice.
-    hermite = linalg.hermite_column_form(
-        [(wj, *(int(i == j) for i in range(dim))) for j, wj in enumerate(w)] + [(m,) + (0,) * dim]
-    )
-    columns = [col[1:] for col in hermite[1:]]
-    _require(len(columns) == dim, "sublattice basis has wrong rank")
+    # gcd(m, *w) = 1 (pair_functional reduces it), so the Hermite basis of
+    # {x : w.x = 0 mod m} is written down from w and m.
+    columns = linalg.congruence_basis(w, m)
+    _require(len(columns) == pair.cone.dim, "sublattice basis has wrong rank")
     _require(abs(linalg.det_int(columns)) == m, "sublattice index differs from the Cartier index")
     values = [sum(map(mul, w, col)) for col in columns]
     _require(all(v % m == 0 for v in values), "functional is not integral on the sublattice")

@@ -627,16 +627,15 @@ def test_step_cap_exit_code(capsys, monkeypatch):
 
 def test_internal_invariant_exit_code(capsys, monkeypatch, francia_doc):
     # A sublattice of twice the index trips the cover's postcondition: a bug, not bad input.
-    # The cover drops the first Hermite column, so the fault goes into the second.
     from logcentre import linalg
 
-    hermite = linalg.hermite_column_form
+    basis = linalg.congruence_basis
 
-    def doubled_second_column(cols):
-        first, second, *rest = hermite(cols)
-        return [first, tuple(2 * x for x in second), *rest]
+    def doubled_first_column(w, m):
+        first, *rest = basis(w, m)
+        return [tuple(2 * x for x in first), *rest]
 
-    monkeypatch.setattr(linalg, "hermite_column_form", doubled_second_column)
+    monkeypatch.setattr(linalg, "congruence_basis", doubled_first_column)
     code, out, err = _run(capsys, "toric", "cover", francia_doc + "#base")
     assert code == 5
     assert out == ""

@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -289,3 +291,69 @@ def test_hermite_column_form_is_lattice_invariant(rows, k):
     mixed[0] = [a + k * b for a, b in zip(mixed[0], mixed[1])]
     mixed.append([-x for x in mixed[-1]])
     assert linalg.hermite_column_form(mixed) == linalg.hermite_column_form(cols)
+
+
+def _augmented_route(w, m):
+    # The columns (w_j, e_j) and (m, 0, ..., 0) span Z^(d+1), as gcd(m, *w) = 1,
+    # and those that are 0 in the first coordinate span {x : w.x = 0 mod m}: the
+    # Hermite form has pivot 1 in the first row, and dropping that column and
+    # that row leaves the Hermite form of the congruence lattice.
+    d = len(w)
+    hnf = linalg.hermite_column_form(
+        [(wj, *(int(i == j) for i in range(d))) for j, wj in enumerate(w)] + [(m,) + (0,) * d]
+    )
+    assert hnf[0][0] == 1
+    return [col[1:] for col in hnf[1:]]
+
+
+def test_congruence_basis_matches_the_augmented_hermite_form():
+    rng = random.Random(34)
+    seen = Counter()
+    while len(seen) < 8 or min(seen.values()) < 20:
+        d = rng.randint(1, 4)
+        m = rng.choice((1, rng.randint(1, 60), rng.choice((12, 24, 36, 60))))
+        w = [rng.choice((0, rng.randint(-80, 80), rng.randint(-3, 3))) for _ in range(d)]
+        if gcd(m, *w) != 1:
+            continue
+        basis = linalg.congruence_basis(w, m)
+        assert basis == _augmented_route(w, m), (w, m)
+        _hnf_shape_ok(basis)
+        assert linalg.det_int(basis) == m
+        assert all(sum(a * b for a, b in zip(w, col)) % m == 0 for col in basis)
+        pivots = [col[k] for k, col in enumerate(basis)]
+        seen[f"d = {d}"] += 1
+        seen["m = 1"] += m == 1
+        seen["zero w_j"] += 0 in w
+        seen["negative w_j"] += min(w) < 0
+        seen["two pivots above 1"] += sum(p > 1 for p in pivots) >= 2
+    assert linalg.congruence_basis((), 1) == []
+    assert linalg.congruence_basis((3, 0), 4) == [(4, 0), (0, 1)]
+    assert linalg.congruence_basis((2, 3), 6) == [(3, 0), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "w, m", [((1, 2), 0), ((1, 2), -3), ((2, 4), 6), ((0, 0), 2), ((), 2)]
+)
+def test_congruence_basis_refuses_a_modulus_below_one_or_a_common_factor(w, m):
+    message = rf"^need m >= 1 and gcd\(m, \*w\) = 1, got w = {re.escape(str(w))}, m = {m}$"
+    with pytest.raises(ValueError, match=message):
+        linalg.congruence_basis(w, m)
+
+
+def test_covers_take_no_general_hermite_form(monkeypatch):
+    from logcentre import toric
+    from logcentre.corpus import random_standard_pairs
+
+    pairs = random_standard_pairs(3, 300)
+    calls = []
+    hermite = linalg.hermite_column_form
+
+    def counted(cols):
+        calls.append(len(cols))
+        return hermite(cols)
+
+    # The cover lattice is written down from the -(K+D) functional (w, m).
+    monkeypatch.setattr(linalg, "hermite_column_form", counted)
+    degrees = {toric.log_canonical_cover(pair).degree for pair in pairs}
+    assert calls == [] and max(degrees) > 1
+    assert linalg.hermite_column_form([(1, 0), (0, 1)]) and calls == [2]  # the count is live

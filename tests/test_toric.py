@@ -325,6 +325,10 @@ def test_empty_ray_is_a_dimension_mismatch(rays):
 def test_cone_validation():
     with pytest.raises(ValueError, match=r"^ray \(2, 0\) is not primitive$"):
         Cone(Lattice.standard(2), ((2, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"^ray \(0, -2\) is not primitive$"):
+        Cone(Lattice.standard(2), ((1, 0), (0, -2)))
+    with pytest.raises(ValueError, match="^zero vector has no primitive representative$"):
+        Cone(Lattice.standard(2), ((1, 0), (0, 0)))
     # The half-plane y >= 0: its lineality line holds the rays (1, 0), (-1, 0).
     with pytest.raises(ValueError, match="^cone is not pointed$"):
         Cone.from_rays(((1, 0), (-1, 0), (0, 1)))
