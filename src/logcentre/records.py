@@ -13,7 +13,7 @@ dataclass has, without importing ``dataclasses``:
   ``pickle`` still rebuild a record, attributes outside ``_fields`` included.
 * Equality and hash compare the ``_fields`` in order, between instances of
   one class only, and ``repr`` is ``Name(field=value, ...)``; attributes
-  outside ``_fields``, such as ``Cone.facets``, take no part.
+  outside ``_fields``, such as the facets a ``Cone`` caches, take no part.
 
 Each ``__init__`` is written out from the class's ``_fields`` and run with
 ``exec`` once, when the class is created, the way ``collections.namedtuple``

@@ -36,9 +36,9 @@ basis elements already found. The index-one cover is computed in integers from
 end to end: the cover lattice is the Hermite form of one congruence, lower
 triangular and written down from the -(K+D) functional (w, m) with no
 elimination (linalg.congruence_basis), applied to the base lattice's integer
-form; its rays are solved on that basis by forward substitution, its facets
-are the pair's facets pulled back to that basis, and its K functional is the
-pair's -(K+D) functional read on it.
+form; its rays are solved on that basis by forward substitution, and its K
+functional is the pair's -(K+D) functional read on it. Its facets are found
+from its rays, as for any cone, but only when they are first read.
 """
 
 from __future__ import annotations
@@ -236,8 +236,9 @@ class Cone(Record):
 
     Facet inequalities are derived at construction and cached; membership is
     <facet, x> >= 0 for all facets. facets is not a field, so equality, hash
-    and repr leave it out. An index-one cover and a dual cone are
-    built otherwise: their facets are known (_cone_with_facets).
+    and repr leave it out. An index-one cover and a dual cone are built
+    without validation (_cone_with_facets): a dual cone is given its facets,
+    and a cover finds them from its rays the first time they are read.
     The facets are the normals of (d-1)-subsets of the rays, each from the
     closed-form signed minors (_minors), so no elimination runs; finding them
     pairs every normal with every ray (_facet_normals). The shape is read off
@@ -249,7 +250,7 @@ class Cone(Record):
     """
 
     _fields = ("lattice", "rays")
-    __slots__ = (*_fields, "facets")
+    __slots__ = (*_fields, "_facets")
 
     def __post_init__(self):
         rays = tuple(_integer_ray(ray) for ray in self.rays)
@@ -283,7 +284,15 @@ class Cone(Record):
         for ray, mask in zip(rays, on):
             if sum(mask & other == mask for other in on) > 1:  # the ray itself counts once
                 raise ValueError(f"ray {ray} is not extreme")
-        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "_facets", facets)
+
+    @property
+    def facets(self) -> tuple:
+        """The facet normals, sorted; found by _facet_normals and cached on
+        the first read when the cone was built without them."""
+        if self._facets is None:
+            object.__setattr__(self, "_facets", _facet_normals(self.dim, self.rays)[0])
+        return self._facets
 
     @classmethod
     def from_rays(cls, rays, lattice: Lattice | None = None) -> "Cone":
@@ -558,8 +567,9 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
     indices e_i of the boundary. The Hermite basis is lower triangular with a
     positive diagonal, so each rescaled ray is solved on it row by row in
     integers (forward substitution), and the cover cone is the pair's cone
-    read on that basis: its facets are the pair's facets pulled back to cover
-    coordinates, not enumerated again. Read in cover coordinates, u is the K
+    read on that basis: its rays stay primitive, distinct and extreme, so it
+    is not validated again, and its facets are enumerated from its rays only
+    when they are first read. Read in cover coordinates, u is the K
     functional of the cover: w.col/m on each basis column, integral (Cartier
     canonical class), and exactly 1 on every cover ray; it is returned as
     cover_functional, with m = 1. All of these are checked in integers on
@@ -601,7 +611,7 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
         _require(sum(map(mul, cover_u, coords)) == 1, "cover ray does not pair to one")
         cover_rays.append(coords)
     cover_lattice = _sublattice(pair.cone.lattice, columns)
-    cover_cone = _pulled_back_cone(pair.cone, cover_lattice, columns, tuple(cover_rays))
+    cover_cone = _cone_with_facets(cover_lattice, tuple(cover_rays), None, "cover ray")
     return CoverResult(cover_lattice, cover_cone, m, (cover_u, 1))
 
 
@@ -631,43 +641,20 @@ def _from_integer_form(scaled, denominator: int) -> Lattice:
     return lattice
 
 
-def _pulled_back_cone(base: Cone, lattice: Lattice, columns, rays) -> Cone:
-    """The base cone as a cone over its sublattice `lattice`, whose basis is
-    `columns` in base coordinates; `rays` are the base rays, each rescaled to
-    a primitive vector of the sublattice, in cover coordinates.
-
-    A base facet n reads n.col_k on the cover basis; made primitive, these
-    are the facets that Cone.__post_init__ would enumerate, so the cone is
-    built without it. The two cones have the same rays up to scaling, the
-    same dimension and the same incidences, so the rays stay extreme and the
-    cone pointed and full-dimensional. Postcondition: each pulled-back facet
-    is >= 0 on every cover ray and 0 exactly on the rays where its base facet
-    is 0.
-    """
-    facets = []
-    for n in base.facets:
-        pulled = linalg.primitive_vector([sum(map(mul, n, col)) for col in columns])
-        for ray, cover_ray in zip(base.rays, rays):
-            value = sum(map(mul, pulled, cover_ray))
-            on_base = sum(map(mul, n, ray)) == 0
-            _require(value >= 0 and (value == 0) == on_base,
-                     "pulled-back facet disagrees with its base facet")
-        facets.append(pulled)
-    return _cone_with_facets(lattice, rays, facets, "cover ray")
-
-
 def _cone_with_facets(lattice: Lattice, rays, facets, noun: str) -> Cone:
-    """The cone with these facets over these primitive, distinct, extreme
-    rays, which the caller knows, so no facet is enumerated. The dimension is
-    that of a cone already built; the rays, called `noun` in a refusal, are
-    checked against MAX_RAY_COORD and MAX_FACET_PAIRINGS as in Cone.__post_init__."""
+    """The cone over these primitive, distinct, extreme rays, which the
+    caller knows, with these facets, or with None when they are to be found
+    from the rays on their first read (Cone.facets). No facet is enumerated
+    here. The dimension is that of a cone already built; the rays, called
+    `noun` in a refusal, are checked against MAX_RAY_COORD and
+    MAX_FACET_PAIRINGS as in Cone.__post_init__, which bounds that read too."""
     for ray in rays:
         _check_ray_coords(ray, noun)
     _check_pairings(len(rays), lattice.dim)
     cone = object.__new__(Cone)
     object.__setattr__(cone, "lattice", lattice)
     object.__setattr__(cone, "rays", rays)
-    object.__setattr__(cone, "facets", tuple(sorted(facets)))
+    object.__setattr__(cone, "_facets", None if facets is None else tuple(sorted(facets)))
     return cone
 
 

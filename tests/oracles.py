@@ -24,6 +24,9 @@ the Fraction divisor K + D; ``canonical_divisor`` is K as a divisor, and
 cone's facets, or its refusal, the older way: each normal from determinants
 (``_signed_minors``), where ``logcentre.toric`` writes the signed minors in
 closed form, and the shape from a second pass over the rays.
+``pulled_back_facets`` finds an index-one cover's facets the way
+``logcentre.toric`` once built them, from the pair's facets read on the cover
+basis, where the cover now enumerates them from its rays like any other cone.
 ``fold_parallelepiped_points`` lists the lattice points
 of the fundamental parallelepipeds the older way, with normals from signed
 minors and each coset representative folded back by the integer parts of its
@@ -239,6 +242,29 @@ def facet_normals(dim: int, rays):
         if sum(on <= other for other in zeros) > 1:
             return f"ray {ray} is not extreme"
     return tuple(sorted(found))
+
+
+def pulled_back_facets(cone, columns):
+    """The facets of the cone read on a sublattice whose basis is ``columns``
+    in the cone's coordinates: each facet n becomes (n.col_k)_k, made
+    primitive, and the result is sorted. Each ray, solved on the columns by
+    ``rref`` and made primitive, must pair >= 0 with every pulled-back facet,
+    and 0 exactly where it pairs 0 with the facet's base.
+    """
+    rows = list(zip(*columns))
+    rays = []
+    for ray in cone.rays:
+        solved, _ = rref([[*row, x] for row, x in zip(rows, ray)])
+        rays.append(primitive_vector(clear_denominators([row[-1] for row in solved])))
+    facets = []
+    for n in cone.facets:
+        pulled = primitive_vector([sum(a * b for a, b in zip(n, col)) for col in columns])
+        for ray, cover_ray in zip(cone.rays, rays):
+            value = sum(a * b for a, b in zip(pulled, cover_ray))
+            assert value >= 0, (n, ray)
+            assert (value == 0) == (sum(a * b for a, b in zip(n, ray)) == 0), (n, ray)
+        facets.append(pulled)
+    return tuple(sorted(facets))
 
 
 def fold_parallelepiped_points(cone):

@@ -134,6 +134,11 @@ def test_copy_and_pickle_round_trip():
             assert type(copied) is type(record) and copied == record, type(record).__name__
     cone = pickle.loads(pickle.dumps(Cone.from_rays([(1, 0), (1, 2)])))
     assert cone.facets == ((0, 1), (2, -1))
+    # A cover cone finds its facets on the first read, in each copy too.
+    cover = log_canonical_cover(_pair()).cover_cone
+    expected = Cone(cover.lattice, cover.rays).facets
+    for copied in (copy.copy(cover), copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
+        assert copied == cover and copied.facets == expected
     system = copy.deepcopy(clifford_system())
     assert str(ncpoly.normal_form(ncpoly.parse_poly("b*a", system.generators), system)) == (
         "a*b - 2*c^3"

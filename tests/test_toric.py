@@ -20,6 +20,7 @@ from oracles import (
     integer_kernel_of_row,
     integer_pair,
     pairing,
+    pulled_back_facets,
     q_cartier_route,
     rank,
     rref,
@@ -1223,9 +1224,9 @@ def test_cover_lattice_matches_kernel_route():
     assert 1 in degrees and max(degrees) >= 12
 
 
-def test_pulled_back_cover_facets_match_rebuilt_cone():
-    # The cover cone is built from the pair's facets pulled back to the cover
-    # basis; enumerating facets from its rays must give the same cone.
+def test_cover_facets_match_the_pullback_oracle():
+    # The cover cone finds its facets from its rays on the first read; the
+    # pair's facets pulled back to the cover basis must be the same facets.
     from logcentre.casestudies import francia_input_document
     from logcentre.corpus import random_standard_pairs
 
@@ -1238,11 +1239,40 @@ def test_pulled_back_cover_facets_match_rebuilt_cone():
     degrees = Counter()
     for pair in (base, *quotients, *corpus):
         cover = log_canonical_cover(pair)
+        columns = linalg.congruence_basis(*pair_functional(pair))
         rebuilt = Cone(cover.cover_lattice, cover.cover_cone.rays)
+        assert cover.cover_cone.facets == pulled_back_facets(pair.cone, columns), pair
         assert cover.cover_cone.facets == rebuilt.facets, pair
         assert cover.cover_cone == rebuilt, pair
         degrees[cover.degree > 1] += 1
     assert degrees[True] > 500 and degrees[False] > 0, degrees
+
+
+def test_cover_finds_its_facets_only_when_read(monkeypatch):
+    from logcentre.corpus import random_standard_pairs
+
+    pairs = random_standard_pairs(3, 300)
+    primitive, enumerated = [], []
+    primitive_vector, facet_normals = linalg.primitive_vector, toric._facet_normals
+
+    def counted_primitive(vec):
+        primitive.append(vec)
+        return primitive_vector(vec)
+
+    def counted_facets(dim, rays):
+        enumerated.append(rays)
+        return facet_normals(dim, rays)
+
+    monkeypatch.setattr(linalg, "primitive_vector", counted_primitive)
+    monkeypatch.setattr(toric, "_facet_normals", counted_facets)
+    # The cover's canonical test returns at m = 1 and never reads its facets.
+    assert all(cover_correspondence_check(pair) for pair in pairs)
+    assert primitive == [] and enumerated == []
+    cone = log_canonical_cover(pairs[0]).cover_cone
+    assert cone.facets == cone.facets and enumerated == [cone.rays]
+    # Both counters are live.
+    assert Cone.from_rays([(2, 0), (1, 2)]).facets == ((0, 1), (2, -1))
+    assert primitive == [(2, 0), (1, 2)] and len(enumerated) == 2
 
 
 def test_cover_ray_coordinate_limit_keeps_its_message(monkeypatch):
