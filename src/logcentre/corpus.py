@@ -7,24 +7,16 @@ boundary indices in {1, 2, 3, 4, 6}, simplicial threefold cones with indices
 in {1, 2, 3}, and cones over sheared unit squares at height one with empty
 boundary. A simplicial sample is kept when -(K+D) is Q-Cartier of index at
 most 12 (surfaces) or 6 (threefolds). That gate alone keeps every cover
-desk-scale, so no cover is built here:
-
-- the cover lattice has a Hermite basis whose entries left of the diagonal lie
-  in [0, pivot), and the rescaled rays e_i * v_i have coordinates at most
-  4 * 6 = 24 (surfaces) or 2 * 3 = 6 (threefolds);
-- solving row by row on that triangular basis, the cover-ray coordinates are
-  at most 24 in dimension 2 and at most 6, 6 and 11 in dimension 3, far below
-  toric.MAX_RAY_COORD;
-- a simplicial cover has one piece, and its fundamental parallelepiped holds
-  |det| = |det(v)| * prod(e_i) / m points, as the rescaled rays span a
-  sublattice of index |det(v)| * prod(e_i) and the cover lattice has index m.
-  Each e_i divides m, so prod(e_i) / m is at most prod(e_i) / lcm(e_i):
-  gcd(e_1, e_2) <= 6 (surfaces) or 27 / 3 = 9 (threefolds). |det(v)| is at
-  most 32 for entries in [-4, 4] (2 x 2) or [-2, 2] (3 x 3): at most 192 or
-  288 points, far below toric.MAX_PARALLELEPIPED_POINTS (over seeds 0-59 at
-  1200 pairs each the largest are 48 and 108). A square cone is its own cover,
-  with two unimodular pieces. The canonical test lists none of these points: a
-  cover's canonical class is Cartier.
+desk-scale, so no cover is built here. A simplicial cover has one piece, and
+its fundamental parallelepiped holds |det| = |det(v)| * prod(e_i) / m points,
+as the rescaled rays e_i * v_i span a sublattice of index |det(v)| * prod(e_i)
+and the cover lattice has index m. Each e_i divides m, so prod(e_i) / m is at
+most prod(e_i) / lcm(e_i): gcd(e_1, e_2) <= 6 (surfaces) or 27 / 3 = 9
+(threefolds). |det(v)| is at most 32 for entries in [-4, 4] (2 x 2) or [-2, 2]
+(3 x 3): at most 192 or 288 points, far below toric.MAX_PARALLELEPIPED_POINTS
+(over seeds 0-59 at 1200 pairs each the largest are 48 and 108). A square cone
+is its own cover, with two unimodular pieces. The canonical test lists none of
+these points: a cover's canonical class is Cartier.
 """
 
 from __future__ import annotations

@@ -58,10 +58,11 @@ from .records import Record
 MAX_DIM = 4  # _minors has a closed form in each dimension up to this one
 MAX_RAY_COORD = 100
 MAX_PARALLELEPIPED_POINTS = 10**6
-# Facet enumeration pairs each (d-1)-subset of the n rays with each ray, C(n, d-1) * n
-# times. At this cap, 28 rays in dimension 4, the cone over (a, b, a^2 + b^2, 1) at 28
-# points (a, b) in -3..3 (test_facet_enumeration_is_capped), 91,728 pairings, builds in
-# about 0.045 s (Python 3.11.7, 2-core VM).
+# _facet_normals pairs each (d-1)-subset of the n rays with each ray, C(n, d-1) * n
+# times, and is charged first; a dual cone is given its facets, so it never is. At this
+# cap, 28 rays in dimension 4, the cone over (a, b, a^2 + b^2, 1) at 28 points (a, b) in
+# -3..3 (test_facet_enumeration_is_capped), 91,728 pairings, builds in about 0.045 s
+# (Python 3.11.7, 2-core VM).
 MAX_FACET_PAIRINGS = 10**5
 # Residues listed at once (_residues): a piece of large determinant is listed in
 # bounded memory, and the canonical test stops within one row of its witness.
@@ -87,7 +88,8 @@ class Lattice(Record):
     forms over the common denominator of both lattices. The standard lattice,
     an index-one cover lattice (_sublattice) and the dual lattice, from one
     adjugate of the integer form (linalg.adjugate), are built from integer
-    forms without this constructor (_from_integer_form).
+    forms without this constructor (_from_integer_form). Lattice(basis) and
+    Lattice.standard refuse a dimension above MAX_DIM first (_check_dim).
     """
 
     __slots__ = _fields = ("scaled", "denominator")
@@ -96,6 +98,7 @@ class Lattice(Record):
         rows = tuple(tuple(exact(x) for x in vec) for vec in basis)
         if not rows or any(len(vec) != len(rows) for vec in rows):
             raise ValueError("basis must be a nonempty square list of vectors")
+        _check_dim(len(rows))
         denominator = lcm(*(x.denominator for vec in rows for x in vec))
         scaled = tuple(
             tuple(x.numerator * (denominator // x.denominator) for x in vec) for vec in rows
@@ -109,6 +112,7 @@ class Lattice(Record):
     def standard(cls, dim: int) -> "Lattice":
         if type(dim) is not int or dim < 1:
             raise ValueError(f"lattice dimension must be a positive integer, got {dim!r}")
+        _check_dim(dim)
         return _from_integer_form([[int(i == j) for j in range(dim)] for i in range(dim)], 1)
 
     @property
@@ -145,12 +149,18 @@ class Lattice(Record):
         return first == second
 
 
+def _check_dim(dim: int) -> None:
+    """ResourceLimit when a lattice of dimension `dim` is above MAX_DIM."""
+    if dim > MAX_DIM:
+        raise ResourceLimit.over(f"dimension {dim}", "MAX_DIM", MAX_DIM)
+
+
 def _minors(vectors, dim: int) -> list:
     """Signed maximal minors of dim - 1 vectors, their generalized cross
     product: entry i is (-1)^i times the determinant of the vectors with
     coordinate i left out. It is orthogonal to each of them, and zero exactly
     when they span less than a hyperplane. Closed forms for dim 1 to MAX_DIM,
-    which Cone checks first: the empty set of vectors gives (1,) in dimension
+    which Lattice checks first: the empty set of vectors gives (1,) in dimension
     1, one vector turns a quarter in dimension 2, two give the cross product in
     dimension 3, and in dimension 4 each 3 x 3 minor is expanded along the
     first vector over the six 2 x 2 minors of the other two.
@@ -180,8 +190,13 @@ def _facet_normals(dim: int, rays) -> tuple:
     (d-1)-subset spans a hyperplane that a further ray leaves. The normal of a
     subset is its signed minors (_minors), ints, divided by their gcd; it is a
     facet, oriented to be >= 0 on the rays, when no two rays lie on opposite
-    sides of it.
+    sides of it. The C(n, d-1) * n pairings are checked against
+    MAX_FACET_PAIRINGS before any is made.
     """
+    pairings = comb(len(rays), dim - 1) * len(rays)
+    if pairings > MAX_FACET_PAIRINGS:
+        raise ResourceLimit.over(f"{len(rays)} rays in dimension {dim} need {pairings} "
+                                 "facet pairings", "MAX_FACET_PAIRINGS", MAX_FACET_PAIRINGS)
     found = {}
     spanning = False
     for subset in combinations(rays, dim - 1):
@@ -222,23 +237,15 @@ def _check_ray_coords(ray, noun: str = "ray") -> None:
                                  "MAX_RAY_COORD", MAX_RAY_COORD)
 
 
-def _check_pairings(count: int, dim: int) -> None:
-    """ResourceLimit when finding the facets of `count` rays in dimension `dim`
-    would take more than MAX_FACET_PAIRINGS pairings."""
-    pairings = comb(count, dim - 1) * count
-    if pairings > MAX_FACET_PAIRINGS:
-        raise ResourceLimit.over(f"{count} rays in dimension {dim} need {pairings} facet pairings",
-                                 "MAX_FACET_PAIRINGS", MAX_FACET_PAIRINGS)
-
-
 class Cone(Record):
     """Pointed, full-dimensional rational cone listed by primitive extreme rays.
 
     Facet inequalities are derived at construction and cached; membership is
     <facet, x> >= 0 for all facets. facets is not a field, so equality, hash
-    and repr leave it out. An index-one cover and a dual cone are built
-    without validation (_cone_with_facets): a dual cone is given its facets,
-    and a cover finds them from its rays the first time they are read.
+    and repr leave it out. Its lattice bounds the dimension (MAX_DIM), and the
+    facet enumeration its own work (MAX_FACET_PAIRINGS). An index-one cover and
+    a dual cone are built without validation (_cone_with_facets): a dual cone
+    is given its facets, and a cover finds them from its rays when first read.
     The facets are the normals of (d-1)-subsets of the rays, each from the
     closed-form signed minors (_minors), so no elimination runs; finding them
     pairs every normal with every ray (_facet_normals). The shape is read off
@@ -257,8 +264,6 @@ class Cone(Record):
         if not rays:
             raise ValueError("cone needs at least one ray")
         dim = self.lattice.dim
-        if dim > MAX_DIM:
-            raise ResourceLimit.over(f"dimension {dim}", "MAX_DIM", MAX_DIM)
         for ray in rays:
             if len(ray) != dim:
                 raise ValueError("ray dimension mismatch")
@@ -269,7 +274,6 @@ class Cone(Record):
                                  else f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
-        _check_pairings(len(rays), dim)
         facets, pairings, spanning = _facet_normals(dim, rays)
         if not spanning:
             raise ValueError("cone is not full-dimensional")
@@ -297,18 +301,18 @@ class Cone(Record):
     @classmethod
     def from_rays(cls, rays, lattice: Lattice | None = None) -> "Cone":
         """The cone over the rays, made primitive once each has the lattice's
-        dimension; the default lattice is the standard one of the longest ray.
-        A primitive form above MAX_RAY_COORD is refused naming the ray as given
-        too, in the order Cone would refuse it."""
+        dimension; the default lattice is the standard one of the longest ray,
+        refused above MAX_DIM before it is built. A primitive form above
+        MAX_RAY_COORD is refused naming the ray as given too, in the order Cone
+        would refuse it."""
         rays = tuple(_integer_ray(ray) for ray in rays)
         if lattice is None:  # with no rays, a line, and the cone refuses them
             lattice = Lattice.standard(max(map(len, rays), default=1))
         if any(len(ray) != lattice.dim for ray in rays):
             raise ValueError("ray dimension mismatch")
         primitive = tuple(map(linalg.primitive_vector, rays))
-        if lattice.dim <= MAX_DIM:  # otherwise the cone refuses the dimension first
-            for given, ray in zip(rays, primitive):
-                _check_ray_coords(ray, "ray" if ray == given else f"ray {given}, whose primitive form")
+        for given, ray in zip(rays, primitive):
+            _check_ray_coords(ray, "ray" if ray == given else f"ray {given}, whose primitive form")
         return cls(lattice, primitive)
 
     @property
@@ -611,7 +615,7 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
         _require(sum(map(mul, cover_u, coords)) == 1, "cover ray does not pair to one")
         cover_rays.append(coords)
     cover_lattice = _sublattice(pair.cone.lattice, columns)
-    cover_cone = _cone_with_facets(cover_lattice, tuple(cover_rays), None, "cover ray")
+    cover_cone = _cone_with_facets(cover_lattice, tuple(cover_rays), None)
     return CoverResult(cover_lattice, cover_cone, m, (cover_u, 1))
 
 
@@ -641,16 +645,12 @@ def _from_integer_form(scaled, denominator: int) -> Lattice:
     return lattice
 
 
-def _cone_with_facets(lattice: Lattice, rays, facets, noun: str) -> Cone:
+def _cone_with_facets(lattice: Lattice, rays, facets) -> Cone:
     """The cone over these primitive, distinct, extreme rays, which the
     caller knows, with these facets, or with None when they are to be found
-    from the rays on their first read (Cone.facets). No facet is enumerated
-    here. The dimension is that of a cone already built; the rays, called
-    `noun` in a refusal, are checked against MAX_RAY_COORD and
-    MAX_FACET_PAIRINGS as in Cone.__post_init__, which bounds that read too."""
-    for ray in rays:
-        _check_ray_coords(ray, noun)
-    _check_pairings(len(rays), lattice.dim)
+    from the rays on their first read (Cone.facets), where _facet_normals
+    charges MAX_FACET_PAIRINGS. Nothing is checked and no facet is
+    enumerated here: the rays are an answer, not an input."""
     cone = object.__new__(Cone)
     object.__setattr__(cone, "lattice", lattice)
     object.__setattr__(cone, "rays", rays)
@@ -660,8 +660,11 @@ def _cone_with_facets(lattice: Lattice, rays, facets, noun: str) -> Cone:
 
 def dual_cone(cone: Cone) -> Cone:
     """Dual cone over the dual lattice; its rays are the facet normals, and
-    its facets the rays, as the dual of the dual is the cone."""
-    return _cone_with_facets(cone.lattice.dual(), cone.facets, cone.rays, "dual cone ray")
+    its facets the rays, as the dual of the dual is the cone. Its rays, from
+    which its Hilbert basis is listed, are held to MAX_RAY_COORD."""
+    for ray in cone.facets:
+        _check_ray_coords(ray, "dual cone ray")
+    return _cone_with_facets(cone.lattice.dual(), cone.facets, cone.rays)
 
 
 def dual_cone_generators(cone: Cone) -> tuple:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,34 @@ def test_dual_gens_names_the_dual_cone_ray_at_the_limit(capsys, tmp_path):
         "error: dual cone ray (-100, 10000, 1) has a coordinate of 10000, "
         "above the limit MAX_RAY_COORD = 100\n"
     )
+
+
+def test_cover_rays_are_not_held_to_the_coordinate_limit(capsys, tmp_path):
+    # The given rays are within MAX_RAY_COORD = 100; the cover ray (102, 1) is
+    # an answer, not an input, so it is printed.
+    path = _write_cone_pair(tmp_path, {"rays": [[1, 0], [34, 1]], "boundary": [0, "2/3"]})
+    code, out, err = _run(capsys, "toric", "cover", path)
+    assert (code, err) == (0, "")
+    assert "rays=(1,0);(102,1)\n" in out
+
+
+def test_dual_gens_does_not_enumerate_the_dual_facets(capsys, tmp_path, monkeypatch):
+    # The dual of the 28-ray paraboloid cone has 33 rays, whose facets would
+    # take 180,048 pairings; the dual is given them (the cone's rays) instead.
+    from logcentre import toric
+
+    points = sorted(product(range(-9, 10), repeat=2), key=lambda p: (p[0] ** 2 + p[1] ** 2, p))
+    rays = [[a, b, a * a + b * b, 1] for a, b in points[:28]]
+    code, out, err = _run(capsys, "toric", "dual-gens", _write_cone_pair(tmp_path, {"rays": rays}))
+    assert (code, err) == (0, "")
+    cone = toric.Cone.from_rays(rays)
+    assert len(cone.facets) == 33
+    monkeypatch.setattr(toric, "MAX_FACET_PAIRINGS", 10**6)
+    enumerated = toric.hilbert_basis(toric.Cone(cone.lattice.dual(), cone.facets))
+    assert out.splitlines() == [
+        f"{len(enumerated)} generators", *(" ".join(map(write, g)) for g in enumerated)
+    ]
+    assert len(enumerated) == 131
 
 
 def test_toric_names_a_document_ray_as_given_at_the_limit(capsys, tmp_path):
@@ -593,8 +622,8 @@ def _write_cone_pair(tmp_path, spec):
 
 
 def test_dense_lattice_exit_code(capsys, tmp_path):
-    # The lattice's 12x12 determinant comes before the dimension refusal; a
-    # cofactor expansion of it would take about half an hour.
+    # The 12x12 lattice is refused for its dimension before its determinant is
+    # taken; a cofactor expansion of it would take about half an hour.
     rng = random.Random(12)
     lattice = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
     rays = [[int(i == j) for j in range(12)] for i in range(12)]

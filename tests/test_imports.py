@@ -25,7 +25,10 @@ tenth keeps one integer rule: no module of ``src/logcentre`` calls
 package exact: no module of ``src/logcentre`` holds a float or complex literal.
 A twelfth keeps one shape of limit message: no module of ``src/logcentre`` but
 ``errors`` calls ``ResourceLimit(...)``; every limit refuses through
-``ResourceLimit.over``, which names the limit and its value.
+``ResourceLimit.over``, which names the limit and its value. A thirteenth
+checks each limit once, where its work is: every ``MAX_*`` or ``_MAX_*``
+constant of ``src/logcentre`` is read in exactly one function of the package,
+and nowhere at module level; a docstring that names it is not a read.
 """
 
 import ast
@@ -377,3 +380,58 @@ def test_limits_refuse_through_resource_limit_over():
     assert {path: lines for path, lines in calls.items() if lines} == {}
     source = "raise ResourceLimit('x')\nerrors.ResourceLimit('y')\nResourceLimit.over('z', 'N', 1)"
     assert _limit_constructions(ast.parse(source)) == [1, 2]
+
+
+def _limit_readers(trees) -> dict:
+    """For each MAX_* or _MAX_* constant assigned at the top level of a tree,
+    where it is read as a loaded name or attribute: "module:qualified name" of
+    the function around the read, or "module:<module>" outside any function."""
+    limits = [
+        target.id
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.lstrip("_").startswith("MAX_")
+    ]
+    assert len(limits) == len(set(limits)), limits
+    readers = {name: set() for name in limits}
+
+    def visit(node, module, qualname, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{qualname}.{child.name}" if qualname else child.name
+                visit(child, module, inner, function or not isinstance(child, ast.ClassDef))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name in readers and isinstance(child.ctx, ast.Load):
+                readers[name].add(f"{module}:{qualname if function else '<module>'}")
+            visit(child, module, qualname, function)
+
+    for module, tree in trees.items():
+        visit(tree, module, "", False)
+    return readers
+
+
+def test_each_limit_is_read_in_one_function():
+    # A limit checked in two places, or at import, bounds a proxy of its work
+    # in at least one of them.
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "logcentre").rglob("*.py"))
+    }
+    readers = _limit_readers(trees)
+    assert {"MAX_DIM", "MAX_FACET_PAIRINGS", "_MAX_ATTEMPTS"} <= set(readers)
+    assert {
+        name: sorted(where)
+        for name, where in readers.items()
+        if len(where) != 1 or next(iter(where)).endswith(":<module>")
+    } == {}
+    source = (
+        "MAX_A = 1\n_MAX_B = 2\nMAX_C = MAX_A\n"
+        "def f():\n    \"\"\"MAX_C is named here.\"\"\"\n    return MAX_A + _MAX_B\n"
+        "class K:\n    LIMIT = MAX_C\n    def g(self):\n        return m.MAX_A\n"
+    )
+    assert _limit_readers({"m": ast.parse(source)}) == {
+        "MAX_A": {"m:<module>", "m:f", "m:K.g"}, "_MAX_B": {"m:f"}, "MAX_C": {"m:<module>"}
+    }

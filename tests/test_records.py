@@ -102,7 +102,7 @@ def test_lattice_constructors_agree():
 
 def test_cone_equality_ignores_facets():
     cone = Cone.from_rays([(1, 0), (1, 2)])
-    other = _cone_with_facets(cone.lattice, cone.rays, ((9, 9),), "ray")
+    other = _cone_with_facets(cone.lattice, cone.rays, ((9, 9),))
     assert other.facets != cone.facets
     assert other == cone and hash(other) == hash(cone)
     assert "facets" not in repr(cone)

@@ -438,6 +438,27 @@ def test_dimension_limit_names_its_constant():
         _orthant(5)
 
 
+def test_dimension_is_refused_before_any_work_on_the_lattice(monkeypatch):
+    # No determinant (every one runs through linalg._eliminate) and no
+    # identity (built only as the argument of _from_integer_form) is made.
+    eliminated, built = [], []
+    eliminate, from_integer_form = linalg._eliminate, toric._from_integer_form
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminated.append(a) or eliminate(*a))
+    monkeypatch.setattr(
+        toric, "_from_integer_form", lambda *a: built.append(a) or from_integer_form(*a)
+    )
+    rng = random.Random(250)
+    dense = [[rng.randint(-9, 9) for _ in range(250)] for _ in range(250)]
+    with pytest.raises(ResourceLimit, match=r"^dimension 250, above the limit MAX_DIM = 4$"):
+        Lattice(dense)
+    with pytest.raises(ResourceLimit, match=r"^dimension 3000, above the limit MAX_DIM = 4$"):
+        Cone.from_rays([[1] * 3000])
+    assert eliminated == [] and built == []
+    # Both counters are live.
+    assert Lattice(((2, 1), (0, 1))).dim == 2 and len(eliminated) == 1
+    assert Lattice.standard(4).dim == 4 and len(built) == 1
+
+
 def test_ray_coordinate_limit_names_its_constant():
     with pytest.raises(
         ResourceLimit,
@@ -1125,25 +1146,33 @@ def _bipyramid_cone():
 
 def test_dual_cone_takes_its_facets_from_the_rays():
     # The dual of the dual is the cone: the dual built from the cone's rays
-    # equals the one whose facets Cone.__post_init__ enumerates, and it is
-    # refused exactly when, and as, that one is.
+    # equals the one whose facets Cone.__post_init__ enumerates. Its facets are
+    # given, so it is built even where enumerating them is over
+    # MAX_FACET_PAIRINGS; its rays are refused above MAX_RAY_COORD as
+    # Cone.__post_init__ refuses them, named as rays of the dual cone.
     skew = Cone.from_rays(((1, 2, 100), (100, 1, 3), (3, 100, 1)))
     outcomes = Counter()
     for cone in (*_random_cones(), *_large_facet_cones(), _bipyramid_cone(), skew):
         try:
             expected = Cone(cone.lattice.dual(), cone.facets)
         except ResourceLimit as exc:
-            with pytest.raises(ResourceLimit) as refused:
-                dual_cone(cone)
-            noun = "dual cone " if "MAX_RAY_COORD" in str(exc) else ""
-            assert str(refused.value) == noun + str(exc)
-            outcomes[next(n for n in ("MAX_RAY_COORD", "MAX_FACET_PAIRINGS") if n in str(exc))] += 1
+            if "MAX_RAY_COORD" in str(exc):
+                with pytest.raises(ResourceLimit) as refused:
+                    dual_cone(cone)
+                assert str(refused.value) == "dual cone " + str(exc)
+                outcomes["MAX_RAY_COORD"] += 1
+                continue
+            assert "MAX_FACET_PAIRINGS" in str(exc)
+            dual = dual_cone(cone)
+            assert dual.lattice == cone.lattice.dual() and dual.rays == cone.facets
+            assert dual.facets == tuple(sorted(cone.rays)), cone
+            outcomes["built, not enumerable"] += 1
             continue
         dual = dual_cone(cone)
         assert dual.lattice == expected.lattice and dual.rays == expected.rays == cone.facets
         assert dual.facets == expected.facets == tuple(sorted(cone.rays)), cone
         outcomes["built"] += 1
-    assert outcomes == {"built": 110, "MAX_FACET_PAIRINGS": 1, "MAX_RAY_COORD": 1}, outcomes
+    assert outcomes == {"built": 110, "built, not enumerable": 1, "MAX_RAY_COORD": 1}, outcomes
 
 
 # Index-one covers.
@@ -1275,17 +1304,14 @@ def test_cover_finds_its_facets_only_when_read(monkeypatch):
     assert primitive == [(2, 0), (1, 2)] and len(enumerated) == 2
 
 
-def test_cover_ray_coordinate_limit_keeps_its_message(monkeypatch):
+def test_cover_rays_are_not_held_to_the_coordinate_limit(monkeypatch):
     # Cover rays (2, -1) and (0, 1) at degree 2: the first is above a bound of 1,
-    # and the message names it as a ray of the cover.
+    # but the cover's rays are an answer, not an input, so the cover is returned.
     pair = ConePair(_orthant(2), ToricDivisor((Fraction(1, 2), Fraction(1, 2))))
-    assert log_canonical_cover(pair).cover_cone.rays == ((2, -1), (0, 1))
     monkeypatch.setattr(toric, "MAX_RAY_COORD", 1)
-    with pytest.raises(
-        ResourceLimit,
-        match=r"^cover ray \(2, -1\) has a coordinate of 2, above the limit MAX_RAY_COORD = 1$",
-    ):
-        log_canonical_cover(pair)
+    cover = log_canonical_cover(pair)
+    assert cover.cover_cone.rays == ((2, -1), (0, 1))
+    assert cover.cover_cone.facets == ((1, 0), (1, 2))
 
 
 def test_dual_cone_names_its_own_ray_at_the_coordinate_limit():
