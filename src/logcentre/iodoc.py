@@ -132,6 +132,13 @@ def _parse_presentation(name: str, spec: dict):
     rules_raw = spec.get("rules")
     if not isinstance(rules_raw, list):
         raise InputError(f"{name}: rules must be a list")
+
+    def parse(side: str, text: str):
+        try:
+            return parse_poly(text, generators)
+        except InputError as exc:  # a limit refusal keeps its own message
+            raise InputError(f"{name}: rule {side} {excerpt(text)}: {exc}") from exc
+
     rules = []
     for entry in rules_raw:
         if not isinstance(entry, dict):
@@ -140,11 +147,11 @@ def _parse_presentation(name: str, spec: dict):
         lhs_text, rhs_text = entry.get("lhs"), entry.get("rhs")
         if not isinstance(lhs_text, str) or not isinstance(rhs_text, str):
             raise InputError(f"{name}: rule lhs and rhs must be strings")
-        lhs_poly = parse_poly(lhs_text, generators)
+        lhs_poly = parse("lhs", lhs_text)
         lhs_terms = lhs_poly.terms()
         if len(lhs_terms) != 1 or lhs_terms[0][1] != 1 or not lhs_terms[0][0]:
             raise InputError(f"{name}: rule lhs {lhs_text!r} must be a single plain word")
-        rules.append((lhs_terms[0][0], parse_poly(rhs_text, generators)))
+        rules.append((lhs_terms[0][0], parse("rhs", rhs_text)))
     return RewriteSystem(generators, rules, weights)
 
 

@@ -1,18 +1,15 @@
 """Small exact linear-algebra kernels over the integers.
 
 Everything here is dense, small, and exact, and there is no Fraction
-elimination. Determinants and solves share one fraction-free (Bareiss)
-elimination in integers (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968). There is one
-integer solve, solve_scaled: integer equations in, integer numerators over one
-least common denominator out; callers write rational equations as integer
-rows, and nothing here makes a Fraction.
-adjugate solves for every unit vector after one elimination of [P | I]: the
-integer normals dual to the rows of P, scaled by |det P|.
-Lattice work uses extended gcd column operations (hermite_column_form), except
-for the lattice of one congruence w.x = 0 mod m, whose Hermite basis
-congruence_basis writes down from w and m. Inputs are sequences of rows unless
-a function says columns.
+elimination. Determinants and solves, of any size, share one fraction-free
+(Bareiss) elimination in integers (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+There is one integer solve, solve_scaled: integer equations in, integer
+numerators over one least common denominator out; callers write rational
+equations as integer rows, and nothing here makes a Fraction. The one lattice
+kernel, congruence_basis, writes down the Hermite basis of the lattice of one
+congruence w.x = 0 mod m from w and m. Inputs are sequences of rows unless a
+function says columns.
 """
 
 from __future__ import annotations
@@ -50,17 +47,6 @@ def _eliminate(rows, n: int) -> int:
     return sign * previous
 
 
-def _back_substitute(rows, n: int, det: int, column: int) -> list:
-    """det * x, the Cramer numerators, for the upper triangular rows[:n] left by
-    _eliminate, with the right-hand side in the given column."""
-    nums = [0] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        rest = sum(map(mul, row[k + 1 : n], nums[k + 1 :]))
-        nums[k] = (det * row[column] - rest) // row[k]
-    return nums
-
-
 def solve_scaled(eqs):
     """Solve the integer augmented rows [a_1 ... a_d, b] (a . x = b) exactly.
 
@@ -80,31 +66,14 @@ def solve_scaled(eqs):
         raise ValueError("system does not determine a unique solution")
     if any(eq[n] for eq in eqs[n:]):
         return None
-    nums = _back_substitute(eqs, n, det, n)
+    nums = [0] * n
+    for k in reversed(range(n)):
+        row = eqs[k]
+        nums[k] = (det * row[n] - sum(map(mul, row[k + 1 : n], nums[k + 1 :]))) // row[k]
     s = gcd(det, *nums)
     if det < 0:
         s = -s
     return tuple(x // s for x in nums), det // s
-
-
-def adjugate(rows):
-    """Integer normals n_i of the nonsingular square integer matrix P with rows
-    v_j, such that n_i . v_j = |det P| * [i == j], as (normals, |det P|); None
-    when P is singular.
-
-    One fraction-free elimination of [P | I], then the back substitution of
-    solve_scaled for each column e_i of I: det * x with P x = e_i is column i
-    of the adjugate of P, and n_i is that column times the sign of det.
-    """
-    d = len(rows)
-    work = [[*row, *(0,) * i, 1, *(0,) * (d - 1 - i)] for i, row in enumerate(rows)]
-    det = _eliminate(work, d)
-    if not det:
-        return None
-    normals = [_back_substitute(work, d, det, d + i) for i in range(d)]
-    if det < 0:
-        return [[-x for x in normal] for normal in normals], -det
-    return normals, det
 
 
 def primitive_vector(v):
@@ -120,54 +89,12 @@ def primitive_vector(v):
     return tuple(x // g for x in ints)
 
 
-def xgcd(a: int, b: int):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def hermite_column_form(cols):
-    """Canonical basis of the integer column span: lower triangular, positive
-    diagonal, entries left of the diagonal reduced into [0, pivot)."""
-    work = [list(c) for c in cols]
-    if not work:
-        raise ValueError("no columns given")
-    d = len(work[0])
-    pivot = 0
-    for row in range(d):
-        j = next((j for j in range(pivot, len(work)) if work[j][row] != 0), None)
-        if j is None:
-            continue
-        work[pivot], work[j] = work[j], work[pivot]
-        for j in range(pivot + 1, len(work)):
-            a, b = work[pivot][row], work[j][row]
-            if b == 0:
-                continue
-            g, x, y = xgcd(a, b)
-            cp, cj = work[pivot], work[j]
-            work[pivot] = [x * p + y * q for p, q in zip(cp, cj)]
-            work[j] = [(-b // g) * p + (a // g) * q for p, q in zip(cp, cj)]
-        if work[pivot][row] < 0:
-            work[pivot] = [-v for v in work[pivot]]
-        for j in range(pivot):
-            q = work[j][row] // work[pivot][row]
-            if q:
-                work[j] = [p - q * t for p, t in zip(work[j], work[pivot])]
-        pivot += 1
-    return [tuple(c) for c in work[:pivot]]
-
-
 def congruence_basis(w, m: int):
-    """The hermite_column_form of the lattice {x in Z^d : w.x = 0 mod m},
-    written down from w and m with no elimination (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4); ValueError unless m >= 1 and
-    gcd(m, *w) = 1.
+    """The Hermite basis of the lattice {x in Z^d : w.x = 0 mod m}, as columns:
+    lower triangular, with a positive diagonal, and each entry left of a
+    pivot in its row reduced into [0, pivot). It is written down from w and m
+    with no elimination (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4); ValueError unless m >= 1 and gcd(m, *w) = 1.
 
     With g_k = gcd(m, w_k, ..., w_{d-1}) and g_d = m, the pivot in row k is
     p_k = g_(k+1)/g_k: the least x_k > 0 that later coordinates can complete

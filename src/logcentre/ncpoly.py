@@ -242,8 +242,8 @@ def _word_str(word) -> str:
 def _as_poly(value) -> NCPoly | None:
     if isinstance(value, NCPoly):
         return value
-    if type(value) in (int, float) or isinstance(value, Fraction):
-        return NCPoly.constant(value)  # _coerce refuses a float
+    if type(value) is int or isinstance(value, Fraction):
+        return NCPoly.constant(value)
     return None
 
 

@@ -18,27 +18,31 @@ point of the cone. Each functional is solved once, in integers, and returned
 as (w, m), or None when the divisor is not Q-Cartier: by q_cartier_functional
 for any divisor, canonical_functional for K and pair_functional for -(K+D).
 as_fractions is the one Fraction view of a functional, for printing.
-Both lattice-point questions are answered from one
-enumeration (Bruns and Koch, "Computing the integral closure of an affine
-semigroup", 2001): the cone is covered by simplicial pieces, and every lattice
-point of a piece is a nonnegative integer combination of its rays plus a point
-of its half-open fundamental parallelepiped, which holds |det| points. As u = 1
-on every ray, a point with u < 1 is such a parallelepiped point (Reid's form of
-the Reid-Tai criterion, "Young person's guide to canonical singularities",
-1987), and so is every Hilbert basis element other than a ray. Each piece
-takes one adjugate of its rays, in integers: normals n_i with n_i.v_j = |det|
-[i == j]. A coset representative x of the piece's lattice then gives the
-residues r_i = n_i.x mod |det|, and r_i / |det| are the Reid-Tai ages of its
-parallelepiped point p = sum r_i v_i / |det|. The canonical test reads u(p)
-from the residues and builds no point; the Hilbert basis builds p. Hilbert
-bases are reduced in order of degree (the sum of the facet values) against the
-basis elements already found. The index-one cover is computed in integers from
-end to end: the cover lattice is the Hermite form of one congruence, lower
-triangular and written down from the -(K+D) functional (w, m) with no
-elimination (linalg.congruence_basis), applied to the base lattice's integer
-form; its rays are solved on that basis by forward substitution, and its K
-functional is the pair's -(K+D) functional read on it. Its facets are found
-from its rays, as for any cone, but only when they are first read.
+Both lattice-point questions are answered from one enumeration (Bruns and
+Koch, "Computing the integral closure of an affine semigroup", 2001): the cone
+is covered by simplicial pieces, and every lattice point of a piece is a
+nonnegative integer combination of its rays plus a point of its half-open
+fundamental parallelepiped, which holds |det| points. As u = 1 on every ray, a
+point with u < 1 is such a parallelepiped point (Reid's form of the Reid-Tai
+criterion, "Young person's guide to canonical singularities", 1987), and so is
+every Hilbert basis element other than a ray. Each piece takes the adjugate of
+its rays, in integers: normals n_i with n_i.v_j = |det| [i == j], each the
+signed minors of the other rays (_adjugate). A coset representative x of the
+piece's lattice then gives the residues r_i = n_i.x mod |det|, and r_i / |det|
+are the Reid-Tai ages of its parallelepiped point p = sum r_i v_i / |det|; the
+representatives are counted by the Hermite pivots of the piece, gcds of its
+minors (_pivots). Every minor of a piece, a dual lattice or a lattice
+comparison comes from the closed forms of _minors, so none of them runs an
+elimination. The canonical test reads u(p) from the residues and builds no
+point; the Hilbert basis builds p. Hilbert bases are reduced in order of
+degree (the sum of the facet values) against the basis elements already found.
+The index-one cover is computed in integers from end to end: the cover lattice
+is the Hermite form of one congruence, lower triangular and written down from
+the -(K+D) functional (w, m) with no elimination (linalg.congruence_basis),
+applied to the base lattice's integer form; its rays are solved on that basis
+by forward substitution, and its K functional is the pair's -(K+D) functional
+read on it. Its facets are found from its rays, as for any cone, but only when
+they are first read.
 """
 
 from __future__ import annotations
@@ -83,13 +87,14 @@ class Lattice(Record):
 
     Lattice coordinates are taken with respect to this basis, so the standard
     lattice has the identity basis. Lattice(basis) clears a rational basis
-    once, over the lcm of its denominators, which leaves the form reduced,
-    and refuses it when the determinant is 0. same_lattice compares Hermite
-    forms over the common denominator of both lattices. The standard lattice,
-    an index-one cover lattice (_sublattice) and the dual lattice, from one
-    adjugate of the integer form (linalg.adjugate), are built from integer
-    forms without this constructor (_from_integer_form). Lattice(basis) and
-    Lattice.standard refuse a dimension above MAX_DIM first (_check_dim).
+    once, over the lcm of its denominators, which leaves the form reduced, and
+    refuses it when the determinant is 0. same_lattice tests membership of the
+    other basis over the common denominator of both lattices, with normals
+    from the adjugate of this one (_adjugate). The standard lattice, an
+    index-one cover lattice (_sublattice) and the dual lattice, from the
+    adjugate of the integer form, are built from integer forms without this
+    constructor (_from_integer_form). Lattice(basis) and Lattice.standard
+    refuse a dimension above MAX_DIM first (_check_dim).
     """
 
     __slots__ = _fields = ("scaled", "denominator")
@@ -131,22 +136,28 @@ class Lattice(Record):
         With b_j = S_j / D for the integer form S over the denominator D, one
         adjugate of S gives n_i.S_j = |det S| [i == j], so u_i = n_i D / |det S|.
         """
-        normals, size = linalg.adjugate(self.scaled)
+        normals, size = _adjugate(self.scaled)
         return _from_integer_form([[x * self.denominator for x in n] for n in normals], size)
 
     def same_lattice(self, other: "Lattice") -> bool:
-        """True when both bases generate the same subgroup of the ambient space:
-        over their common denominator, both integer bases have one Hermite form."""
+        """True when both bases generate the same subgroup of the ambient space.
+
+        Over their common denominator, both are integer bases; they span one
+        lattice when their |det| match and every row of the other lies in this
+        one: it pairs with each normal of this one's adjugate to a multiple of
+        |det| (_adjugate), its coordinate times |det|.
+        """
         if self.dim != other.dim:
             return False
         common = lcm(self.denominator, other.denominator)
         first, second = (
-            linalg.hermite_column_form(
-                [[x * (common // lattice.denominator) for x in vec] for vec in lattice.scaled]
-            )
+            [[x * (common // lattice.denominator) for x in vec] for vec in lattice.scaled]
             for lattice in (self, other)
         )
-        return first == second
+        normals, size = _adjugate(first)
+        return size == _adjugate(second)[1] and all(
+            sum(map(mul, n, row)) % size == 0 for n in normals for row in second
+        )
 
 
 def _check_dim(dim: int) -> None:
@@ -182,6 +193,39 @@ def _minors(vectors, dim: int) -> list:
         a0 * m13 - a1 * m03 + a3 * m01,
         a1 * m02 - a0 * m12 - a2 * m01,
     ]
+
+
+def _adjugate(rows) -> tuple:
+    """Integer normals n_i of the independent integer rows v_j, with
+    n_i.v_j = |det| [i == j], as (normals, |det|): n_i is the signed minors of
+    the other rows (_minors), orthogonal to them, and oriented so that
+    n_i.v_i > 0, which is then |det| by expansion along v_i.
+    """
+    dim = len(rows)
+    normals = []
+    for i, row in enumerate(rows):
+        n = _minors(rows[:i] + rows[i + 1 :], dim)
+        size = sum(map(mul, n, row))
+        normals.append(n if size > 0 else [-x for x in n])
+    _require(size != 0, "adjugate of dependent rows")
+    return normals, abs(size)
+
+
+def _pivots(piece, size: int) -> list:
+    """The diagonal of the Hermite column form of the piece's rays, which have
+    |det| = size, with no elimination. Let D_k be the gcd of the k x k minors
+    of the rays on their first k coordinates, D_0 = 1 and D_d = size; entry k
+    of the signed minors (_minors) of k rays cut to k + 1 coordinates is one
+    of them. Column operations keep each D_k, and on the lower triangular
+    Hermite form D_k is the product of the first k pivots, so pivot k is
+    D_(k+1) / D_k.
+    """
+    gcds = [1]
+    for k in range(1, len(piece)):
+        cut = [ray[: k + 1] for ray in piece]
+        gcds.append(gcd(*(_minors(subset, k + 1)[k] for subset in combinations(cut, k))))
+    gcds.append(size)
+    return [high // low for low, high in zip(gcds, gcds[1:])]
 
 
 def _facet_normals(dim: int, rays) -> tuple:
@@ -400,15 +444,19 @@ def klt_check(pair: ConePair) -> KltResult:
 def _pieces(cone: Cone) -> list:
     """The simplicial pieces that cover the cone, as (rays, normals, |det|).
 
-    Each piece is the first ray v_1 joined to d - 1 independent rays on a facet
-    that v_1 is off. Sliding a point x of the cone back along v_1 until it
-    leaves, it leaves through such a facet, so x lies in v_1 plus the facet,
-    and the facet is covered by its independent (d-1)-sets of rays
-    (Caratheodory). The normals are one adjugate of the piece's rays
-    (linalg.adjugate): n_i.v_j = |det| * [i == j], so x has coefficient
-    n_i.x / |det| on v_i. The sum of |det| over the pieces, which is the number
-    of parallelepiped points, is checked against MAX_PARALLELEPIPED_POINTS
-    (ResourceLimit) before any point is listed.
+    Each piece is the first ray v_1 joined to any d - 1 rays on a facet that
+    v_1 is off. Sliding a point x of the cone back along v_1 until it leaves,
+    it leaves through such a facet, so x lies in v_1 plus the facet, and the
+    facet is covered by its independent (d-1)-sets of rays (Caratheodory).
+    For d <= MAX_DIM = 4 every (d-1)-set of its rays is independent: the rays
+    on a facet are distinct primitive extreme rays of that pointed cone of
+    dimension d - 1 <= 3, so no two are parallel, and three of them in one
+    plane would make one a positive combination of the other two. So every
+    piece is nonsingular, and its normals are the adjugate of its rays
+    (_adjugate): n_i.v_j = |det| * [i == j], so x has coefficient
+    n_i.x / |det| on v_i. The sum of |det| over the pieces, which is the
+    number of parallelepiped points, is checked against
+    MAX_PARALLELEPIPED_POINTS (ResourceLimit) before any point is listed.
     """
     dim, first = cone.dim, cone.rays[0]
     pieces = []
@@ -418,9 +466,7 @@ def _pieces(cone: Cone) -> list:
         on = [ray for ray in cone.rays if sum(map(mul, facet, ray)) == 0]
         for subset in combinations(on, dim - 1):
             piece = (first, *subset)
-            solved = linalg.adjugate(piece)
-            if solved is not None:  # otherwise the subset spans less than the facet
-                pieces.append((piece, *solved))
+            pieces.append((piece, *_adjugate(piece)))
     count = sum(size for _, _, size in pieces)
     if count > MAX_PARALLELEPIPED_POINTS:
         raise ResourceLimit.over(f"fundamental parallelepipeds hold {count} lattice points",
@@ -436,12 +482,12 @@ def _residues(piece, normals, size):
     lattice) meets the parallelepiped in, and r_i / |det| is its coefficient
     on v_i: the Reid-Tai ages of the piece. The cosets are represented by the
     points 0 <= x_j < pivot_j of the Hermite form of the piece's rays, in
-    product order. Past the last pivot k above 1 every x_j is 0, and the
+    product order; only its pivots are read (_pivots). Past the last pivot k
+    above 1 every x_j is 0, and the
     residues are linear in x_k mod |det|, so each value of x_0..x_{k-1}
     gives a row, listed column by column, of at most _ROW_LENGTH values of x_k.
     """
-    hermite = linalg.hermite_column_form(piece)
-    pivots = [col[j] for j, col in enumerate(hermite)]
+    pivots = _pivots(piece, size)
     k = max((j for j, pivot in enumerate(pivots) if pivot > 1), default=0)
     column = [n[k] for n in normals]
     for head in product(*map(range, pivots[:k])):

@@ -12,7 +12,8 @@ builds the index-one cover lattice the older way, from the kernel of the row
 (m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
 checked. ``same_lattice_by_coords`` decides lattice equality from rational
 coordinates solved by ``rref``, where ``Lattice.same_lattice`` compares
-Hermite forms, and ``contains`` is cone membership read off the facets.
+determinants and tests membership under one adjugate, and ``contains`` is cone
+membership read off the facets.
 ``to_ambient`` reads lattice coordinates as a Fraction ambient vector, the
 route by which the cover lattice's basis was once built and against which the
 integer construction of ``logcentre.toric`` is checked; ``divisor_route``
@@ -29,9 +30,13 @@ closed form, and the shape from a second pass over the rays.
 basis, where the cover now enumerates them from its rays like any other cone.
 ``fold_parallelepiped_points`` lists the lattice points
 of the fundamental parallelepipeds the older way, with normals from signed
-minors and each coset representative folded back by the integer parts of its
-coefficients, where ``logcentre.toric`` reads each point from its residues
-under one adjugate per piece.
+minors and coset representatives from the Hermite form, each folded back by
+the integer parts of its coefficients, where ``logcentre.toric`` reads each
+point from its residues under the closed-form adjugate of each piece and
+counts the representatives by pivots read off gcds of minors.
+``hermite_column_form`` is the canonical basis of an integer column span by
+extended gcd (``xgcd``) column operations, against which the congruence basis
+and the piece pivots of ``logcentre.toric`` are checked.
 
 The valuation-matrix closed forms of ``logcentre.valmat`` are checked against
 second closed forms of the radical and the dualizing module, and against an
@@ -68,7 +73,7 @@ from math import lcm
 from typing import Optional
 
 from logcentre.errors import LogCentreError
-from logcentre.linalg import det_int, hermite_column_form, primitive_vector, solve_scaled, xgcd
+from logcentre.linalg import det_int, primitive_vector, solve_scaled
 from logcentre.ncpoly import NCPoly
 from logcentre.toric import ToricDivisor
 from logcentre.valmat import ValMatrix
@@ -131,6 +136,49 @@ def pairing(u, v) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in pairing")
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def xgcd(a: int, b: int):
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def hermite_column_form(cols):
+    """Canonical basis of the integer column span: lower triangular, positive
+    diagonal, entries left of the diagonal reduced into [0, pivot)."""
+    work = [list(c) for c in cols]
+    if not work:
+        raise ValueError("no columns given")
+    d = len(work[0])
+    pivot = 0
+    for row in range(d):
+        j = next((j for j in range(pivot, len(work)) if work[j][row] != 0), None)
+        if j is None:
+            continue
+        work[pivot], work[j] = work[j], work[pivot]
+        for j in range(pivot + 1, len(work)):
+            a, b = work[pivot][row], work[j][row]
+            if b == 0:
+                continue
+            g, x, y = xgcd(a, b)
+            cp, cj = work[pivot], work[j]
+            work[pivot] = [x * p + y * q for p, q in zip(cp, cj)]
+            work[j] = [(-b // g) * p + (a // g) * q for p, q in zip(cp, cj)]
+        if work[pivot][row] < 0:
+            work[pivot] = [-v for v in work[pivot]]
+        for j in range(pivot):
+            q = work[j][row] // work[pivot][row]
+            if q:
+                work[j] = [p - q * t for p, t in zip(work[j], work[pivot])]
+        pivot += 1
+    return [tuple(c) for c in work[:pivot]]
 
 
 def integer_kernel_of_row(row):

@@ -205,6 +205,18 @@ def test_json_format(capsys, francia_doc):
     assert data == {"klt": True, "functional": [0, 0, "1/2"], "index": 2}
 
 
+def test_klt_without_a_functional(capsys, tmp_path):
+    # The francia base cone with no boundary: K is not Q-Cartier, so no u exists.
+    data = json.loads(serialize_document(francia_input_document()))
+    spec = data["objects"]["base"]
+    del spec["boundary"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"bare": spec}}))
+    assert _run(capsys, "toric", "klt", str(path))[:2] == (3, "klt=false u=none\n")
+    code, out, _ = _run(capsys, "toric", "klt", str(path), "--format", "json")
+    assert (code, json.loads(out)) == (3, {"klt": False, "functional": None, "index": None})
+
+
 def test_out_file(capsys, tmp_path, francia_doc):
     target = tmp_path / "result.json"
     code, out, _ = _run(capsys, "toric", "index", francia_doc + "#base", "--out", str(target))
@@ -413,7 +425,7 @@ def test_zero_denominator_exit_code(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "ncpoly", "nf", "a", "--system", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: division by zero in '1/0'\n"
+    assert err == "error: sys: rule rhs '1/0*a*b': division by zero in '1/0'\n"
 
 
 def test_trailing_operator_exit_code(capsys):

@@ -315,6 +315,15 @@ MALFORMED = [
     ("weights", {**_SYSTEM, "weights": [0, 1]}),
     ("generator", {**_SYSTEM, "generators": ["a", 1], "rules": []}),
     ("generator", {**_SYSTEM, "generators": ["a", "b", ["c"]]}),
+    ("rule", {**_SYSTEM, "generators": ["x"], "rules": [{"lhs": "z", "rhs": "x"}]}),
+    ("rule", {**_SYSTEM, "generators": ["x"], "rules": [{"lhs": "x*x", "rhs": "(x"}]}),
+    ("ramification", {**_ORDER, "ramification": {"prime": "P", "e": 2}}),
+    ("ramification", {**_ORDER, "ramification": ["P"]}),
+    ("generators", {**_SYSTEM, "generators": "ab"}),
+    ("rules", {**_SYSTEM, "rules": {"lhs": "b*a", "rhs": "a*b"}}),
+    ("rules", {**_SYSTEM, "rules": ["b*a = a*b"]}),
+    ("rules", {**_SYSTEM, "rules": [{"lhs": ["b", "a"], "rhs": "a*b"}]}),
+    ("rules", {**_SYSTEM, "rules": [{"lhs": "b*a", "rhs": 1}]}),
 ]
 
 

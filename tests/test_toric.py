@@ -17,6 +17,7 @@ from oracles import (
     divisor_route,
     facet_normals,
     fold_parallelepiped_points,
+    hermite_column_form,
     integer_kernel_of_row,
     integer_pair,
     pairing,
@@ -30,7 +31,7 @@ from oracles import (
 )
 
 from logcentre import linalg, toric
-from logcentre.errors import NotApplicable, ResourceLimit
+from logcentre.errors import InternalError, NotApplicable, ResourceLimit
 from logcentre.toric import (
     Cone,
     ConePair,
@@ -330,6 +331,8 @@ def test_cone_validation():
         Cone(Lattice.standard(2), ((1, 0), (0, -2)))
     with pytest.raises(ValueError, match="^zero vector has no primitive representative$"):
         Cone(Lattice.standard(2), ((1, 0), (0, 0)))
+    with pytest.raises(ValueError, match="^ray dimension mismatch$"):
+        Cone(Lattice.standard(2), ((1, 0), (0, 1, 0)))
     # The half-plane y >= 0: its lineality line holds the rays (1, 0), (-1, 0).
     with pytest.raises(ValueError, match="^cone is not pointed$"):
         Cone.from_rays(((1, 0), (-1, 0), (0, 1)))
@@ -1018,7 +1021,7 @@ def test_residue_listing_matches_the_fold(monkeypatch, row_length):
     assert repeats
     # Pieces with two pivots above 1 list more than one row of residues.
     pivots = [
-        [col[j] for j, col in enumerate(linalg.hermite_column_form(piece))]
+        [col[j] for j, col in enumerate(hermite_column_form(piece))]
         for cone in cones
         for piece, _, _ in toric._pieces(cone)
     ]
@@ -1124,13 +1127,58 @@ def test_cone_construction_takes_no_elimination(monkeypatch):
         eliminated.append(n)
         return eliminate(rows, n)
 
-    # Every determinant, solve and adjugate runs through the one elimination;
-    # the facets of a cone come from closed-form minors instead.
+    # Every determinant and solve runs through the one elimination; facets,
+    # piece normals and pivots, dual lattices and lattice comparisons come from
+    # closed-form minors instead.
     monkeypatch.setattr(linalg, "_eliminate", counted)
     for lattice, rays in inputs:
-        Cone(lattice, rays)
+        cone = Cone(lattice, rays)
+        assert hilbert_basis(cone)
+        assert dual_cone(cone).lattice.same_lattice(lattice.dual())
     assert eliminated == []
     assert linalg.det_int(((1, 0), (0, 1))) == 1 and eliminated == [2]  # the count is live
+
+
+def test_adjugate_normals_are_dual_to_the_rows():
+    # Seeded integer matrices of size 1 to 4; in a quarter of them the last
+    # row is made -2 times the first, or zero in size 1.
+    rng = random.Random(2107)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.25:
+            rows[-1] = [-2 * a for a in rows[0]] if n > 1 else [0]
+        det = linalg.det_int(rows)
+        if det == 0:
+            with pytest.raises(InternalError, match="adjugate of dependent rows$"):
+                toric._adjugate(rows)
+            outcomes.add("singular")
+            continue
+        normals, size = toric._adjugate(rows)
+        assert size == abs(det), rows
+        products = [[sum(a * b for a, b in zip(normal, row)) for row in rows] for normal in normals]
+        assert products == [[size * (i == j) for j in range(n)] for i in range(n)], rows
+        outcomes.add("nonsingular")
+    assert outcomes == {"singular", "nonsingular"}
+
+
+def test_pivots_are_the_hermite_diagonal():
+    # Seeded nonsingular matrices of size 1 to 4, with entries small enough
+    # for pivots of 1 and large enough for several pivots above 1.
+    rng = random.Random(3700)
+    seen = Counter()
+    while len(seen) < 5 or min(seen.values()) < 30:
+        n = rng.randint(1, 4)
+        bound = rng.choice((2, 9, 40))
+        rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)]
+        det = linalg.det_int(rows)
+        if not det:
+            continue
+        diagonal = [col[k] for k, col in enumerate(hermite_column_form(rows))]
+        assert toric._pivots(rows, abs(det)) == diagonal, rows
+        seen[f"d = {n}"] += 1
+        seen["two pivots above 1"] += sum(p > 1 for p in diagonal) >= 2
 
 
 def _bipyramid_cone():
@@ -1224,7 +1272,7 @@ def _kernel_route(pair):
     for vec in kernel:
         assert sum(a * b for a, b in zip(row, vec)) == 0
     projected = [vec[:-1] for vec in kernel]
-    return projected, linalg.hermite_column_form(projected)
+    return projected, hermite_column_form(projected)
 
 
 def test_cover_lattice_matches_kernel_route():
