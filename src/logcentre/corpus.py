@@ -45,10 +45,15 @@ def _simplicial_pair(rng: random.Random, dim: int, bound: int, indices, max_inde
             ray = _random_ray(rng, dim, bound)
             if ray not in rays:
                 rays.append(ray)
-        if linalg.det_int(rays) == 0:
+        try:
+            cone = Cone(Lattice.standard(dim), tuple(rays))
+        except ValueError:
+            # d distinct primitive rays with coordinates at most 4 are refused
+            # only as "cone is not full-dimensional", exactly when their
+            # determinant is 0; the boundary is drawn only for a built cone.
             continue
         boundary = tuple(Fraction(e - 1, e) for e in (rng.choice(indices) for _ in rays))
-        pair = ConePair(Cone(Lattice.standard(dim), tuple(rays)), ToricDivisor(boundary))
+        pair = ConePair(cone, ToricDivisor(boundary))
         solved = pair_functional(pair)
         if solved is not None and solved[1] <= max_index:  # Q-Cartier of small index
             return pair

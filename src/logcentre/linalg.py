@@ -1,79 +1,16 @@
-"""Small exact linear-algebra kernels over the integers.
+"""Small exact integer kernels: a primitive vector and a congruence lattice.
 
-Everything here is dense, small, and exact, and there is no Fraction
-elimination. Determinants and solves, of any size, share one fraction-free
-(Bareiss) elimination in integers (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-There is one integer solve, solve_scaled: integer equations in, integer
-numerators over one least common denominator out; callers write rational
-equations as integer rows, and nothing here makes a Fraction. The one lattice
-kernel, congruence_basis, writes down the Hermite basis of the lattice of one
-congruence w.x = 0 mod m from w and m. Inputs are sequences of rows unless a
-function says columns.
+Everything here is in integers, and no elimination is left: the solves and
+determinants of toric are closed forms over its signed minors (toric._minors),
+as every matrix there has size at most MAX_DIM. primitive_vector divides an
+integer vector by the gcd of its entries. The one lattice kernel,
+congruence_basis, writes down the Hermite basis of the lattice of one
+congruence w.x = 0 mod m from w and m, as columns.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
-
-
-def _eliminate(rows, n: int) -> int:
-    """Fraction-free elimination of the integer rows on their first n columns,
-    in place: below pivot p, row i becomes p*row_i - row_i[k]*pivot, divided
-    exactly by the previous pivot. Afterwards rows[:n] are upper triangular and
-    every later row is zero on the first n columns; its other entries are zero
-    where it agrees with the combination of pivot rows that matches it on them.
-    Returns 0 when the first n columns have rank below n, else the last pivot
-    times the sign of the row swaps: for an n x n matrix, its determinant.
-    """
-    if len(rows) < n:
-        return 0
-    sign, previous = 1, 1
-    for k in range(n):
-        pivot = rows[k]
-        if not pivot[k]:
-            i = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
-            if i is None:
-                return 0
-            rows[k], rows[i], pivot = rows[i], pivot, rows[i]
-            sign = -sign
-        p = pivot[k]
-        for i in range(k + 1, len(rows)):
-            a = rows[i][k]
-            if a or p != previous:  # otherwise the row stays as it is
-                rows[i] = [(p * x - a * y) // previous for x, y in zip(rows[i], pivot)]
-        previous = p
-    return sign * previous
-
-
-def solve_scaled(eqs):
-    """Solve the integer augmented rows [a_1 ... a_d, b] (a . x = b) exactly.
-
-    The rows are eliminated without fractions. The system is consistent
-    exactly when the equations left over below the d pivot rows have become
-    0 = 0; back substitution in integers then gives det * x, the Cramer
-    numerators, which are reduced with det by their common gcd. Returns
-    (w, m) with m >= 1 and gcd(m, *w) = 1, so that the solution is w/m and m
-    is the lcm of its denominators, or None when the system is inconsistent.
-    Raises ValueError when no d equations are independent (column rank below
-    d), consistent or not.
-    """
-    n = len(eqs[0]) - 1
-    eqs = list(eqs)
-    det = _eliminate(eqs, n)
-    if not det:
-        raise ValueError("system does not determine a unique solution")
-    if any(eq[n] for eq in eqs[n:]):
-        return None
-    nums = [0] * n
-    for k in reversed(range(n)):
-        row = eqs[k]
-        nums[k] = (det * row[n] - sum(map(mul, row[k + 1 : n], nums[k + 1 :]))) // row[k]
-    s = gcd(det, *nums)
-    if det < 0:
-        s = -s
-    return tuple(x // s for x in nums), det // s
 
 
 def primitive_vector(v):
@@ -122,10 +59,3 @@ def congruence_basis(w, m: int):
         columns.append(tuple(column))
     return columns
 
-
-def det_int(cols) -> int:
-    """Determinant of a square integer matrix (rows or columns alike) by
-    fraction-free elimination; the 0x0 matrix has determinant 1. Polynomial
-    in the size: O(n^3) integer operations on entries no larger than its
-    minors."""
-    return _eliminate(list(cols), len(cols))

@@ -14,10 +14,12 @@ is Q-Cartier exactly when some functional u has <u, v_i> = -n_i on every ray
 v_i; the pair (X, D) is Kawamata log terminal when the functional representing
 -(K+D) exists and is positive on the rays; and a cone whose canonical class is
 Q-Cartier is canonical when that functional u is >= 1 on every nonzero lattice
-point of the cone. Each functional is solved once, in integers, and returned
-as (w, m), or None when the divisor is not Q-Cartier: by q_cartier_functional
-for any divisor, canonical_functional for K and pair_functional for -(K+D).
-as_fractions is the one Fraction view of a functional, for printing.
+point of the cone. Each functional is solved once, in integers, on one
+simplicial piece of the cone from the piece's adjugate, checked on every ray
+(_divisor_solution), and returned as (w, m), or None when the divisor is not
+Q-Cartier: by q_cartier_functional for any divisor, canonical_functional for K
+and pair_functional for -(K+D). as_fractions is the one Fraction view of a
+functional, for printing.
 Both lattice-point questions are answered from one enumeration (Bruns and
 Koch, "Computing the integral closure of an affine semigroup", 2001): the cone
 is covered by simplicial pieces, and every lattice point of a piece is a
@@ -31,11 +33,12 @@ signed minors of the other rays (_adjugate). A coset representative x of the
 piece's lattice then gives the residues r_i = n_i.x mod |det|, and r_i / |det|
 are the Reid-Tai ages of its parallelepiped point p = sum r_i v_i / |det|; the
 representatives are counted by the Hermite pivots of the piece, gcds of its
-minors (_pivots). Every minor of a piece, a dual lattice or a lattice
-comparison comes from the closed forms of _minors, so none of them runs an
-elimination. The canonical test reads u(p) from the residues and builds no
-point; the Hilbert basis builds p. Hilbert bases are reduced in order of
-degree (the sum of the facet values) against the basis elements already found.
+minors (_pivots). Every minor of a piece, a divisor solve, a dual lattice or a
+lattice comparison, and every determinant (_det), comes from the closed forms
+of _minors, so nothing here runs an elimination. The canonical test reads
+u(p) from the residues and builds no point; the Hilbert basis builds p.
+Hilbert bases are reduced in order of degree (the sum of the facet values)
+against the basis elements already found.
 The index-one cover is computed in integers from end to end: the cover lattice
 is the Hermite form of one congruence, lower triangular and written down from
 the -(K+D) functional (w, m) with no elimination (linalg.congruence_basis),
@@ -88,13 +91,14 @@ class Lattice(Record):
     Lattice coordinates are taken with respect to this basis, so the standard
     lattice has the identity basis. Lattice(basis) clears a rational basis
     once, over the lcm of its denominators, which leaves the form reduced, and
-    refuses it when the determinant is 0. same_lattice tests membership of the
-    other basis over the common denominator of both lattices, with normals
-    from the adjugate of this one (_adjugate). The standard lattice, an
+    refuses it when its determinant (_det, over closed-form minors) is 0.
+    same_lattice tests membership of the other basis over the common
+    denominator of both lattices, with normals from the adjugate of this one
+    (_adjugate). The standard lattice, an
     index-one cover lattice (_sublattice) and the dual lattice, from the
     adjugate of the integer form, are built from integer forms without this
     constructor (_from_integer_form). Lattice(basis) and Lattice.standard
-    refuse a dimension above MAX_DIM first (_check_dim).
+    refuse a dimension above MAX_DIM first (_check_dim), before any minor.
     """
 
     __slots__ = _fields = ("scaled", "denominator")
@@ -108,7 +112,7 @@ class Lattice(Record):
         scaled = tuple(
             tuple(x.numerator * (denominator // x.denominator) for x in vec) for vec in rows
         )
-        if linalg.det_int(scaled) == 0:
+        if _det(scaled) == 0:
             raise ValueError("matrix is singular")
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "denominator", denominator)
@@ -195,11 +199,19 @@ def _minors(vectors, dim: int) -> list:
     ]
 
 
+def _det(rows) -> int:
+    """Determinant of d <= MAX_DIM integer rows, by expansion along the first:
+    the first row dotted with the signed minors of the others (_minors)."""
+    return sum(map(mul, rows[0], _minors(rows[1:], len(rows))))
+
+
 def _adjugate(rows) -> tuple:
     """Integer normals n_i of the independent integer rows v_j, with
     n_i.v_j = |det| [i == j], as (normals, |det|): n_i is the signed minors of
     the other rows (_minors), orthogonal to them, and oriented so that
-    n_i.v_i > 0, which is then |det| by expansion along v_i.
+    n_i.v_i > 0, which is then |det| by expansion along v_i. The simplicial
+    pieces (_pieces), the divisor solve (_divisor_solution), the dual lattice
+    and lattice comparison read it.
     """
     dim = len(rows)
     normals = []
@@ -393,23 +405,47 @@ class ConePair(Record):
 def _divisor_solution(cone: Cone, coeffs):
     """The functional u with <u, v_i> = -n_i on every ray as (w, m), u = w/m
     in lowest terms with m the Cartier index, or None when the divisor is not
-    Q-Cartier. Each n_i is an integer pair (p_i, q_i), n_i = p_i/q_i, q_i >= 1;
-    its equation is the integer row [q_i*v_i, -p_i], solved by solve_scaled."""
-    if len(coeffs) != len(cone.rays):
-        raise ValueError(f"divisor has {len(coeffs)} coefficients, cone has {len(cone.rays)} rays")
-    return linalg.solve_scaled(
-        [[*(q * x for x in ray), -p] for ray, (p, q) in zip(cone.rays, coeffs)]
-    )
+    Q-Cartier. Each n_i is an integer pair (p_i, q_i), n_i = p_i/q_i, q_i >= 1.
+
+    u is solved on one simplicial piece: v_1 and the first d - 1 rays on the
+    first facet that v_1 is off, which are independent for d <= MAX_DIM
+    (_pieces); on a simplicial cone that piece is the cone, and no facet is
+    read. Their adjugate (_adjugate) gives normals c_j with
+    c_j.v_k = |det| [j == k], so with L the lcm of their q_j,
+    w = sum_j -p_j (L/q_j) c_j over m = L |det|, reduced by gcd(m, *w). u
+    then takes the divisor's values on every ray exactly when
+    q_i (w.v_i) = -p_i m for each, checked in integers.
+    """
+    rays, dim = cone.rays, cone.dim
+    if len(coeffs) != len(rays):
+        raise ValueError(f"divisor has {len(coeffs)} coefficients, cone has {len(rays)} rays")
+    if len(rays) == dim:
+        piece, pairs = rays, coeffs
+    else:
+        facet = next(n for n in cone.facets if sum(map(mul, n, rays[0])))
+        on = [i for i, ray in enumerate(rays) if not sum(map(mul, facet, ray))]
+        chosen = [0, *on[: dim - 1]]
+        piece, pairs = [rays[i] for i in chosen], [coeffs[i] for i in chosen]
+    normals, size = _adjugate(piece)
+    common = lcm(*[q for _, q in pairs])
+    scales = [-p * (common // q) for p, q in pairs]
+    w = [sum(map(mul, scales, axis)) for axis in zip(*normals)]
+    m = common * size
+    g = gcd(m, *w)
+    w, m = tuple(x // g for x in w), m // g
+    if any(q * sum(map(mul, w, ray)) != -p * m for ray, (p, q) in zip(rays, coeffs)):
+        return None
+    return w, m
 
 
 def canonical_functional(cone: Cone):
-    """K's functional as (w, m), or None: n_i = -1, so the rows are [v_i, 1]."""
+    """K's functional as (w, m), or None: n_i = -1 on every ray."""
     return _divisor_solution(cone, ((-1, 1),) * len(cone.rays))
 
 
 def pair_functional(pair: ConePair):
     """The -(K+D) functional as (w, m), or None: n_i = d_i - 1 = (p_i - q_i)/q_i
-    for d_i = p_i/q_i, so the rows are [q_i*v_i, q_i - p_i]."""
+    for d_i = p_i/q_i."""
     return _divisor_solution(
         pair.cone, [(d.numerator - d.denominator, d.denominator) for d in pair.boundary.coeffs]
     )
@@ -640,7 +676,7 @@ def log_canonical_cover(pair: ConePair, functional=_NOT_GIVEN) -> CoverResult:
     # {x : w.x = 0 mod m} is written down from w and m.
     columns = linalg.congruence_basis(w, m)
     _require(len(columns) == pair.cone.dim, "sublattice basis has wrong rank")
-    _require(abs(linalg.det_int(columns)) == m, "sublattice index differs from the Cartier index")
+    _require(abs(_det(columns)) == m, "sublattice index differs from the Cartier index")
     values = [sum(map(mul, w, col)) for col in columns]
     _require(all(v % m == 0 for v in values), "functional is not integral on the sublattice")
     cover_u = tuple(v // m for v in values)

@@ -1,15 +1,18 @@
 """Reference implementations that only tests use.
 
-Fraction Gauss-Jordan elimination is the independent route against which the
-integer kernels of ``logcentre.linalg`` (Cramer's rule on integer determinants,
-facet normals from signed minors) are checked. ``solve_exact`` solves a
-rational system by scaling each equation to integers (``clear_denominators``)
-and reading ``linalg.solve_scaled`` back as Fractions: the route by which
-``logcentre.toric`` once solved every divisor functional, against which its
-one integer row builder is checked. ``pairing`` is the Fraction dot
-product of a functional and a lattice vector, and ``integer_kernel_of_row``
-builds the index-one cover lattice the older way, from the kernel of the row
-(m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
+Fraction Gauss-Jordan elimination (``rref``) is the independent route against
+which the integer kernels here and the closed forms of ``logcentre.toric`` are
+checked. ``_eliminate`` is a fraction-free (Bareiss 1968) elimination in
+integers, for matrices of any size: ``det_int`` is the determinant it leaves,
+against which ``toric._det`` is checked, and ``solve_scaled`` solves integer
+augmented rows to (w, m), u = w/m in lowest terms, or None. ``solve_exact``
+solves a rational system by scaling each equation to integers
+(``clear_denominators``) and reading ``solve_scaled`` back as Fractions: the
+route by which ``logcentre.toric`` once solved every divisor functional,
+against which its solve on one simplicial piece is checked. ``pairing`` is
+the Fraction dot product of a functional and a lattice vector, and
+``integer_kernel_of_row`` builds the index-one cover lattice the older way,
+from the kernel of the row (m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
 checked. ``same_lattice_by_coords`` decides lattice equality from rational
 coordinates solved by ``rref``, where ``Lattice.same_lattice`` compares
 determinants and tests membership under one adjugate, and ``contains`` is cone
@@ -69,11 +72,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from logcentre.errors import LogCentreError
-from logcentre.linalg import det_int, primitive_vector, solve_scaled
+from logcentre.linalg import primitive_vector
 from logcentre.ncpoly import NCPoly
 from logcentre.toric import ToricDivisor
 from logcentre.valmat import ValMatrix
@@ -103,6 +107,70 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def _eliminate(rows, n: int) -> int:
+    """Fraction-free elimination of the integer rows on their first n columns,
+    in place: below pivot p, row i becomes p*row_i - row_i[k]*pivot, divided
+    exactly by the previous pivot. Afterwards rows[:n] are upper triangular and
+    every later row is zero on the first n columns; its other entries are zero
+    where it agrees with the combination of pivot rows that matches it on them.
+    Returns 0 when the first n columns have rank below n, else the last pivot
+    times the sign of the row swaps: for an n x n matrix, its determinant.
+    """
+    if len(rows) < n:
+        return 0
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = rows[k]
+        if not pivot[k]:
+            i = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
+            if i is None:
+                return 0
+            rows[k], rows[i], pivot = rows[i], pivot, rows[i]
+            sign = -sign
+        p = pivot[k]
+        for i in range(k + 1, len(rows)):
+            a = rows[i][k]
+            if a or p != previous:  # otherwise the row stays as it is
+                rows[i] = [(p * x - a * y) // previous for x, y in zip(rows[i], pivot)]
+        previous = p
+    return sign * previous
+
+
+def det_int(cols) -> int:
+    """Determinant of a square integer matrix (rows or columns alike) by
+    fraction-free elimination; the 0x0 matrix has determinant 1."""
+    return _eliminate(list(cols), len(cols))
+
+
+def solve_scaled(eqs):
+    """Solve the integer augmented rows [a_1 ... a_d, b] (a . x = b) exactly.
+
+    The rows are eliminated without fractions. The system is consistent
+    exactly when the equations left over below the d pivot rows have become
+    0 = 0; back substitution in integers then gives det * x, the Cramer
+    numerators, which are reduced with det by their common gcd. Returns
+    (w, m) with m >= 1 and gcd(m, *w) = 1, so that the solution is w/m and m
+    is the lcm of its denominators, or None when the system is inconsistent.
+    Raises ValueError when no d equations are independent (column rank below
+    d), consistent or not.
+    """
+    n = len(eqs[0]) - 1
+    eqs = list(eqs)
+    det = _eliminate(eqs, n)
+    if not det:
+        raise ValueError("system does not determine a unique solution")
+    if any(eq[n] for eq in eqs[n:]):
+        return None
+    nums = [0] * n
+    for k in reversed(range(n)):
+        row = eqs[k]
+        nums[k] = (det * row[n] - sum(map(mul, row[k + 1 : n], nums[k + 1 :]))) // row[k]
+    s = gcd(det, *nums)
+    if det < 0:
+        s = -s
+    return tuple(x // s for x in nums), det // s
 
 
 def clear_denominators(row) -> list:

@@ -202,7 +202,7 @@ def _imported_modules(tree) -> set:
 
 
 def test_linalg_imports_no_fractions():
-    # Every solve is an integer solve; Fractions are made in toric's public API.
+    # The kernels stay in integers; Fractions are made in toric's public API.
     tree = ast.parse((ROOT / "src" / "logcentre" / "linalg.py").read_text(encoding="utf-8"))
     assert "fractions" not in _imported_modules(tree)
     assert _imported_modules(ast.parse("import fractions.x\nfrom fractions import F\n")) == {

@@ -66,6 +66,13 @@ def test_a_float_is_unequal_and_no_operand():
     assert NCPoly.constant(1) != 1.0
     with pytest.raises(TypeError):
         A + 0.5
+    with pytest.raises(TypeError):
+        1.5 - A
+
+
+def test_a_scalar_minus_a_polynomial_and_its_repr():
+    assert str(3 - A) == "3 - a" and 3 - A == NCPoly.constant(3) - A
+    assert repr(A) == "NCPoly(a)"
 
 
 def test_bools_and_text_are_not_scalars():
@@ -843,6 +850,16 @@ def test_matrix_compose_refuses_an_empty_right_factor():
         with pytest.raises(ValueError, match="^right factor has no rows$"):
             matrix_compose(m, n, system)
     assert matrix_compose(((A,),), ((B, C),), system) == ((A * B, A * C),)
+
+
+def test_matrix_compose_refuses_mismatched_ragged_and_foreign_factors():
+    system = clifford_system()
+    with pytest.raises(ValueError, match="^inner dimensions do not match$"):
+        matrix_compose(((A, B),), ((C,),), system)
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        matrix_compose(((A, B),), ((A, B), (C,)), system)
+    with pytest.raises(TypeError, match=r"^cannot use 1\.5 as a matrix entry$"):
+        matrix_compose(((A,),), ((1.5,),), system)
 
 
 # The quadric cone k[a,b,c,d]/(ad - bc) as a rewrite system.

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from logcentre.numerals import exact
+from logcentre.errors import InputError
+from logcentre.numerals import exact, read_rational
 
 
 def test_exact_takes_ints_and_fractions():
@@ -22,3 +23,8 @@ def test_exact_refuses_everything_else_by_type(bad):
 def test_exact_refuses_floats():
     with pytest.raises(TypeError, match="^floating point entries are not exact; use Fraction$"):
         exact(0.5)
+
+
+def test_read_rational_refuses_a_zero_denominator():
+    with pytest.raises(InputError, match="^zero denominator$"):
+        read_rational("1/0")

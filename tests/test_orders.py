@@ -41,6 +41,15 @@ def test_ramification_validation():
         OrderSpec("o", (RamificationDatum("B", 2, (1, 1)), RamificationDatum("B", 3, (1, 1, 1))))
 
 
+def test_orders_and_divisors_refuse_bad_names_and_entries():
+    with pytest.raises(ValueError, match="^order name must be a nonempty string$"):
+        OrderSpec("", ())
+    with pytest.raises(ValueError, match="^ramification entries must be RamificationDatum$"):
+        OrderSpec("o", (("p", 2),))
+    with pytest.raises(ValueError, match="^prime ids must be nonempty strings$"):
+        QDivisor((("", 1),))
+
+
 def test_ramification_index_and_blocks_are_ints_not_bools():
     # int() would read True as 1; the datum refuses it where a document gives it.
     for e, blocks in ((True, None), (1, (True,)), ("2", None), (2, ("1", 1))):

@@ -14,6 +14,7 @@ from oracles import (
     _signed_minors,
     canonical_divisor,
     contains,
+    det_int,
     divisor_route,
     facet_normals,
     fold_parallelepiped_points,
@@ -231,7 +232,7 @@ def test_same_lattice_matches_coordinate_route():
             change = _unimodular(rng, dim)
         elif kind == "sublattice":
             change = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
-            if abs(linalg.det_int(change)) < 2:
+            if abs(det_int(change)) < 2:
                 continue
         else:
             k = rng.choice([k for k in (2, 3) if denominator % k == 0] or [1])
@@ -240,7 +241,7 @@ def test_same_lattice_matches_coordinate_route():
                  for line in change]
         first, second = Lattice(basis), Lattice(other)
         expected = same_lattice_by_coords(first, second)
-        assert expected == (abs(linalg.det_int(change)) == 1), (basis, change)
+        assert expected == (abs(det_int(change)) == 1), (basis, change)
         assert first.same_lattice(second) == expected, (basis, change)
         assert second.same_lattice(first) == expected, (basis, change)
         verdicts[expected] += 1
@@ -442,11 +443,11 @@ def test_dimension_limit_names_its_constant():
 
 
 def test_dimension_is_refused_before_any_work_on_the_lattice(monkeypatch):
-    # No determinant (every one runs through linalg._eliminate) and no
-    # identity (built only as the argument of _from_integer_form) is made.
-    eliminated, built = [], []
-    eliminate, from_integer_form = linalg._eliminate, toric._from_integer_form
-    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminated.append(a) or eliminate(*a))
+    # No determinant (every one is toric._det) and no identity (built only as
+    # the argument of _from_integer_form) is made.
+    determinants, built = [], []
+    det, from_integer_form = toric._det, toric._from_integer_form
+    monkeypatch.setattr(toric, "_det", lambda *a: determinants.append(a) or det(*a))
     monkeypatch.setattr(
         toric, "_from_integer_form", lambda *a: built.append(a) or from_integer_form(*a)
     )
@@ -456,9 +457,9 @@ def test_dimension_is_refused_before_any_work_on_the_lattice(monkeypatch):
         Lattice(dense)
     with pytest.raises(ResourceLimit, match=r"^dimension 3000, above the limit MAX_DIM = 4$"):
         Cone.from_rays([[1] * 3000])
-    assert eliminated == [] and built == []
+    assert determinants == [] and built == []
     # Both counters are live.
-    assert Lattice(((2, 1), (0, 1))).dim == 2 and len(eliminated) == 1
+    assert Lattice(((2, 1), (0, 1))).dim == 2 and len(determinants) == 1
     assert Lattice.standard(4).dim == 4 and len(built) == 1
 
 
@@ -615,6 +616,28 @@ def test_pair_functional_matches_q_cartier_route():
             assert u == integer_pair(divisor_route(cone, coeffs)), (cone, coeffs)
             _assert_integer_pair(u)
             outcomes["none" if u is None else "q-cartier"] += 1
+    assert outcomes["none"] > 0 and outcomes["q-cartier"] > 0, outcomes
+
+    # The same loop on the non-simplicial random cones, in d = 3 and 4 (a
+    # pointed cone in d = 2 has two rays), and on both cones of dimension 1,
+    # plus one divisor per cone read off a random functional, so that it is
+    # Q-Cartier. The solve reads one simplicial piece, and on some of these
+    # cones the facet it takes rays from holds more than d - 1 rays.
+    wide = [cone for cone in (*_random_cones(), *_large_facet_cones()) if len(cone.rays) > cone.dim]
+    lines = [Cone.from_rays(((1,),)), Cone.from_rays(((-1,),))]
+    outcomes, crowded = Counter(), 0
+    for cone in (*wide, *lines):
+        facet = next(n for n in cone.facets if pairing(n, cone.rays[0]))
+        crowded += sum(pairing(facet, ray) == 0 for ray in cone.rays) > cone.dim - 1
+        u = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(cone.dim)]
+        drawn = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in cone.rays)
+                 for _ in range(3)]
+        for coeffs in (*drawn, tuple(-pairing(u, ray) for ray in cone.rays)):
+            solved = q_cartier_functional(cone, ToricDivisor(coeffs))
+            assert solved == integer_pair(divisor_route(cone, coeffs)), (cone, coeffs)
+            _assert_integer_pair(solved)
+            outcomes["none" if solved is None else "q-cartier"] += 1
+    assert {cone.dim for cone in wide} == {3, 4} and crowded >= 5, crowded
     assert outcomes["none"] > 0 and outcomes["q-cartier"] > 0, outcomes
 
 
@@ -1116,27 +1139,23 @@ def test_minors_match_the_determinant_oracle():
     assert toric._minors((), 1) == [1]
 
 
-def test_cone_construction_takes_no_elimination(monkeypatch):
-    from logcentre.corpus import random_standard_pairs
-
-    inputs = [(pair.cone.lattice, pair.cone.rays) for pair in random_standard_pairs(3, 300)]
-    eliminated = []
-    eliminate = linalg._eliminate
-
-    def counted(rows, n):
-        eliminated.append(n)
-        return eliminate(rows, n)
-
-    # Every determinant and solve runs through the one elimination; facets,
-    # piece normals and pivots, dual lattices and lattice comparisons come from
-    # closed-form minors instead.
-    monkeypatch.setattr(linalg, "_eliminate", counted)
-    for lattice, rays in inputs:
-        cone = Cone(lattice, rays)
-        assert hilbert_basis(cone)
-        assert dual_cone(cone).lattice.same_lattice(lattice.dual())
-    assert eliminated == []
-    assert linalg.det_int(((1, 0), (0, 1))) == 1 and eliminated == [2]  # the count is live
+def test_det_matches_the_elimination_oracle():
+    # Seeded integer matrices of size 1 to 4; in about a quarter of them the
+    # last row is a combination of the others, or zero in size 1.
+    rng = random.Random(3801)
+    seen = Counter()
+    for _ in range(800):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.25:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])] if n > 1 else [0]
+        det = toric._det(rows)
+        assert det == det_int(rows), rows
+        assert toric._det([tuple(col) for col in zip(*rows)]) == det, rows
+        seen[f"d = {n}"] += 1
+        seen["singular" if det == 0 else "nonsingular"] += 1
+    assert len(seen) == 6 and min(seen.values()) > 100, seen
 
 
 def test_adjugate_normals_are_dual_to_the_rows():
@@ -1149,7 +1168,7 @@ def test_adjugate_normals_are_dual_to_the_rows():
         rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.25:
             rows[-1] = [-2 * a for a in rows[0]] if n > 1 else [0]
-        det = linalg.det_int(rows)
+        det = det_int(rows)
         if det == 0:
             with pytest.raises(InternalError, match="adjugate of dependent rows$"):
                 toric._adjugate(rows)
@@ -1172,7 +1191,7 @@ def test_pivots_are_the_hermite_diagonal():
         n = rng.randint(1, 4)
         bound = rng.choice((2, 9, 40))
         rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)]
-        det = linalg.det_int(rows)
+        det = det_int(rows)
         if not det:
             continue
         diagonal = [col[k] for k, col in enumerate(hermite_column_form(rows))]
@@ -1285,7 +1304,7 @@ def test_cover_lattice_matches_kernel_route():
         if rng.random() < 0.3 or rank(basis) < dim:
             basis = Lattice.standard(dim).basis
         rays = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim)]
-        if linalg.det_int(rays) == 0:
+        if det_int(rays) == 0:
             continue
         indices = [rng.choice((1, 2, 3, 4, 6)) for _ in rays]
         boundary = ToricDivisor(tuple(Fraction(e - 1, e) for e in indices))
@@ -1455,15 +1474,16 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
     from logcentre.iodoc import serialize_document
 
     solved = []
-    solve_scaled = linalg.solve_scaled
+    divisor_solution = toric._divisor_solution
 
-    def counted(eqs):
-        solved.append([list(eq) for eq in eqs])
-        return solve_scaled(eqs)
+    def counted(cone, coeffs):
+        solved.append((cone.rays, [tuple(c) for c in coeffs]))
+        return divisor_solution(cone, coeffs)
 
-    # Every exact solve goes through the one integer solve, and every
-    # canonical test through canonical_check.
-    monkeypatch.setattr(linalg, "solve_scaled", counted)
+    # Every divisor functional is solved by the one divisor solve, from the
+    # coefficients n_i = p_i/q_i as the pairs (p_i, q_i), and every canonical
+    # test runs through canonical_check.
+    monkeypatch.setattr(toric, "_divisor_solution", counted)
     checked = []
     canonical = toric.canonical_check
 
@@ -1478,13 +1498,10 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
         checked.clear()
         assert cover_correspondence_check(pair) is True
         assert len(checked) == 1, pair
-        # -(K+D) on the base only, as the rows [q_i*v_i, q_i - p_i] for
+        # -(K+D) on the base only, with n_i = d_i - 1 as (p_i - q_i, q_i) for
         # d_i = p_i/q_i: the cover brings its own K functional.
-        rows = [
-            [d.denominator * x for x in ray] + [d.denominator - d.numerator]
-            for ray, d in zip(pair.cone.rays, pair.boundary.coeffs)
-        ]
-        assert solved == [rows], pair
+        coeffs = [(d.numerator - d.denominator, d.denominator) for d in pair.boundary.coeffs]
+        assert solved == [(pair.cone.rays, coeffs)], pair
 
     path = tmp_path / "francia.json"
     path.write_text(serialize_document(francia_input_document()))
@@ -1493,15 +1510,15 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["toric", "canonical", f"{path}#cover"]) == 0
     assert capsys.readouterr().out == "canonical=true u=(0,0,1) index=1\n"
     assert len(solved) == 1 and len(checked) == 1
-    # K of the base is not Q-Cartier: one solve of the rows [v_i, 1], then exit 3.
+    # K of the base is not Q-Cartier: one solve with every n_i = -1, then exit 3.
     solved.clear()
     checked.clear()
     assert cli.main(["toric", "canonical", f"{path}#base"]) == 3
     assert capsys.readouterr().out == ""
-    assert solved == [[[*ray, 1] for ray in base.cone.rays]] and len(checked) == 1
+    assert solved == [(base.cone.rays, [(-1, 1)] * 4)] and len(checked) == 1
 
-    # toric index and qcartier: one solve of the rows [q_i*v_i, -p_i] for the
-    # coefficients n_i = p_i/q_i of the divisor, K+D by default.
+    # toric index and qcartier: one solve of the coefficients n_i = p_i/q_i of
+    # the divisor, K+D by default.
     third = Fraction(-1, 3)
     cases = [
         ("qcartier", [], [d - 1 for d in base.boundary.coeffs], 0, "u=(0,0,1/2)"),
@@ -1515,11 +1532,8 @@ def test_each_functional_is_solved_once(monkeypatch, tmp_path, capsys):
         solved.clear()
         assert cli.main(["toric", command, f"{path}#base", *flags]) == code
         assert capsys.readouterr().out == out + "\n"
-        rows = [
-            [Fraction(n).denominator * x for x in ray] + [-Fraction(n).numerator]
-            for ray, n in zip(base.cone.rays, coeffs)
-        ]
-        assert solved == [rows], (command, flags)
+        pairs = [(Fraction(n).numerator, Fraction(n).denominator) for n in coeffs]
+        assert solved == [(base.cone.rays, pairs)], (command, flags)
 
 
 # Metamorphic gates: no answer depends on the coordinates or on the ray order.

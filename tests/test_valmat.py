@@ -166,6 +166,8 @@ def test_inflate_preserves_diagonal_maximum(e, i, blocks):
 
 
 def test_valmatrix_validation():
+    with pytest.raises(ValueError, match="^matrix must be nonempty$"):
+        ValMatrix(())
     with pytest.raises(ValueError):
         ValMatrix(((0, 1),))
     with pytest.raises(ValueError):
