@@ -284,9 +284,9 @@ def _integer_ray(ray) -> tuple:
     return tuple(map(int, ray))
 
 
-def _check_ray_coords(ray, noun: str = "ray") -> None:
+def _check_ray_coords(ray, noun: str) -> None:
     """ResourceLimit, with `noun` written before the ray, when a coordinate is
-    above MAX_RAY_COORD."""
+    above MAX_RAY_COORD: "ray", "dual cone ray", or a ray Cone made primitive."""
     top = max(map(abs, ray))
     if top > MAX_RAY_COORD:
         raise ResourceLimit.over(f"{noun} {ray} has a coordinate of {top}",
@@ -296,6 +296,9 @@ def _check_ray_coords(ray, noun: str = "ray") -> None:
 class Cone(Record):
     """Pointed, full-dimensional rational cone listed by primitive extreme rays.
 
+    Each ray is checked once, here, whichever constructor is called: every
+    type (_integer_ray), one ray at least, every length, no zero ray, then
+    each primitive form, which the cone stores, against MAX_RAY_COORD.
     Facet inequalities are derived at construction and cached; membership is
     <facet, x> >= 0 for all facets. facets is not a field, so equality, hash
     and repr leave it out. Its lattice bounds the dimension (MAX_DIM), and the
@@ -316,18 +319,19 @@ class Cone(Record):
     __slots__ = (*_fields, "_facets")
 
     def __post_init__(self):
-        rays = tuple(_integer_ray(ray) for ray in self.rays)
-        if not rays:
+        given = tuple(_integer_ray(ray) for ray in self.rays)
+        if not given:
             raise ValueError("cone needs at least one ray")
         dim = self.lattice.dim
-        for ray in rays:
-            if len(ray) != dim:
-                raise ValueError("ray dimension mismatch")
-            _check_ray_coords(ray)
-            g = gcd(*ray)
-            if g != 1:
-                raise ValueError("zero vector has no primitive representative" if g == 0
-                                 else f"ray {ray} is not primitive")
+        if any(len(ray) != dim for ray in given):
+            raise ValueError("ray dimension mismatch")
+        divisors = [gcd(*ray) for ray in given]
+        if 0 in divisors:
+            raise ValueError("zero vector has no primitive representative")
+        rays = tuple(tuple(x // g for x in ray) for ray, g in zip(given, divisors))
+        for ray, primitive in zip(given, rays):
+            noun = "ray" if ray == primitive else f"ray {ray}, whose primitive form"
+            _check_ray_coords(primitive, noun)
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
         facets, pairings, spanning = _facet_normals(dim, rays)
@@ -356,20 +360,13 @@ class Cone(Record):
 
     @classmethod
     def from_rays(cls, rays, lattice: Lattice | None = None) -> "Cone":
-        """The cone over the rays, made primitive once each has the lattice's
-        dimension; the default lattice is the standard one of the longest ray,
-        refused above MAX_DIM before it is built. A primitive form above
-        MAX_RAY_COORD is refused naming the ray as given too, in the order Cone
-        would refuse it."""
-        rays = tuple(_integer_ray(ray) for ray in rays)
+        """The cone over the rays in `lattice`, by default the standard lattice
+        of the longest ray, refused above MAX_DIM before it is built and before
+        any coordinate is read; Cone checks the rays and makes them primitive."""
+        rays = tuple(rays)
         if lattice is None:  # with no rays, a line, and the cone refuses them
             lattice = Lattice.standard(max(map(len, rays), default=1))
-        if any(len(ray) != lattice.dim for ray in rays):
-            raise ValueError("ray dimension mismatch")
-        primitive = tuple(map(linalg.primitive_vector, rays))
-        for given, ray in zip(rays, primitive):
-            _check_ray_coords(ray, "ray" if ray == given else f"ray {given}, whose primitive form")
-        return cls(lattice, primitive)
+        return cls(lattice, rays)
 
     @property
     def dim(self) -> int:
@@ -414,7 +411,7 @@ def _divisor_solution(cone: Cone, coeffs):
     c_j.v_k = |det| [j == k], so with L the lcm of their q_j,
     w = sum_j -p_j (L/q_j) c_j over m = L |det|, reduced by gcd(m, *w). u
     then takes the divisor's values on every ray exactly when
-    q_i (w.v_i) = -p_i m for each, checked in integers.
+    q_i (w.v_i) = -p_i m for each, true on the piece, else checked in integers.
     """
     rays, dim = cone.rays, cone.dim
     if len(coeffs) != len(rays):
@@ -433,7 +430,8 @@ def _divisor_solution(cone: Cone, coeffs):
     m = common * size
     g = gcd(m, *w)
     w, m = tuple(x // g for x in w), m // g
-    if any(q * sum(map(mul, w, ray)) != -p * m for ray, (p, q) in zip(rays, coeffs)):
+    if len(rays) > dim and any(q * sum(map(mul, w, ray)) != -p * m
+                               for ray, (p, q) in zip(rays, coeffs)):
         return None
     return w, m
 

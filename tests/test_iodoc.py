@@ -257,6 +257,13 @@ def test_select_object():
         select_object(doc, "order", "base")  # wrong type under that name
     with pytest.raises(InputError):
         select_object(InputDocument("1", {}), "cone_pair")
+    with pytest.raises(ValueError, match="^unknown object type 'nope'$"):
+        select_object(doc, "nope")
+
+
+def test_serialize_refuses_an_object_of_no_known_type():
+    with pytest.raises(TypeError, match="^cannot serialize int$"):
+        serialize_document(InputDocument("1", {"x": 3}))
 
 
 def test_parse_document_rejects_non_string_version():

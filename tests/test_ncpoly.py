@@ -66,8 +66,9 @@ def test_a_float_is_unequal_and_no_operand():
     assert NCPoly.constant(1) != 1.0
     with pytest.raises(TypeError):
         A + 0.5
-    with pytest.raises(TypeError):
-        1.5 - A
+    for operate in (lambda: 1.5 - A, lambda: A - 1.5, lambda: A * 1.5, lambda: 1.5 * A):
+        with pytest.raises(TypeError):
+            operate()
 
 
 def test_a_scalar_minus_a_polynomial_and_its_repr():

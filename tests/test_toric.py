@@ -325,11 +325,74 @@ def test_empty_ray_is_a_dimension_mismatch(rays):
             Cone.from_rays(rays, lattice)
 
 
+def _contract_rays(rng, dim):
+    # A list of up to 5 rays in the lattice of dimension `dim`: mostly primitive
+    # or small multiples, with some zero rays, wrong lengths and primitive
+    # forms above MAX_RAY_COORD.
+    rays = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.05:
+            rays.append((0,) * dim)
+        elif kind < 0.1:
+            rays.append(tuple(rng.randint(-2, 2) for _ in range(rng.choice([dim - 1, dim + 1]))))
+        else:
+            top = 150 if kind < 0.15 else 2
+            ray = [rng.randint(-top, top) for _ in range(dim)]
+            rays.append(tuple(x * rng.choice([1, 1, 2, 3, 101]) for x in ray))
+    return rays
+
+
+def _built_or_refused(build):
+    try:
+        cone = build()
+    except (ValueError, ResourceLimit) as refused:
+        return type(refused), str(refused)
+    return cone, cone.facets
+
+
+def test_cone_and_from_rays_share_one_contract():
+    # Both constructors check the rays in one place, in one order, and store
+    # their primitive forms: equal cones, or one refusal with one message.
+    rng = random.Random(39)
+    seen = Counter()
+    for _ in range(1500):
+        dim = rng.randint(1, 4)
+        lattice = Lattice.standard(dim)
+        rays = _contract_rays(rng, dim)
+        direct = _built_or_refused(lambda: Cone(lattice, rays))
+        assert direct == _built_or_refused(lambda: Cone.from_rays(rays, lattice)), rays
+        if isinstance(direct[0], Cone):
+            seen["primitive" if all(gcd(*ray) == 1 for ray in rays) else "made primitive"] += 1
+        else:
+            seen[re.sub(r"\(.*?\)|\d+", "_", direct[1])] += 1
+    assert seen["primitive"] and seen["made primitive"]
+    assert seen["zero vector has no primitive representative"] and seen["ray dimension mismatch"]
+    assert seen["ray _, whose primitive form _ has a coordinate of _, above the limit "
+                "MAX_RAY_COORD = _"]
+
+
+def test_each_ray_is_checked_once(monkeypatch):
+    integer, bounded, primitive = [], [], []
+    integer_ray, check_ray_coords = toric._integer_ray, toric._check_ray_coords
+    primitive_vector = linalg.primitive_vector
+    monkeypatch.setattr(toric, "_integer_ray", lambda r: integer.append(r) or integer_ray(r))
+    monkeypatch.setattr(
+        toric, "_check_ray_coords", lambda *a: bounded.append(a) or check_ray_coords(*a)
+    )
+    monkeypatch.setattr(
+        linalg, "primitive_vector", lambda v: primitive.append(v) or primitive_vector(v)
+    )
+    Cone.from_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)))
+    assert (len(integer), len(bounded), len(primitive)) == (4, 4, 0)
+
+
 def test_cone_validation():
-    with pytest.raises(ValueError, match=r"^ray \(2, 0\) is not primitive$"):
-        Cone(Lattice.standard(2), ((2, 0), (0, 1)))
-    with pytest.raises(ValueError, match=r"^ray \(0, -2\) is not primitive$"):
-        Cone(Lattice.standard(2), ((1, 0), (0, -2)))
+    # A ray that is not primitive is stored as its primitive form, as from_rays stores it.
+    for rays, primitive in ((((2, 0), (0, 1)), ((1, 0), (0, 1))),
+                            (((1, 0), (0, -2)), ((1, 0), (0, -1)))):
+        cone = Cone(Lattice.standard(2), rays)
+        assert cone.rays == primitive and cone == Cone.from_rays(rays)
     with pytest.raises(ValueError, match="^zero vector has no primitive representative$"):
         Cone(Lattice.standard(2), ((1, 0), (0, 0)))
     with pytest.raises(ValueError, match="^ray dimension mismatch$"):
@@ -473,17 +536,19 @@ def test_ray_coordinate_limit_names_its_constant():
 
 def test_from_rays_names_the_ray_as_given_at_the_coordinate_limit():
     # The limit applies to the primitive form, and the refusal names the ray
-    # the caller wrote with it.
-    with pytest.raises(
-        ResourceLimit,
-        match=r"^ray \(202, 2\), whose primitive form \(101, 1\) has a coordinate of 101, "
-        r"above the limit MAX_RAY_COORD = 100$",
-    ):
-        Cone.from_rays(((1, 0), (202, 2)))
-    assert Cone.from_rays(((1, 0), (200, 100))).rays == ((1, 0), (2, 1))
-    # The first ray over the limit is named, and the dimension is refused first.
-    with pytest.raises(ResourceLimit, match=r"^ray \(101, 1\) has a coordinate of 101, "):
-        Cone.from_rays(((101, 1), (202, 2)))
+    # the caller wrote with it, whichever constructor is called.
+    for build in (Cone.from_rays, lambda rays: Cone(Lattice.standard(2), rays)):
+        with pytest.raises(
+            ResourceLimit,
+            match=r"^ray \(202, 2\), whose primitive form \(101, 1\) has a coordinate of 101, "
+            r"above the limit MAX_RAY_COORD = 100$",
+        ):
+            build(((1, 0), (202, 2)))
+        assert build(((1, 0), (200, 100))).rays == ((1, 0), (2, 1))
+        # The first ray over the limit is named.
+        with pytest.raises(ResourceLimit, match=r"^ray \(101, 1\) has a coordinate of 101, "):
+            build(((101, 1), (202, 2)))
+    # The default lattice's dimension is refused first.
     with pytest.raises(ResourceLimit, match=r"^dimension 5, above the limit MAX_DIM = 4$"):
         Cone.from_rays(((202, 2, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)))
 
@@ -1348,27 +1413,27 @@ def test_cover_finds_its_facets_only_when_read(monkeypatch):
     from logcentre.corpus import random_standard_pairs
 
     pairs = random_standard_pairs(3, 300)
-    primitive, enumerated = [], []
-    primitive_vector, facet_normals = linalg.primitive_vector, toric._facet_normals
+    checked, enumerated = [], []
+    integer_ray, facet_normals = toric._integer_ray, toric._facet_normals
 
-    def counted_primitive(vec):
-        primitive.append(vec)
-        return primitive_vector(vec)
+    def counted_ray(ray):
+        checked.append(ray)
+        return integer_ray(ray)
 
     def counted_facets(dim, rays):
         enumerated.append(rays)
         return facet_normals(dim, rays)
 
-    monkeypatch.setattr(linalg, "primitive_vector", counted_primitive)
+    monkeypatch.setattr(toric, "_integer_ray", counted_ray)
     monkeypatch.setattr(toric, "_facet_normals", counted_facets)
     # The cover's canonical test returns at m = 1 and never reads its facets.
     assert all(cover_correspondence_check(pair) for pair in pairs)
-    assert primitive == [] and enumerated == []
+    assert checked == [] and enumerated == []
     cone = log_canonical_cover(pairs[0]).cover_cone
     assert cone.facets == cone.facets and enumerated == [cone.rays]
     # Both counters are live.
     assert Cone.from_rays([(2, 0), (1, 2)]).facets == ((0, 1), (2, -1))
-    assert primitive == [(2, 0), (1, 2)] and len(enumerated) == 2
+    assert checked == [(2, 0), (1, 2)] and len(enumerated) == 2
 
 
 def test_cover_rays_are_not_held_to_the_coordinate_limit(monkeypatch):
