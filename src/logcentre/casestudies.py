@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import iodoc, linalg, ncpoly, valmat
+from . import iodoc, ncpoly, valmat
 from .errors import InputError
 from .iodoc import VERSION, InputDocument
 from .ncpoly import NCPoly, clifford_system, is_central, matrix_compose, normal_form
@@ -154,12 +154,13 @@ def _francia_report() -> CaseStudyReport:
     )
 
     _check(checks, "klt", "the pair is Kawamata log terminal", True, klt_check(pair).is_klt)
+    doubled = tuple(tuple(2 * x for x in ray) for ray in cone.rays)
     _check(
         checks,
         "primitive-ray-coordinates",
         "stored rays are primitive lattice vectors",
         True,
-        all(linalg.primitive_vector(ray) == ray for ray in cone.rays),
+        Cone(cone.lattice, doubled).rays == cone.rays,
     )
 
     disc = discriminant(order)

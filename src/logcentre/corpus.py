@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
-from . import linalg
 from .errors import LogCentreError
 from .toric import Cone, ConePair, Lattice, ToricDivisor, pair_functional
 
@@ -35,7 +35,8 @@ def _random_ray(rng: random.Random, dim: int, bound: int):
     while True:
         vec = tuple(rng.randint(-bound, bound) for _ in range(dim))
         if any(vec):
-            return linalg.primitive_vector(vec)
+            g = gcd(*vec)
+            return tuple(x // g for x in vec)
 
 
 def _simplicial_pair(rng: random.Random, dim: int, bound: int, indices, max_index: int):

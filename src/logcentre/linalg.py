@@ -1,29 +1,16 @@
-"""Small exact integer kernels: a primitive vector and a congruence lattice.
+"""A small exact integer kernel: the lattice of one congruence.
 
 Everything here is in integers, and no elimination is left: the solves and
 determinants of toric are closed forms over its signed minors (toric._minors),
-as every matrix there has size at most MAX_DIM. primitive_vector divides an
-integer vector by the gcd of its entries. The one lattice kernel,
-congruence_basis, writes down the Hermite basis of the lattice of one
-congruence w.x = 0 mod m from w and m, as columns.
+as every matrix there has size at most MAX_DIM, and toric.Cone is where a ray
+is made primitive. The one lattice kernel, congruence_basis, writes down the
+Hermite basis of the lattice of one congruence w.x = 0 mod m from w and m, as
+columns.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-
-def primitive_vector(v):
-    """Divide an integer vector by the gcd of its entries (orientation kept)."""
-    ints = []
-    for x in v:
-        if type(x) is not int:
-            raise ValueError(f"expected integer coordinates, got {x!r}")
-        ints.append(x)
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
 
 
 def congruence_basis(w, m: int):

@@ -36,7 +36,8 @@ representatives are counted by the Hermite pivots of the piece, gcds of its
 minors (_pivots). Every minor of a piece, a divisor solve, a dual lattice or a
 lattice comparison, and every determinant (_det), comes from the closed forms
 of _minors, so nothing here runs an elimination. The canonical test reads
-u(p) from the residues and builds no point; the Hilbert basis builds p.
+only ages: u(p) is the sum of p's ages, as u = 1 on every ray, so it sums
+the residues and builds no point; the Hilbert basis builds p.
 Hilbert bases are reduced in order of degree (the sum of the facet values)
 against the basis elements already found.
 The index-one cover is computed in integers from end to end: the cover lattice
@@ -598,14 +599,15 @@ def canonical_check(cone: Cone, functional=_NOT_GIVEN) -> bool:
     Requires the canonical divisor to be Q-Cartier (otherwise NotApplicable).
     Its functional u has <u, v_i> = 1 on every ray; it is solved in integers
     as u = w/m (canonical_functional), unless a caller that holds it passes
-    it as `functional`: (w, m), or None when K is not Q-Cartier. The cone is
-    canonical exactly when no nonzero lattice point has u < 1. When K is
-    Cartier (m = 1), u is integral and positive off the origin, so the answer
-    is yes at once. Otherwise a nonzero point with u < 1 is a point of a
-    fundamental parallelepiped of the simplicial pieces that cover the cone,
-    and u of such a point is the sum of its Reid-Tai ages r_i / |det| in its
-    piece (Reid's form of the Reid-Tai criterion). So the test reads each
-    piece's residues, builds no point, and stops at the first point with
+    it as `functional`: (w, m), or None when K is not Q-Cartier. Only its
+    None and its index m are read. The cone is canonical exactly when no
+    nonzero lattice point has u < 1. When K is Cartier (m = 1), u is integral
+    and positive off the origin, so the answer is yes at once. Otherwise a
+    nonzero point with u < 1 is a point of a fundamental parallelepiped of
+    the simplicial pieces that cover the cone, and, as u = 1 on every ray, u
+    of such a point is the sum of its Reid-Tai ages r_i / |det| in its piece
+    (Reid's form of the Reid-Tai criterion). So the test reads each piece's
+    residues, builds no point, and stops at the first point with
     0 < sum r_i < |det|; ResourceLimit when the parallelepipeds hold more than
     MAX_PARALLELEPIPED_POINTS points.
     """
@@ -613,17 +615,13 @@ def canonical_check(cone: Cone, functional=_NOT_GIVEN) -> bool:
         functional = canonical_functional(cone)
     if functional is None:
         raise NotApplicable("canonical divisor is not Q-Cartier")
-    w, m = functional
-    if m == 1:
+    if functional[1] == 1:
         return True  # u is a positive integer on every nonzero point of the cone
-    # A parallelepiped point p = sum r_i v_i / |det| has u(p) = sum r_i c_i /
-    # (m |det|) with c_i = w.v_i, so 0 < u(p) < 1 is compared in integers; the
-    # residues are all 0 only at the origin.
+    # u = 1 on every ray, so a parallelepiped point p = sum r_i v_i / |det| has
+    # u(p) = sum r_i / |det|, its age; the residues are all 0 only at the origin.
     for piece, normals, size in _pieces(cone):
-        values = [sum(map(mul, w, v)) for v in piece]
-        bound = m * size
         for row in _residues(piece, normals, size):
-            if any(0 < sum(map(mul, r, values)) < bound for r in row):
+            if any(0 < sum(r) < size for r in row):
                 return False
     return True
 

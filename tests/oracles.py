@@ -9,7 +9,9 @@ augmented rows to (w, m), u = w/m in lowest terms, or None. ``solve_exact``
 solves a rational system by scaling each equation to integers
 (``clear_denominators``) and reading ``solve_scaled`` back as Fractions: the
 route by which ``logcentre.toric`` once solved every divisor functional,
-against which its solve on one simplicial piece is checked. ``pairing`` is
+against which its solve on one simplicial piece is checked.
+``primitive_vector`` divides an integer vector by the gcd of its entries, so
+that the facet oracles below import no function from ``logcentre``. ``pairing`` is
 the Fraction dot product of a functional and a lattice vector, and
 ``integer_kernel_of_row`` builds the index-one cover lattice the older way,
 from the kernel of the row (m*u, -m), against which the Hermite-form cover of ``logcentre.toric`` is
@@ -77,7 +79,6 @@ from operator import mul
 from typing import Optional
 
 from logcentre.errors import LogCentreError
-from logcentre.linalg import primitive_vector
 from logcentre.ncpoly import NCPoly
 from logcentre.toric import ToricDivisor
 from logcentre.valmat import ValMatrix
@@ -177,6 +178,15 @@ def clear_denominators(row) -> list:
     """The rational row times the lcm of its denominators, as integers."""
     m = lcm(*(x.denominator for x in row))
     return [x.numerator * (m // x.denominator) for x in row]
+
+
+def primitive_vector(v) -> tuple:
+    """The integer vector divided by the gcd of its entries, orientation kept;
+    ValueError for the zero vector."""
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in v)
 
 
 def solve_exact(rows, rhs):

@@ -28,10 +28,14 @@ A twelfth keeps one shape of limit message: no module of ``src/logcentre`` but
 ``ResourceLimit.over``, which names the limit and its value. A thirteenth
 checks each limit once, where its work is: every ``MAX_*`` or ``_MAX_*``
 constant of ``src/logcentre`` is read in exactly one function of the package,
-and nowhere at module level; a docstring that names it is not a read.
+and nowhere at module level; a docstring that names it is not a read. A
+fourteenth keeps the oracles independent: every name that ``tests/oracles.py``
+imports from ``logcentre`` is a class (a value class or an exception), never a
+function of the code the oracles check.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -435,3 +439,37 @@ def test_each_limit_is_read_in_one_function():
     assert _limit_readers({"m": ast.parse(source)}) == {
         "MAX_A": {"m:<module>", "m:f", "m:K.g"}, "_MAX_B": {"m:f"}, "MAX_C": {"m:<module>"}
     }
+
+
+def _package_imports(tree) -> list:
+    """(module, name) for each name the tree imports from the package; a
+    plain ``import logcentre.x`` is the module itself, as ("logcentre.x", None)."""
+    def ours(module):
+        return (module or "").partition(".")[0] == "logcentre"
+
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and ours(node.module):
+            imports.extend((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imports.extend((alias.name, None) for alias in node.names if ours(alias.name))
+    return imports
+
+
+def test_oracles_import_no_function_of_the_package():
+    # An oracle that calls the code it checks shares that code's faults, so
+    # tests/oracles.py takes only classes from the package: the value classes
+    # its routes build and the exceptions they raise.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imports = _package_imports(tree)
+    assert ("logcentre.toric", "ToricDivisor") in imports
+    not_classes = [
+        f"{module}.{name}" if name else module
+        for module, name in imports
+        if not isinstance(getattr(importlib.import_module(module), name or "", None), type)
+    ]
+    assert not_classes == []
+    source = "from logcentre.linalg import congruence_basis\nimport logcentre.toric, os\n"
+    assert _package_imports(ast.parse(source)) == [
+        ("logcentre.linalg", "congruence_basis"), ("logcentre.toric", None)
+    ]

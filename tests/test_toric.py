@@ -22,6 +22,7 @@ from oracles import (
     integer_kernel_of_row,
     integer_pair,
     pairing,
+    primitive_vector,
     pulled_back_facets,
     q_cartier_route,
     rank,
@@ -373,18 +374,14 @@ def test_cone_and_from_rays_share_one_contract():
 
 
 def test_each_ray_is_checked_once(monkeypatch):
-    integer, bounded, primitive = [], [], []
+    integer, bounded = [], []
     integer_ray, check_ray_coords = toric._integer_ray, toric._check_ray_coords
-    primitive_vector = linalg.primitive_vector
     monkeypatch.setattr(toric, "_integer_ray", lambda r: integer.append(r) or integer_ray(r))
     monkeypatch.setattr(
         toric, "_check_ray_coords", lambda *a: bounded.append(a) or check_ray_coords(*a)
     )
-    monkeypatch.setattr(
-        linalg, "primitive_vector", lambda v: primitive.append(v) or primitive_vector(v)
-    )
     Cone.from_rays(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)))
-    assert (len(integer), len(bounded), len(primitive)) == (4, 4, 0)
+    assert (len(integer), len(bounded)) == (4, 4)
 
 
 def test_cone_validation():
@@ -433,7 +430,7 @@ def _oracle_normal(subset, dim):
     for row, c in zip(red, pivots):
         x[c] = -row[free]
     m = lcm(*(q.denominator for q in x))
-    return linalg.primitive_vector([int(q * m) for q in x])
+    return primitive_vector([int(q * m) for q in x])
 
 
 def _oracle_cone(dim, rays):
@@ -480,7 +477,7 @@ def test_cone_shape_matches_rank_oracle_on_random_ray_sets():
             ]
         else:
             vectors = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(count)]
-        rays = list(dict.fromkeys(linalg.primitive_vector(v) for v in vectors if any(v)))
+        rays = list(dict.fromkeys(primitive_vector(v) for v in vectors if any(v)))
         if not rays:
             continue
         expected = _oracle_cone(dim, rays)
@@ -847,7 +844,7 @@ def test_hilbert_basis_oracle_fixed_cones():
 def test_hilbert_basis_oracle_random(entries):
     a, b, c, d = entries
     assume(a * d - b * c != 0)
-    rays = (linalg.primitive_vector((a, b)), linalg.primitive_vector((c, d)))
+    rays = (primitive_vector((a, b)), primitive_vector((c, d)))
     assume(rays[0] != rays[1])
     cone = Cone.from_rays(rays)
     _assert_is_hilbert_basis(cone, hilbert_basis(cone))
@@ -866,7 +863,7 @@ def test_klt_reduces_to_coefficient_bound(entries, style):
     # boundary coefficient is below one
     a, b, c, d = entries
     assume(a * d - b * c != 0)
-    rays = (linalg.primitive_vector((a, b)), linalg.primitive_vector((c, d)))
+    rays = (primitive_vector((a, b)), primitive_vector((c, d)))
     assume(rays[0] != rays[1])
     coeffs = ((0, 0), (Fraction(1, 2), Fraction(2, 3)), (1, Fraction(1, 2)))[style]
     pair = ConePair(Cone.from_rays(rays), ToricDivisor(coeffs))
@@ -1007,7 +1004,7 @@ def _random_cone(rng):
         if height is not None:
             v = v[:-1] + (height,)
         if any(v):
-            rays.add(linalg.primitive_vector(v))
+            rays.add(primitive_vector(v))
     return Cone.from_rays(sorted(rays))
 
 
@@ -1126,7 +1123,7 @@ def _seeded_ray_sets():
         # Keeps every (dim-1)-minor, so every dual ray coordinate, within MAX_RAY_COORD.
         bound = rng.randint(1, {2: 9, 3: 4, 4: 2}[dim])
         rays = {
-            linalg.primitive_vector(v)
+            primitive_vector(v)
             for v in (
                 tuple(rng.randint(-bound, bound) for _ in range(dim))
                 for _ in range(rng.randint(dim, dim + 3))
